@@ -17,15 +17,15 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import data, modelio, pipeline
-from .errors import (ConfigError, DataError, DimensionError, MetricError,
-                     ParseError, SplitError, TrainingError)
+from .errors import (ConfigError, DataError, DimensionError,
+                     GenerationError, MetricError, NumericError, ParseError,
+                     SplitError, StateError, TrainingError)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -35,11 +35,19 @@ EXIT_TRAINING = 5
 
 SWEEP_PARAMS = ("alpha", "beta", "lambda", "tau")
 
+# Config keys and sweep params name DistillConfig fields, except that the
+# Python keyword `lambda` names the field `lam`.
+_FIELD_FOR_KEY = {"lambda": "lam"}
+
 DATASET_KEYS = {f.name for f in dataclasses.fields(data.SyntheticConfig)} \
     | {"file", "frac_valid", "frac_test"}
 TRAIN_KEYS = {f.name for f in dataclasses.fields(pipeline.DistillConfig)} \
-    - {"mode"} | {"lambda"}
+    - {"mode", *_FIELD_FOR_KEY.values()} | set(_FIELD_FOR_KEY)
 SWEEP_KEYS = {"param", "grid", "seeds"}
+
+
+def _field(key: str) -> str:
+    return _FIELD_FOR_KEY.get(key, key)
 
 
 def _parse_config(path: Path) -> configparser.ConfigParser:
@@ -62,60 +70,35 @@ def _parse_config(path: Path) -> configparser.ConfigParser:
     return parser
 
 
-def _coerce(value: str, target):
-    if isinstance(target, bool):
-        return value.lower() in ("1", "true", "yes")
-    if isinstance(target, int):
-        return int(value)
-    if isinstance(target, float):
-        return float(value)
-    if isinstance(target, tuple):
-        return tuple(int(v) for v in value.split(",") if v.strip())
-    return value
+def _section(parser: configparser.ConfigParser, name: str):
+    return parser[name] if parser.has_section(name) else {}
 
 
-def _dataset_config(parser: configparser.ConfigParser,
-                    seed: int | None) -> data.SyntheticConfig:
-    kwargs = {}
-    section = parser["dataset"] if parser.has_section("dataset") else {}
-    defaults = data.SyntheticConfig()
-    for f in dataclasses.fields(data.SyntheticConfig):
-        if f.name in section:
-            kwargs[f.name] = _coerce(section[f.name],
-                                     getattr(defaults, f.name))
+def _coerce(key: str, value: str, target):
+    """Config text `value` for `key`, parsed as the type of `target`."""
     try:
-        cfg = data.SyntheticConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    return cfg
+        if isinstance(target, tuple):
+            return tuple(int(v) for v in value.split(",") if v.strip())
+        return type(target)(value)
+    except ValueError:
+        raise ConfigError(f"bad value {value!r} for {key}") from None
 
 
-def _train_config(parser: configparser.ConfigParser, section_name: str,
-                  seed: int | None, mode: str | None,
-                  overrides: dict | None = None) -> pipeline.DistillConfig:
-    kwargs = {}
-    section = parser[section_name] if parser.has_section(section_name) else {}
-    defaults = pipeline.DistillConfig()
-    for f in dataclasses.fields(pipeline.DistillConfig):
-        key = "lambda" if f.name == "lam" else f.name
-        if key in section:
-            kwargs[f.name] = _coerce(section[key], getattr(defaults, f.name))
-    cfg = pipeline.DistillConfig(**kwargs)
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    if mode is not None:
-        cfg = replace(cfg, mode=mode)
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+def _config(cls, parser, section_name: str, **overrides):
+    """`cls` built from a config section; overrides that are not None win."""
+    defaults = cls()
+    names = {f.name for f in dataclasses.fields(cls)}
+    kwargs = {_field(k): _coerce(k, v, getattr(defaults, _field(k)))
+              for k, v in _section(parser, section_name).items()
+              if _field(k) in names}
+    kwargs.update((k, v) for k, v in overrides.items() if v is not None)
+    return cls(**kwargs)
 
 
 def _split_fractions(parser) -> tuple[float, float]:
-    section = parser["dataset"] if parser.has_section("dataset") else {}
-    return (float(section.get("frac_valid", 0.1)),
-            float(section.get("frac_test", 0.1)))
+    section = _section(parser, "dataset")
+    return tuple(_coerce(key, section.get(key, "0.1"), 0.1)
+                 for key in ("frac_valid", "frac_test"))
 
 
 def _out_dir(args) -> Path:
@@ -195,7 +178,7 @@ def _load_split_dataset(parser, dataset_path: Path):
 def _dataset_path(parser, args, out_dir: Path) -> Path:
     if getattr(args, "data", None):
         return Path(args.data)
-    section = parser["dataset"] if parser.has_section("dataset") else {}
+    section = _section(parser, "dataset")
     if "file" in section:
         return Path(section["file"])
     return out_dir / "dataset.csv"
@@ -203,7 +186,7 @@ def _dataset_path(parser, args, out_dir: Path) -> Path:
 
 def cmd_generate(args) -> int:
     parser = _parse_config(Path(args.config))
-    cfg = _dataset_config(parser, args.seed)
+    cfg = _config(data.SyntheticConfig, parser, "dataset", seed=args.seed)
     out_dir = _out_dir(args)
     _echo_config(cfg)
     t0 = time.time()
@@ -224,23 +207,24 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     parser = _parse_config(Path(args.config))
     mode = args.mode
-    if mode == "teacher":
-        cfg = _train_config(parser, "teacher", args.seed, None)
-    else:
-        cfg = _train_config(parser, "student", args.seed, mode)
+    teacher_run = mode == "teacher"
+    cfg = _config(pipeline.DistillConfig, parser,
+                  "teacher" if teacher_run else "student", seed=args.seed,
+                  mode=None if teacher_run else mode)
     out_dir = _out_dir(args)
     dataset_path = _dataset_path(parser, args, out_dir)
     ds = _load_split_dataset(parser, dataset_path)
     _echo_config(cfg)
 
     t0 = time.time()
-    if mode == "teacher":
+    if teacher_run:
         model, trace = pipeline.train_teacher(ds, cfg)
         feature_mode = "in"
         model_path = out_dir / "teacher.mgkd"
     else:
+        spec = pipeline.MODE_TABLE[mode]
         teacher = None
-        if mode not in ("baseline_pre", "oracle"):
+        if spec.needs_teacher:
             teacher_path = Path(args.teacher or out_dir / "teacher.mgkd")
             if not teacher_path.exists():
                 raise FileNotFoundError(
@@ -249,7 +233,7 @@ def cmd_train(args) -> int:
             if teacher_feat != "in":
                 raise DataError(f"{teacher_path} is not an in-service model")
         model, trace = pipeline.train_student(ds, teacher, cfg)
-        feature_mode = pipeline.feature_block_for_mode(mode)
+        feature_mode = spec.features
         model_path = out_dir / f"student_{mode}.mgkd"
     train_s = time.time() - t0
 
@@ -310,14 +294,9 @@ def _parse_seeds(arg: str | None, fallback: str = "0,1,2,3,4") -> list[int]:
         raise ConfigError(f"bad seed list {text!r}") from None
 
 
-def _ablate_point(payload):
-    ds, cfg, seed, modes = payload
-    return pipeline.run_ablation(ds, cfg, [seed], modes)
-
-
 def cmd_ablate(args) -> int:
     parser = _parse_config(Path(args.config))
-    cfg = _train_config(parser, "student", None, None)
+    cfg = _config(pipeline.DistillConfig, parser, "student")
     seeds = _parse_seeds(args.seeds)
     out_dir = _out_dir(args)
     dataset_path = _dataset_path(parser, args, out_dir)
@@ -326,14 +305,7 @@ def cmd_ablate(args) -> int:
 
     t0 = time.time()
     modes = pipeline.ABLATION_MODES
-    if args.jobs and args.jobs > 1:
-        payloads = [(ds, cfg, seed, modes) for seed in seeds]
-        reports = []
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for chunk in pool.map(_ablate_point, payloads):
-                reports.extend(chunk)
-    else:
-        reports = pipeline.run_ablation(ds, cfg, seeds, modes)
+    reports = pipeline.run_ablation(ds, cfg, seeds, modes, args.jobs)
     elapsed = time.time() - t0
 
     agg = pipeline.aggregate_reports(reports)
@@ -364,21 +336,9 @@ def cmd_ablate(args) -> int:
     return EXIT_OK
 
 
-def _sweep_point(payload):
-    ds, cfg, seed, param, value = payload
-    field_name = "lam" if param == "lambda" else param
-    cfg_point = replace(cfg, seed=seed, **{field_name: value})
-    teacher, _ = pipeline.train_teacher(ds, cfg_point)
-    model, _ = pipeline.train_student(ds, teacher, cfg_point)
-    report = pipeline.evaluate_split(model, ds, "test", "pre",
-                                     seed=seed, mode=f"{param}={value}")
-    return _report_record(report, {"record": "sweep_point",
-                                   "param": param, "value": value})
-
-
 def cmd_sweep(args) -> int:
     parser = _parse_config(Path(args.config))
-    section = parser["sweep"] if parser.has_section("sweep") else {}
+    section = _section(parser, "sweep")
     param = args.param or section.get("param")
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"sweep param must be one of {SWEEP_PARAMS}, "
@@ -390,10 +350,10 @@ def cmd_sweep(args) -> int:
         grid = [float(v) for v in grid_text.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"bad grid value in {grid_text!r}") from None
-    cfg = _train_config(parser, "student", None, "full")
-    for value in grid:
-        field_name = "lam" if param == "lambda" else param
-        replace(cfg, **{field_name: value})  # validates the grid value
+    cfg = _config(pipeline.DistillConfig, parser, "student", mode="full")
+    points = [(f"{param}={value}", {_field(param): value}) for value in grid]
+    for _, overrides in points:
+        replace(cfg, **overrides)  # validates the grid value
 
     seeds = _parse_seeds(args.seeds, section.get("seeds", "0,1,2,3,4"))
     out_dir = _out_dir(args)
@@ -402,13 +362,12 @@ def cmd_sweep(args) -> int:
     _echo_config(cfg)
 
     t0 = time.time()
-    payloads = [(ds, cfg, seed, param, value)
-                for value in grid for seed in seeds]
-    if args.jobs and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_sweep_point, payloads))
-    else:
-        records = [_sweep_point(p) for p in payloads]
+    per_seed = pipeline.run_grid(ds, cfg, seeds, points, args.jobs)
+    # Value-major order: every seed of the first grid value, then the next.
+    records = [_report_record(report, {"record": "sweep_point",
+                                       "param": param, "value": value})
+               for value, reports in zip(grid, zip(*per_seed))
+               for report in reports]
     elapsed = time.time() - t0
 
     results_path = out_dir / f"sweep_{param}_results.jsonl"
@@ -483,7 +442,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, GenerationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FileNotFoundError as exc:
@@ -493,7 +452,7 @@ def main(argv=None) -> int:
             MetricError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except TrainingError as exc:
+    except (TrainingError, NumericError, StateError) as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
 

@@ -154,14 +154,16 @@ def generate_synthetic(cfg: SyntheticConfig) -> TwoPhaseDataset:
     return TwoPhaseDataset(x_pre, x_in, y, timestamp, split)
 
 
+def _header(d_pre: int, d_in: int) -> list[str]:
+    return (["user_id", "ts", "y"] + [f"pre_{j}" for j in range(d_pre)]
+            + [f"in_{j}" for j in range(d_in)])
+
+
 def save_delimited(ds: TwoPhaseDataset, path) -> None:
     """Write the dataset as CSV with exact round-trip float text."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = (["user_id", "ts", "y"]
-                  + [f"pre_{j}" for j in range(ds.d_pre)]
-                  + [f"in_{j}" for j in range(ds.d_in)])
-        writer.writerow(header)
+        writer.writerow(_header(ds.d_pre, ds.d_in))
         for i in range(ds.n):
             row = [str(i), str(int(ds.timestamp[i])), str(int(ds.y[i]))]
             row += [repr(float(v)) for v in ds.x_pre[i]]
@@ -181,15 +183,11 @@ def load_delimited(path) -> TwoPhaseDataset:
         for col in ("user_id", "ts", "y"):
             if col not in header:
                 raise ParseError(f"{path}: missing column {col!r}")
-        pre_cols = [h for h in header if h.startswith("pre_")]
-        in_cols = [h for h in header if h.startswith("in_")]
-        expected = ["user_id", "ts", "y"] + \
-            [f"pre_{j}" for j in range(len(pre_cols))] + \
-            [f"in_{j}" for j in range(len(in_cols))]
-        if header != expected:
+        d_pre = sum(h.startswith("pre_") for h in header)
+        d_in = sum(h.startswith("in_") for h in header)
+        if header != _header(d_pre, d_in):
             raise ParseError(f"{path}: header does not match schema "
                              f"user_id, ts, y, pre_*, in_*")
-        d_pre, d_in = len(pre_cols), len(in_cols)
 
         ts_list, y_list, pre_rows, in_rows = [], [], [], []
         for lineno, row in enumerate(reader, start=2):
@@ -210,9 +208,17 @@ def load_delimited(path) -> TwoPhaseDataset:
             y_list.append(label)
 
     n = len(y_list)
+    x_pre = np.array(pre_rows, dtype=np.float64).reshape(n, d_pre)
+    x_in = np.array(in_rows, dtype=np.float64).reshape(n, d_in)
+    finite = np.isfinite(x_pre).all(axis=1) & np.isfinite(x_in).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        col = np.argmin(np.isfinite(np.concatenate([x_pre[row], x_in[row]])))
+        raise ParseError(f"{path}:{row + 2}: non-finite value in column "
+                         f"{header[3 + col]}")
     return TwoPhaseDataset(
-        x_pre=np.array(pre_rows, dtype=np.float64).reshape(n, d_pre),
-        x_in=np.array(in_rows, dtype=np.float64).reshape(n, d_in),
+        x_pre=x_pre,
+        x_in=x_in,
         y=np.array(y_list, dtype=np.int64),
         timestamp=np.array(ts_list, dtype=np.int64),
         split=np.full(n, "", dtype="<U5"),

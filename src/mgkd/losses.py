@@ -58,6 +58,14 @@ def _check_lengths(*vecs):
     return n
 
 
+def _sample_weights(y, weights) -> np.ndarray:
+    if weights is None:
+        return np.ones(len(y))
+    w = np.asarray(weights, dtype=np.float64)
+    _check_lengths(y, w)
+    return w
+
+
 def _clamp(p: np.ndarray) -> np.ndarray:
     return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
@@ -67,11 +75,7 @@ def kl_hard(y, p, weights=None) -> LossValue:
     y = np.asarray(y, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
     n = _check_lengths(y, p)
-    if weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        _check_lengths(y, w)
+    w = _sample_weights(y, weights)
     pc = _clamp(p)
     ce = -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))
     value = float(np.mean(w * ce))
@@ -98,10 +102,17 @@ def kl_soft(teacher_logits, student_logits, tau: float) -> LossValue:
     return LossValue(value, grad_logit, None)
 
 
+def mix_labels(hard: LossValue, soft: LossValue, alpha: float) -> LossValue:
+    """(1 - alpha) * hard + alpha * soft, gradients combined linearly."""
+    return LossValue((1.0 - alpha) * hard.value + alpha * soft.value,
+                     (1.0 - alpha) * hard.grad_logit
+                     + alpha * soft.grad_logit)
+
+
 def label_loss(y, p, teacher_logits, student_logits, tau: float,
                alpha: float, weights=None,
                hard_part: LossValue | None = None) -> LossValue:
-    """(1 - alpha) * hard + alpha * soft, gradients combined linearly.
+    """mix_labels of the hard term and kl_soft, skipping a zero-weight term.
 
     `hard_part` substitutes a precomputed hard-term LossValue (re-weighted
     or focal variants); by default the hard term is plain kl_hard.
@@ -114,11 +125,7 @@ def label_loss(y, p, teacher_logits, student_logits, tau: float,
     soft = kl_soft(teacher_logits, student_logits, tau)
     if alpha == 1.0:
         return soft
-    return LossValue(
-        (1.0 - alpha) * hard.value + alpha * soft.value,
-        (1.0 - alpha) * hard.grad_logit + alpha * soft.grad_logit,
-        None,
-    )
+    return mix_labels(hard, soft, alpha)
 
 
 def feat_loss(h_teacher, h_student, metric: str = "mse") -> LossValue:
@@ -197,11 +204,7 @@ def focal_loss(y, p, gamma: float = 2.0, weights=None) -> LossValue:
     y = np.asarray(y, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
     n = _check_lengths(y, p)
-    if weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        _check_lengths(y, w)
+    w = _sample_weights(y, weights)
     pc = _clamp(p)
     pt = np.where(y == 1, pc, 1.0 - pc)
     mod = (1.0 - pt) ** gamma

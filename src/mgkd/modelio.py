@@ -9,7 +9,9 @@ vector as float64.
 
 from __future__ import annotations
 
+import io
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -28,18 +30,20 @@ def _write_layer(fh, layer: Layer) -> None:
     fh.write(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
 
 
+def _read(fh, n: int, path, what: str) -> bytes:
+    chunk = fh.read(n)
+    if len(chunk) != n:
+        raise ParseError(f"{path}: truncated {what}")
+    return chunk
+
+
 def _read_layer(fh, path) -> Layer:
-    head = fh.read(8)
-    if len(head) != 8:
-        raise ParseError(f"{path}: truncated layer header")
-    rows, cols = struct.unpack("<II", head)
-    wbytes = fh.read(rows * cols * 8)
-    bbytes = fh.read(cols * 8)
-    if len(wbytes) != rows * cols * 8 or len(bbytes) != cols * 8:
-        raise ParseError(f"{path}: truncated layer data")
-    weights = np.frombuffer(wbytes, dtype="<f8").reshape(rows, cols).copy()
-    bias = np.frombuffer(bbytes, dtype="<f8").copy()
-    return Layer(weights, bias)
+    rows, cols = struct.unpack("<II", _read(fh, 8, path, "layer header"))
+    weights = _read(fh, rows * cols * 8, path, "layer data")
+    bias = _read(fh, cols * 8, path, "layer data")
+    return Layer(
+        np.frombuffer(weights, dtype="<f8").reshape(rows, cols).copy(),
+        np.frombuffer(bias, dtype="<f8").copy())
 
 
 def save_model(model: MlpModel, path, feature_mode: str = "pre") -> None:
@@ -51,23 +55,26 @@ def save_model(model: MlpModel, path, feature_mode: str = "pre") -> None:
                              FEATURE_MODES.index(feature_mode),
                              model.dropout_rate))
         fh.write(struct.pack("<I", len(model.encoder)))
-        for layer in model.encoder:
+        for layer in model.layers():
             _write_layer(fh, layer)
-        _write_layer(fh, model.classifier)
 
 
 def load_model(path) -> tuple[MlpModel, str]:
-    with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise ParseError(f"{path}: bad magic, not a model file")
-        version, mode_code, dropout = struct.unpack("<IBd", fh.read(13))
-        if version != VERSION:
-            raise ParseError(f"{path}: unsupported version {version}")
-        if mode_code >= len(FEATURE_MODES):
-            raise ParseError(f"{path}: bad feature mode {mode_code}")
-        (n_layers,) = struct.unpack("<I", fh.read(4))
-        encoder = [_read_layer(fh, path) for _ in range(n_layers)]
-        classifier = _read_layer(fh, path)
+    # Whole-file read: a corrupt length can then never allocate past it.
+    fh = io.BytesIO(Path(path).read_bytes())
+    if fh.read(4) != MAGIC:
+        raise ParseError(f"{path}: bad magic, not a model file")
+    version, mode_code, dropout = struct.unpack(
+        "<IBd", _read(fh, 13, path, "header"))
+    if version != VERSION:
+        raise ParseError(f"{path}: unsupported version {version}")
+    if mode_code >= len(FEATURE_MODES):
+        raise ParseError(f"{path}: bad feature mode {mode_code}")
+    (n_layers,) = struct.unpack("<I", _read(fh, 4, path, "header"))
+    encoder = [_read_layer(fh, path) for _ in range(n_layers)]
+    classifier = _read_layer(fh, path)
+    if fh.read(1):
+        raise ParseError(f"{path}: trailing bytes after the classifier")
     input_dim = encoder[0].weights.shape[0] if encoder \
         else classifier.weights.shape[0]
     model = MlpModel(encoder, classifier, dropout, input_dim)

@@ -57,8 +57,26 @@ class Layer:
         return Layer(self.weights.copy(), self.bias.copy())
 
 
+class LayerStack:
+    """Parameter layout of models, gradients and Adam moments: the encoder
+    layers in order, then the classifier, each as weights then bias."""
+
+    encoder: list[Layer]
+    classifier: Layer
+
+    def layers(self) -> list[Layer]:
+        return [*self.encoder, self.classifier]
+
+    def param_arrays(self) -> list[tuple[str, np.ndarray]]:
+        """Named views on every parameter array (mutable, used in-place)."""
+        names = [f"encoder[{i}]" for i in range(len(self.encoder))]
+        return [(f"{name}.{part}", getattr(layer, part))
+                for name, layer in zip([*names, "classifier"], self.layers())
+                for part in ("weights", "bias")]
+
+
 @dataclass
-class MlpModel:
+class MlpModel(LayerStack):
     """Encoder stack plus single-logit classifier head."""
 
     encoder: list[Layer]
@@ -70,26 +88,10 @@ class MlpModel:
     def repr_dim(self) -> int:
         return self.classifier.weights.shape[0]
 
-    def layers(self) -> list[Layer]:
-        return [*self.encoder, self.classifier]
-
-    def param_arrays(self) -> list[tuple[str, np.ndarray]]:
-        """Named views on every parameter array (mutable, used in-place)."""
-        out = []
-        for i, layer in enumerate(self.encoder):
-            out.append((f"encoder[{i}].weights", layer.weights))
-            out.append((f"encoder[{i}].bias", layer.bias))
-        out.append(("classifier.weights", self.classifier.weights))
-        out.append(("classifier.bias", self.classifier.bias))
-        return out
-
     def copy(self) -> "MlpModel":
-        return MlpModel(
-            encoder=[l.copy() for l in self.encoder],
-            classifier=self.classifier.copy(),
-            dropout_rate=self.dropout_rate,
-            input_dim=self.input_dim,
-        )
+        *encoder, classifier = [l.copy() for l in self.layers()]
+        return MlpModel(encoder, classifier, self.dropout_rate,
+                        self.input_dim)
 
 
 def init_mlp(input_dim: int, hidden_dims: list[int], dropout_rate: float,
@@ -169,20 +171,11 @@ def forward(model: MlpModel, x, mode: str = "eval",
 
 
 @dataclass
-class Gradients:
+class Gradients(LayerStack):
     """Parameter gradients mirroring the model structure."""
 
     encoder: list[Layer]
     classifier: Layer
-
-    def param_arrays(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for i, layer in enumerate(self.encoder):
-            out.append((f"encoder[{i}].weights", layer.weights))
-            out.append((f"encoder[{i}].bias", layer.bias))
-        out.append(("classifier.weights", self.classifier.weights))
-        out.append(("classifier.bias", self.classifier.bias))
-        return out
 
 
 def backward(model: MlpModel, cache: ForwardCache, grad_logit,
@@ -237,12 +230,10 @@ class AdamState:
 
 
 def _zeros_like_model(model: MlpModel) -> Gradients:
-    return Gradients(
-        encoder=[Layer(np.zeros_like(l.weights), np.zeros_like(l.bias))
-                 for l in model.encoder],
-        classifier=Layer(np.zeros_like(model.classifier.weights),
-                         np.zeros_like(model.classifier.bias)),
-    )
+    *encoder, classifier = [Layer(np.zeros_like(l.weights),
+                                  np.zeros_like(l.bias))
+                            for l in model.layers()]
+    return Gradients(encoder, classifier)
 
 
 def init_adam(model: MlpModel, beta1: float = 0.9, beta2: float = 0.999,

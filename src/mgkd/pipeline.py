@@ -6,11 +6,18 @@ hard/soft label terms, representation alignment against the frozen
 teacher, and a self-term against the student's own previous-epoch logits
 (inactive during epoch 1). Early stopping watches the hard loss on the
 validation split.
+
+`MODE_TABLE` is the one definition of what each student mode implies.
+Ablations and sweeps share `run_grid`: one teacher per seed, then every
+student point against it.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -18,10 +25,33 @@ from . import losses, metrics, numcore
 from .data import TwoPhaseDataset
 from .errors import ConfigError, DataError, TrainingError
 
-MODES = ("full", "no_coarse", "no_fine", "no_self",
-         "pretrain_only", "baseline_pre", "oracle")
-ABLATION_MODES = ("baseline_pre", "pretrain_only", "no_fine", "no_coarse",
-                  "full", "oracle")
+
+@dataclass(frozen=True)
+class ModeSpec:
+    """What one student mode implies for features, teacher and loss terms."""
+
+    features: str                 # feature block the student reads
+    needs_teacher: bool
+    init_from_teacher: bool       # start from the teacher's weights
+    zeroed: tuple[str, ...] = ()  # DistillConfig weights forced to 0
+    ablated: bool = True          # a row of the ablation table
+
+
+_ALL_TERMS = ("alpha", "beta", "lam")
+
+# Rows in ablation-table order, weakest to strongest. Columns: features,
+# needs_teacher, init_from_teacher, zeroed.
+MODE_TABLE = {
+    "baseline_pre": ModeSpec("pre", False, False, _ALL_TERMS),
+    "pretrain_only": ModeSpec("pre", True, True, _ALL_TERMS),
+    "no_fine": ModeSpec("pre", True, False, ("alpha",)),
+    "no_coarse": ModeSpec("pre", True, False, ("beta",)),
+    "no_self": ModeSpec("pre", True, False, ("lam",), ablated=False),
+    "full": ModeSpec("pre", True, False),
+    "oracle": ModeSpec("both", False, False, _ALL_TERMS),
+}
+MODES = tuple(MODE_TABLE)
+ABLATION_MODES = tuple(m for m, spec in MODE_TABLE.items() if spec.ablated)
 HARD_TERMS = ("ce", "reweighted", "focal", "reweighted_focal")
 
 
@@ -73,16 +103,8 @@ class DistillConfig:
 
     def normalized(self) -> "DistillConfig":
         """Apply the loss-term constraints implied by the ablation mode."""
-        cfg = self
-        if cfg.mode == "no_coarse":
-            cfg = replace(cfg, beta=0.0)
-        elif cfg.mode == "no_fine":
-            cfg = replace(cfg, alpha=0.0)
-        elif cfg.mode == "no_self":
-            cfg = replace(cfg, lam=0.0)
-        elif cfg.mode in ("baseline_pre", "pretrain_only", "oracle"):
-            cfg = replace(cfg, alpha=0.0, beta=0.0, lam=0.0)
-        return cfg
+        return replace(self, **dict.fromkeys(MODE_TABLE[self.mode].zeroed,
+                                             0.0))
 
 
 @dataclass
@@ -135,6 +157,7 @@ def _train_model(x_tr, y_tr, x_va, y_va, cfg: DistillConfig, *,
     if teacher is not None and (cfg.alpha > 0.0 or cfg.beta > 0.0):
         t_cache = numcore.forward(teacher, teacher_x, "eval")
         teacher_h, teacher_z = t_cache.h, t_cache.z
+        del t_cache  # frees every other layer's train-set activations
 
     batch_size = min(cfg.batch_size, n_tr)
     snapshot = None
@@ -154,14 +177,10 @@ def _train_model(x_tr, y_tr, x_va, y_va, cfg: DistillConfig, *,
 
             hard = _hard_loss(cfg, y_b, cache.p, w_b)
             soft = feat = self_part = None
+            label = hard
             if cfg.alpha > 0.0:
                 soft = losses.kl_soft(teacher_z[idx], cache.z, cfg.tau)
-                label = losses.LossValue(
-                    (1.0 - cfg.alpha) * hard.value + cfg.alpha * soft.value,
-                    (1.0 - cfg.alpha) * hard.grad_logit
-                    + cfg.alpha * soft.grad_logit)
-            else:
-                label = hard
+                label = losses.mix_labels(hard, soft, cfg.alpha)
             if cfg.beta > 0.0:
                 feat = losses.feat_loss(teacher_h[idx], cache.h,
                                         cfg.feat_metric)
@@ -215,17 +234,19 @@ def _train_model(x_tr, y_tr, x_va, y_va, cfg: DistillConfig, *,
     return best_model, trace
 
 
-def _split_xy(ds: TwoPhaseDataset, features: str):
-    if features == "pre":
-        x = ds.x_pre
-    elif features == "in":
-        x = ds.x_in
-    elif features == "both":
-        x = np.hstack([ds.x_pre, ds.x_in])
-    else:
-        raise ConfigError(f"unknown feature block {features!r}")
+def _features(ds: TwoPhaseDataset, block: str, rows) -> np.ndarray:
+    """The given rows of feature block "pre", "in" or "both" (pre then in)."""
+    if block == "both":
+        return np.hstack([ds.x_pre[rows], ds.x_in[rows]])
+    if block in ("pre", "in"):
+        return getattr(ds, f"x_{block}")[rows]
+    raise ConfigError(f"unknown feature block {block!r}")
+
+
+def _split_xy(ds: TwoPhaseDataset, block: str):
     tr, va = ds.mask("train"), ds.mask("valid")
-    return x[tr], ds.y[tr], x[va], ds.y[va], x
+    return (_features(ds, block, tr), ds.y[tr],
+            _features(ds, block, va), ds.y[va])
 
 
 def train_teacher(ds: TwoPhaseDataset,
@@ -234,26 +255,21 @@ def train_teacher(ds: TwoPhaseDataset,
     if ds.d_in == 0:
         raise DataError("teacher training requires the in-service block")
     cfg = replace(cfg, alpha=0.0, beta=0.0, lam=0.0, mode="full")
-    x_tr, y_tr, x_va, y_va, _ = _split_xy(ds, "in")
-    return _train_model(x_tr, y_tr, x_va, y_va, cfg)
+    return _train_model(*_split_xy(ds, "in"), cfg)
 
 
 def train_student(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
                   cfg: DistillConfig) -> tuple[numcore.MlpModel, TrainTrace]:
     """Fit the pre-service model under the mode-resolved objective."""
     cfg = cfg.normalized()
-    needs_teacher = cfg.mode in ("full", "no_coarse", "no_fine", "no_self",
-                                 "pretrain_only")
-    if needs_teacher and teacher is None:
+    spec = MODE_TABLE[cfg.mode]
+    if spec.needs_teacher and teacher is None:
         raise ConfigError(f"mode {cfg.mode!r} requires a trained teacher")
-    if (needs_teacher or cfg.mode == "oracle") and ds.d_in == 0:
+    if (spec.needs_teacher or spec.features != "pre") and ds.d_in == 0:
         raise DataError(f"mode {cfg.mode!r} requires the in-service block")
 
-    features = "both" if cfg.mode == "oracle" else "pre"
-    x_tr, y_tr, x_va, y_va, _ = _split_xy(ds, features)
-
     init_from = None
-    if cfg.mode == "pretrain_only":
+    if spec.init_from_teacher:
         init_from = teacher.copy()
         if teacher.input_dim != ds.d_pre:
             # Feature widths differ: the first layer cannot be transferred.
@@ -263,9 +279,10 @@ def train_student(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
             init_from.encoder[0] = fresh.encoder[0]
         init_from.input_dim = ds.d_pre
 
-    teacher_x = ds.x_in[ds.mask("train")] if needs_teacher else None
-    return _train_model(x_tr, y_tr, x_va, y_va, cfg,
-                        teacher=teacher if needs_teacher else None,
+    teacher_x = _features(ds, "in", ds.mask("train")) \
+        if spec.needs_teacher else None
+    return _train_model(*_split_xy(ds, spec.features), cfg,
+                        teacher=teacher if spec.needs_teacher else None,
                         teacher_x=teacher_x, init_from=init_from)
 
 
@@ -274,42 +291,59 @@ def predict(model: numcore.MlpModel, x) -> np.ndarray:
     return numcore.forward(model, x, "eval").p
 
 
-def feature_block_for_mode(mode: str) -> str:
-    return "both" if mode == "oracle" else "pre"
-
-
 def evaluate_split(model: numcore.MlpModel, ds: TwoPhaseDataset, split: str,
                    features: str = "pre", seed: int | None = None,
                    mode: str = "") -> metrics.EvalReport:
     mask = ds.mask(split)
-    if features == "both":
-        x = np.hstack([ds.x_pre[mask], ds.x_in[mask]])
-    elif features == "in":
-        x = ds.x_in[mask]
-    else:
-        x = ds.x_pre[mask]
-    return metrics.evaluate(predict(model, x), ds.y[mask], split=split,
-                            seed=seed, mode=mode)
+    return metrics.evaluate(predict(model, _features(ds, features, mask)),
+                            ds.y[mask], split=split, seed=seed, mode=mode)
+
+
+def _run_seed(ds: TwoPhaseDataset, base_cfg: DistillConfig,
+              points: list[tuple[str, dict]],
+              seed: int) -> list[metrics.EvalReport]:
+    cfgs = [replace(base_cfg, seed=seed, **overrides)
+            for _, overrides in points]
+    teacher = None
+    if any(MODE_TABLE[cfg.mode].needs_teacher for cfg in cfgs):
+        # The teacher ignores alpha/beta/lam/tau and the mode, so one
+        # teacher per seed serves every point.
+        teacher, _ = train_teacher(ds, replace(base_cfg, seed=seed))
+    reports = []
+    for (label, _), cfg in zip(points, cfgs):
+        model, _ = train_student(ds, teacher, cfg)
+        reports.append(evaluate_split(model, ds, "test",
+                                      MODE_TABLE[cfg.mode].features,
+                                      seed=seed, mode=label))
+    return reports
+
+
+def run_grid(ds: TwoPhaseDataset, base_cfg: DistillConfig, seeds: list[int],
+             points: list[tuple[str, dict]],
+             jobs: int = 1) -> list[list[metrics.EvalReport]]:
+    """Test reports for every (seed, point), one list per seed.
+
+    Each point is a `(label, overrides)` pair: its student is `base_cfg`
+    with `overrides` applied, and its report carries `label` as the mode.
+    With `jobs > 1` the seeds run in that many worker processes.
+    """
+    run = partial(_run_seed, ds, base_cfg, points)
+    if jobs > 1:
+        # Fork is unsafe once BLAS has started threads.
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(jobs, mp_context=ctx) as pool:
+            return list(pool.map(run, seeds))
+    return [run(seed) for seed in seeds]
 
 
 def run_ablation(ds: TwoPhaseDataset, base_cfg: DistillConfig,
                  seeds: list[int],
                  modes: tuple[str, ...] = ABLATION_MODES,
-                 ) -> list[metrics.EvalReport]:
+                 jobs: int = 1) -> list[metrics.EvalReport]:
     """Train every ablation mode on a shared seed set; report test metrics."""
-    reports = []
-    for seed in seeds:
-        cfg_seed = replace(base_cfg, seed=seed)
-        teacher = None
-        if any(m not in ("baseline_pre", "oracle") for m in modes):
-            teacher, _ = train_teacher(ds, cfg_seed)
-        for mode in modes:
-            cfg_m = replace(cfg_seed, mode=mode)
-            model, _ = train_student(ds, teacher, cfg_m)
-            reports.append(evaluate_split(
-                model, ds, "test", feature_block_for_mode(mode),
-                seed=seed, mode=mode))
-    return reports
+    per_seed = run_grid(ds, base_cfg, seeds,
+                        [(mode, {"mode": mode}) for mode in modes], jobs)
+    return [report for reports in per_seed for report in reports]
 
 
 def aggregate_reports(reports: list[metrics.EvalReport]) -> dict[str, dict]:
@@ -317,13 +351,10 @@ def aggregate_reports(reports: list[metrics.EvalReport]) -> dict[str, dict]:
     out: dict[str, dict] = {}
     for mode in {r.mode for r in reports}:
         rows = [r for r in reports if r.mode == mode]
-        out[mode] = {
-            "n_runs": len(rows),
-            "auc_mean": float(np.mean([r.auc for r in rows])),
-            "auc_std": float(np.std([r.auc for r in rows])),
-            "ks_mean": float(np.mean([r.ks for r in rows])),
-            "ks_std": float(np.std([r.ks for r in rows])),
-            "recall_mean": float(np.mean([r.recall_at_k for r in rows])),
-            "recall_std": float(np.std([r.recall_at_k for r in rows])),
-        }
+        out[mode] = {"n_runs": len(rows)}
+        for name, attr in (("auc", "auc"), ("ks", "ks"),
+                           ("recall", "recall_at_k")):
+            values = [getattr(r, attr) for r in rows]
+            out[mode][f"{name}_mean"] = float(np.mean(values))
+            out[mode][f"{name}_std"] = float(np.std(values))
     return out

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mgkd import cli, data, modelio, numcore
+from mgkd import cli, data, errors, modelio, numcore, pipeline
 
 CONFIG = """\
 [dataset]
@@ -85,6 +85,16 @@ class TestGenerate:
                        "--out", str(tmp_path)])
         assert rc == 2
         assert "bogus_knob" in capsys.readouterr().err
+
+    def test_field_name_lam_is_not_a_key(self, workdir, tmp_path):
+        # The config key is `lambda`; the field name `lam` is not a key.
+        _, config = workdir
+        bad = tmp_path / "lam.ini"
+        bad.write_text(config.read_text().replace("lambda = 0.1",
+                                                  "lam = 0.1"))
+        rc = cli.main(["generate", "--config", str(bad),
+                       "--out", str(tmp_path)])
+        assert rc == 2
 
 
 class TestTrain:
@@ -184,6 +194,27 @@ class TestSweep:
         assert len(records) == 4
         assert {r["value"] for r in records} == {0.0, 0.2}
 
+    def test_one_teacher_per_seed(self, workdir, tmp_path, monkeypatch):
+        out, config = workdir
+        calls = []
+        real = pipeline.train_teacher
+
+        def counting(ds, cfg):
+            calls.append(cfg.seed)
+            return real(ds, cfg)
+
+        monkeypatch.setattr(pipeline, "train_teacher", counting)
+        rc = cli.main(["sweep", "--config", str(config), "--out",
+                       str(tmp_path), "--param", "alpha",
+                       "--grid", "0.0,0.2,0.5", "--seeds", "0,1",
+                       "--data", str(out / "dataset.csv")])
+        assert rc == 0
+        assert calls == [0, 1]
+        records = read_jsonl(tmp_path / "sweep_alpha_results.jsonl")
+        # Value-major order: both seeds of a grid value, then the next.
+        assert [(r["value"], r["seed"]) for r in records] == \
+            [(v, s) for v in (0.0, 0.2, 0.5) for s in (0, 1)]
+
     def test_invalid_grid_exit_2(self, workdir, tmp_path):
         out, config = workdir
         rc = cli.main(["sweep", "--config", str(config), "--out",
@@ -208,6 +239,75 @@ class TestAblate:
         assert "ordering check" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep", "--param", "lambda", "--grid", "0.0,0.3"],
+    ["ablate"],
+])
+def test_jobs_do_not_change_results(workdir, tmp_path, command):
+    out, config = workdir
+    results = []
+    for jobs in ("1", "2"):
+        dest = tmp_path / f"jobs{jobs}"
+        rc = cli.main([*command, "--config", str(config), "--out", str(dest),
+                       "--seeds", "0,1", "--data", str(out / "dataset.csv"),
+                       "--jobs", jobs])
+        assert rc == 0
+        results.append(sorted((p.name, p.read_bytes())
+                              for p in dest.glob("*_results.jsonl")))
+    assert results[0] and results[0] == results[1]
+
+
+EXIT_FOR_ERROR = {
+    errors.ConfigError: 2, errors.GenerationError: 2,
+    errors.DimensionError: 4, errors.ParseError: 4, errors.DataError: 4,
+    errors.SplitError: 4, errors.MetricError: 4,
+    errors.NumericError: 5, errors.StateError: 5, errors.TrainingError: 5,
+}
+
+
+def test_every_package_error_has_an_exit_code():
+    assert set(EXIT_FOR_ERROR) == set(errors.MgkdError.__subclasses__())
+
+
+@pytest.mark.parametrize("error", list(EXIT_FOR_ERROR),
+                         ids=lambda e: e.__name__)
+def test_package_error_exit_code(monkeypatch, tmp_path, capsys, error):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_generate", fail)
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG)
+    assert cli.main(["generate", "--config", str(config)]) \
+        == EXIT_FOR_ERROR[error]
+    assert "boom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column", ["pre_1", "in_2"])
+def test_non_finite_cell_exit_4(workdir, tmp_path, capsys, column):
+    out, config = workdir
+    lines = (out / "dataset.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    cells = lines[5].split(",")
+    cells[header.index(column)] = "nan"
+    lines[5] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["train", "--config", str(config), "--out", str(tmp_path),
+                   "--mode", "teacher", "--data", str(bad)])
+    assert rc == 4
+    assert f"bad.csv:6: non-finite value in column {column}" \
+        in capsys.readouterr().err
+
+
+def test_bad_config_value_exit_2(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG.replace("n = 2500", "n = lots"))
+    assert cli.main(["generate", "--config", str(config),
+                     "--out", str(tmp_path)]) == 2
+    assert "'lots'" in capsys.readouterr().err
+
+
 class TestModelFile:
     def test_round_trip(self, tmp_path):
         model = numcore.init_mlp(5, [7, 3], 0.25, np.random.default_rng(4))
@@ -224,3 +324,22 @@ class TestModelFile:
         path = tmp_path / "m.mgkd"
         modelio.save_model(model, path, "pre")
         assert path.read_bytes()[:4] == b"MGKD"
+
+    def test_truncated_file(self, workdir, tmp_path):
+        out, config = workdir
+        path = tmp_path / "short.mgkd"
+        path.write_bytes((out / "teacher.mgkd").read_bytes()[:10])
+        with pytest.raises(errors.ParseError, match="truncated"):
+            modelio.load_model(path)
+        rc = cli.main(["eval", "--model", str(path),
+                       "--data", str(out / "dataset.csv"),
+                       "--config", str(config), "--out", str(tmp_path)])
+        assert rc == 4
+
+    def test_trailing_bytes(self, tmp_path):
+        model = numcore.init_mlp(3, [4], 0.0, np.random.default_rng(0))
+        path = tmp_path / "m.mgkd"
+        modelio.save_model(model, path, "pre")
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(errors.ParseError, match="trailing"):
+            modelio.load_model(path)

@@ -82,6 +82,22 @@ class TestDelimitedIO:
         with pytest.raises(ParseError, match=":2"):
             load_delimited(path)
 
+    @pytest.mark.parametrize("cell, column", [("nan", "pre_1"),
+                                              ("inf", "in_0"),
+                                              ("-inf", "in_0")])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, cell,
+                                                   column):
+        path = tmp_path / "bad.csv"
+        rows = ["0,1,0,0.5,0.5,0.5", "1,2,1,0.5,0.5,0.5",
+                "2,3,0,0.5,0.5,0.5"]
+        cells = rows[2].split(",")
+        cells[{"pre_1": 4, "in_0": 5}[column]] = cell
+        rows[2] = ",".join(cells)
+        path.write_text("user_id,ts,y,pre_0,pre_1,in_0\n"
+                        + "\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match=f"bad.csv:4: .*{column}"):
+            load_delimited(path)
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("user_id,ts,pre_0\n")

@@ -49,6 +49,38 @@ class TestConfig:
             DistillConfig(hard_term="hinge")
 
 
+class TestModeTable:
+    def test_one_record_per_mode(self):
+        assert list(pipeline.MODE_TABLE) == list(pipeline.MODES)
+        assert len(set(pipeline.MODES)) == len(pipeline.MODES)
+        assert set(pipeline.ABLATION_MODES) <= set(pipeline.MODES)
+        for spec in pipeline.MODE_TABLE.values():
+            assert spec.features in ("pre", "both")
+            assert set(spec.zeroed) <= {"alpha", "beta", "lam"}
+            assert spec.needs_teacher or not spec.init_from_teacher
+
+    @pytest.mark.parametrize("mode", pipeline.MODES)
+    def test_normalized_zeroes_exactly_the_table_terms(self, mode):
+        cfg = DistillConfig(alpha=0.3, beta=0.4, lam=0.2, mode=mode)
+        out = cfg.normalized()
+        for term in ("alpha", "beta", "lam"):
+            zeroed = term in pipeline.MODE_TABLE[mode].zeroed
+            assert getattr(out, term) == (0.0 if zeroed
+                                          else getattr(cfg, term))
+
+    @pytest.mark.parametrize("mode", pipeline.MODES)
+    def test_teacher_required_exactly_where_marked(self, small_ds, mode):
+        cfg = small_cfg(mode=mode, max_epochs=0)
+        if pipeline.MODE_TABLE[mode].needs_teacher:
+            with pytest.raises(ConfigError, match="teacher"):
+                train_student(small_ds, None, cfg)
+        else:
+            model, _ = train_student(small_ds, None, cfg)
+            width = small_ds.d_pre + (small_ds.d_in if mode == "oracle"
+                                      else 0)
+            assert model.input_dim == width
+
+
 class TestTeacher:
     def test_zero_epochs(self, small_ds):
         model, trace = train_teacher(small_ds, small_cfg(max_epochs=0))
