@@ -270,9 +270,10 @@ def cmd_eval(args) -> int:
     ds = _load_split_dataset(parser, dataset_path)
     model, feature_mode = modelio.load_model(model_path)
 
-    report = pipeline.evaluate_split(model, ds, args.split, feature_mode,
-                                     mode=feature_mode)
+    # A model file records its feature block, not its student mode.
+    report = pipeline.evaluate_split(model, ds, args.split, feature_mode)
     record = _report_record(report, {"record": "eval",
+                                     "features": feature_mode,
                                      "model": str(model_path)})
     results_path = out_dir / "eval_results.jsonl"
     _write_records(results_path, [record])

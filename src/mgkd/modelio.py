@@ -4,7 +4,8 @@ Layout (all little-endian): magic b"MGKD", uint32 version, uint8 feature
 mode (0=pre, 1=in, 2=both), float64 dropout rate, uint32 encoder layer
 count, then per layer (encoder layers first, classifier last) a shape
 table entry of two uint32 dims followed by the weight matrix and the bias
-vector as float64.
+vector as float64. The layer order is that of `numcore.FlatParams`; the
+shapes must chain, or the file is rejected with `ParseError`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DimensionError, ParseError
 from .numcore import Layer, MlpModel
 
 MAGIC = b"MGKD"
@@ -41,9 +42,8 @@ def _read_layer(fh, path) -> Layer:
     rows, cols = struct.unpack("<II", _read(fh, 8, path, "layer header"))
     weights = _read(fh, rows * cols * 8, path, "layer data")
     bias = _read(fh, cols * 8, path, "layer data")
-    return Layer(
-        np.frombuffer(weights, dtype="<f8").reshape(rows, cols).copy(),
-        np.frombuffer(bias, dtype="<f8").copy())
+    return Layer(np.frombuffer(weights, dtype="<f8").reshape(rows, cols),
+                 np.frombuffer(bias, dtype="<f8"))
 
 
 def save_model(model: MlpModel, path, feature_mode: str = "pre") -> None:
@@ -71,11 +71,11 @@ def load_model(path) -> tuple[MlpModel, str]:
     if mode_code >= len(FEATURE_MODES):
         raise ParseError(f"{path}: bad feature mode {mode_code}")
     (n_layers,) = struct.unpack("<I", _read(fh, 4, path, "header"))
-    encoder = [_read_layer(fh, path) for _ in range(n_layers)]
-    classifier = _read_layer(fh, path)
+    layers = [_read_layer(fh, path) for _ in range(n_layers + 1)]
     if fh.read(1):
         raise ParseError(f"{path}: trailing bytes after the classifier")
-    input_dim = encoder[0].weights.shape[0] if encoder \
-        else classifier.weights.shape[0]
-    model = MlpModel(encoder, classifier, dropout, input_dim)
+    try:
+        model = MlpModel.from_layers(layers, dropout)
+    except DimensionError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     return model, FEATURE_MODES[mode_code]

@@ -6,12 +6,19 @@ produced by the encoder is available to the training loop alongside the
 logit. Backprop accepts two upstream gradients: one w.r.t. the logits and
 one w.r.t. the representation, which lets the trainer mix prediction-level
 and representation-level losses without an autodiff framework.
+
+Every parameter set (model, gradients, both Adam moments) is one contiguous
+float64 vector, `FlatParams.flat`. Its order is the encoder layers, then
+the classifier, each as weights (fan_in x fan_out, row-major) then bias;
+that is also the order of `layers()`, `param_arrays()` and the model file.
+The per-layer `Layer` views are the only way to reach the weights.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,18 +32,6 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return a
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with shape validation and a finiteness check."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    out = a @ b
-    if not np.all(np.isfinite(out)):
-        raise NumericError("matrix product contains non-finite entries")
-    return out
-
-
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
     z = np.asarray(z, dtype=np.float64)
@@ -48,21 +43,33 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class Layer:
+class Layer(NamedTuple):
     weights: np.ndarray  # (fan_in, fan_out)
     bias: np.ndarray     # (fan_out,)
 
-    def copy(self) -> "Layer":
-        return Layer(self.weights.copy(), self.bias.copy())
 
+class FlatParams:
+    """One contiguous float64 vector and per-layer views into it.
 
-class LayerStack:
-    """Parameter layout of models, gradients and Adam moments: the encoder
-    layers in order, then the classifier, each as weights then bias."""
+    `shapes` holds each layer's (fan_in, fan_out), encoder layers first and
+    the classifier last. Writes through a view land in `flat` and the
+    reverse, so models, gradients and Adam moments share one layout.
+    """
 
-    encoder: list[Layer]
-    classifier: Layer
+    def __init__(self, flat: np.ndarray, shapes: tuple[tuple[int, int], ...]):
+        self.flat = flat
+        self.shapes = shapes
+        views, offset = [], 0
+        for fan_in, fan_out in shapes:
+            end = offset + fan_in * fan_out
+            views.append(Layer(flat[offset:end].reshape(fan_in, fan_out),
+                               flat[end:end + fan_out]))
+            offset = end + fan_out
+        *encoder, self.classifier = views
+        self.encoder = tuple(encoder)
+
+    def zeros_like(self) -> "FlatParams":
+        return FlatParams(np.zeros_like(self.flat), self.shapes)
 
     def layers(self) -> list[Layer]:
         return [*self.encoder, self.classifier]
@@ -75,23 +82,46 @@ class LayerStack:
                 for part in ("weights", "bias")]
 
 
-@dataclass
-class MlpModel(LayerStack):
+class MlpModel(FlatParams):
     """Encoder stack plus single-logit classifier head."""
 
-    encoder: list[Layer]
-    classifier: Layer          # weights (repr_dim, 1), bias (1,)
-    dropout_rate: float = 0.0
-    input_dim: int = 0
+    def __init__(self, flat, shapes, dropout_rate: float = 0.0):
+        super().__init__(flat, shapes)
+        self.dropout_rate = dropout_rate
+
+    @classmethod
+    def from_layers(cls, layers, dropout_rate: float = 0.0) -> "MlpModel":
+        """Pack `(weights, bias)` pairs, encoder first, into one vector.
+
+        The only constructor that takes layers: their shapes must chain
+        into a single-logit MLP.
+        """
+        layers = [Layer(np.asarray(w, dtype=np.float64),
+                        np.asarray(b, dtype=np.float64)) for w, b in layers]
+        shapes = tuple(w.shape for w, _ in layers)
+        # 2-D weights, one bias per output, each fan-in equal to the
+        # previous fan-out, and a single logit out of the classifier.
+        chained = bool(layers) and shapes[-1][1:] == (1,) and all(
+            len(s) == 2 and b.shape == s[1:]
+            and (i == 0 or s[0] == shapes[i - 1][1])
+            for i, (s, (_, b)) in enumerate(zip(shapes, layers)))
+        if not chained:
+            raise DimensionError(
+                f"layer shapes do not chain into one logit: weights "
+                f"{list(shapes)}, biases {[b.shape for _, b in layers]}")
+        flat = np.concatenate([a.ravel() for layer in layers for a in layer])
+        return cls(flat, shapes, dropout_rate)
+
+    @property
+    def input_dim(self) -> int:
+        return self.shapes[0][0]
 
     @property
     def repr_dim(self) -> int:
-        return self.classifier.weights.shape[0]
+        return self.shapes[-1][0]
 
     def copy(self) -> "MlpModel":
-        *encoder, classifier = [l.copy() for l in self.layers()]
-        return MlpModel(encoder, classifier, self.dropout_rate,
-                        self.input_dim)
+        return MlpModel(self.flat.copy(), self.shapes, self.dropout_rate)
 
 
 def init_mlp(input_dim: int, hidden_dims: list[int], dropout_rate: float,
@@ -99,21 +129,13 @@ def init_mlp(input_dim: int, hidden_dims: list[int], dropout_rate: float,
     """He-uniform weights for the ReLU stack, zero biases everywhere."""
     if not 0.0 <= dropout_rate < 1.0:
         raise StateError(f"dropout_rate must be in [0,1), got {dropout_rate}")
-    dims = [input_dim, *hidden_dims]
-    encoder = []
+    dims = [input_dim, *hidden_dims, 1]
+    layers = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         limit = math.sqrt(6.0 / fan_in)
-        encoder.append(Layer(
-            weights=rng.uniform(-limit, limit, size=(fan_in, fan_out)),
-            bias=np.zeros(fan_out),
-        ))
-    d = dims[-1]
-    limit = math.sqrt(6.0 / d)
-    classifier = Layer(
-        weights=rng.uniform(-limit, limit, size=(d, 1)),
-        bias=np.zeros(1),
-    )
-    return MlpModel(encoder, classifier, dropout_rate, input_dim)
+        layers.append((rng.uniform(-limit, limit, size=(fan_in, fan_out)),
+                       np.zeros(fan_out)))
+    return MlpModel.from_layers(layers, dropout_rate)
 
 
 @dataclass
@@ -170,21 +192,13 @@ def forward(model: MlpModel, x, mode: str = "eval",
     return ForwardCache(x, pre_acts, post_acts, masks, h, z, p, mode)
 
 
-@dataclass
-class Gradients(LayerStack):
-    """Parameter gradients mirroring the model structure."""
-
-    encoder: list[Layer]
-    classifier: Layer
-
-
 def backward(model: MlpModel, cache: ForwardCache, grad_logit,
-             grad_repr) -> Gradients:
+             grad_repr) -> FlatParams:
     """Reverse-accumulate parameter gradients from two upstream channels.
 
     `grad_logit` is dL/dz per sample; `grad_repr` is dL/dH and is injected
     at the encoder output in addition to the classifier path. Either may be
-    all zeros.
+    all zeros. The input gradient of `encoder[0]` is not computed.
     """
     if len(cache.pre_acts) != len(model.encoder):
         raise StateError("cache does not match model layer count")
@@ -200,69 +214,60 @@ def backward(model: MlpModel, cache: ForwardCache, grad_logit,
     if cache.h.shape[1] != model.repr_dim:
         raise StateError("cache representation width does not match model")
 
+    grads = model.zeros_like()
     dz = grad_logit
-    g_clf = Layer(
-        weights=cache.h.T @ dz[:, None],
-        bias=np.array([dz.sum()]),
-    )
+    grads.classifier.weights[...] = cache.h.T @ dz[:, None]
+    grads.classifier.bias[0] = dz.sum()
     da = dz[:, None] * model.classifier.weights[:, 0][None, :] + grad_repr
 
-    g_encoder: list[Layer | None] = [None] * len(model.encoder)
     for i in range(len(model.encoder) - 1, -1, -1):
-        layer = model.encoder[i]
         a_prev = cache.post_acts[i - 1] if i > 0 else cache.x
         ds = da * cache.masks[i] * (cache.pre_acts[i] > 0.0)
-        g_encoder[i] = Layer(weights=a_prev.T @ ds, bias=ds.sum(axis=0))
-        da = ds @ layer.weights.T
-    return Gradients(g_encoder, g_clf)
+        grads.encoder[i].weights[...] = a_prev.T @ ds
+        grads.encoder[i].bias[...] = ds.sum(axis=0)
+        if i > 0:
+            da = ds @ model.encoder[i].weights.T
+    return grads
 
 
 @dataclass
 class AdamState:
-    """First/second-moment accumulators shaped like the model parameters."""
+    """First/second-moment accumulators, flat like the model parameters."""
 
-    m: Gradients
-    v: Gradients
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
 
-def _zeros_like_model(model: MlpModel) -> Gradients:
-    *encoder, classifier = [Layer(np.zeros_like(l.weights),
-                                  np.zeros_like(l.bias))
-                            for l in model.layers()]
-    return Gradients(encoder, classifier)
-
-
 def init_adam(model: MlpModel, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> AdamState:
-    return AdamState(_zeros_like_model(model), _zeros_like_model(model),
+    return AdamState(np.zeros_like(model.flat), np.zeros_like(model.flat),
                      0, beta1, beta2, eps)
 
 
-def adam_step(model: MlpModel, grads: Gradients, state: AdamState,
+def adam_step(model: MlpModel, grads: FlatParams, state: AdamState,
               lr: float, weight_decay: float = 0.0) -> tuple[MlpModel, AdamState]:
     """One Adam update in place; weight decay is classic L2 added to grads."""
+    if not np.all(np.isfinite(grads.flat)):
+        name = next(name for name, g in grads.param_arrays()
+                    if not np.all(np.isfinite(g)))
+        raise NumericError(f"non-finite gradient for {name}")
     state.step += 1
     t = state.step
     b1, b2, eps = state.beta1, state.beta2, state.eps
-    params = model.param_arrays()
-    triples = zip(params, grads.param_arrays(),
-                  state.m.param_arrays(), state.v.param_arrays())
-    for (name, theta), (_, g), (_, m), (_, v) in triples:
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for {name}")
-        if weight_decay != 0.0:
-            g = g + weight_decay * theta
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    g, m, v = grads.flat, state.m, state.v
+    if weight_decay != 0.0:
+        g = g + weight_decay * model.flat
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1 ** t)
+    v_hat = v / (1.0 - b2 ** t)
+    model.flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
     return model, state
 
 
@@ -274,18 +279,14 @@ def grad_check(loss_fn, model: MlpModel, eps: float = 1e-5,
                sample_size: int = 1500) -> float:
     """Worst relative error between analytic and central-difference grads.
 
-    `loss_fn(model)` must return `(value, Gradients)`. Above
+    `loss_fn(model)` must return `(value, FlatParams gradients)`. Above
     GRAD_CHECK_MAX_PARAMS parameters a random subsample of coordinates is
     checked to bound the runtime.
     """
     if eps <= 0:
         raise StateError("eps must be positive")
     _, grads = loss_fn(model)
-    arrays = model.param_arrays()
-    flat_analytic = np.concatenate(
-        [g.ravel() for _, g in grads.param_arrays()])
-    sizes = [a.size for _, a in arrays]
-    total = int(sum(sizes))
+    flat, total = model.flat, model.flat.size
 
     if total > GRAD_CHECK_MAX_PARAMS:
         if rng is None:
@@ -295,21 +296,16 @@ def grad_check(loss_fn, model: MlpModel, eps: float = 1e-5,
     else:
         indices = np.arange(total)
 
-    offsets = np.cumsum([0, *sizes])
     worst = 0.0
     for idx in indices:
-        which = int(np.searchsorted(offsets, idx, side="right") - 1)
-        local = int(idx - offsets[which])
-        arr = arrays[which][1]
-        flat = arr.ravel()
-        orig = flat[local]
-        flat[local] = orig + eps
+        orig = flat[idx]
+        flat[idx] = orig + eps
         plus, _ = loss_fn(model)
-        flat[local] = orig - eps
+        flat[idx] = orig - eps
         minus, _ = loss_fn(model)
-        flat[local] = orig
+        flat[idx] = orig
         numeric = (plus - minus) / (2.0 * eps)
-        analytic = flat_analytic[idx]
+        analytic = grads.flat[idx]
         err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
         worst = max(worst, err)
     return worst

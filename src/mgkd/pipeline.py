@@ -270,14 +270,14 @@ def train_student(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
 
     init_from = None
     if spec.init_from_teacher:
-        init_from = teacher.copy()
+        layers = teacher.layers()
         if teacher.input_dim != ds.d_pre:
             # Feature widths differ: the first layer cannot be transferred.
             rng = np.random.default_rng(cfg.seed)
-            fresh = numcore.init_mlp(ds.d_pre, list(cfg.hidden_dims),
-                                     cfg.dropout, rng)
-            init_from.encoder[0] = fresh.encoder[0]
-        init_from.input_dim = ds.d_pre
+            layers[0] = numcore.init_mlp(ds.d_pre, list(cfg.hidden_dims),
+                                         cfg.dropout, rng).layers()[0]
+        init_from = numcore.MlpModel.from_layers(layers,
+                                                 teacher.dropout_rate)
 
     teacher_x = _features(ds, "in", ds.mask("train")) \
         if spec.needs_teacher else None

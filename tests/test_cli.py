@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,9 @@ class TestEval:
         assert rc == 0
         record = read_jsonl(out / "eval_results.jsonl")[0]
         assert record["split"] == "test"
+        # The file records the feature block, not the student mode.
+        assert record["features"] == "in"
+        assert record["mode"] == ""
         assert 0.0 <= record["auc"] <= 1.0
         assert 0.0 <= record["ks"] <= 1.0
 
@@ -343,3 +347,26 @@ class TestModelFile:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(errors.ParseError, match="trailing"):
             modelio.load_model(path)
+
+    @pytest.mark.parametrize("classifier", [(6, 1), (4, 2)],
+                             ids=["fan_in_6_after_4", "two_outputs"])
+    def test_non_chaining_layers_exit_4(self, workdir, tmp_path, capsys,
+                                        classifier):
+        out, config = workdir
+        # A 5->4 encoder layer, then the given classifier, byte by byte.
+        raw = b"MGKD" + struct.pack("<IBd", 1, 0, 0.0) + struct.pack("<I", 1)
+        for rows, cols in ((5, 4), classifier):
+            raw += struct.pack("<II", rows, cols)
+            raw += struct.pack(f"<{rows * cols + cols}d",
+                               *[0.5] * (rows * cols + cols))
+        path = tmp_path / "bad.mgkd"
+        path.write_bytes(raw)
+        with pytest.raises(errors.ParseError,
+                           match="layer shapes do not chain"):
+            modelio.load_model(path)
+        capsys.readouterr()
+        rc = cli.main(["eval", "--model", str(path),
+                       "--data", str(out / "dataset.csv"),
+                       "--config", str(config), "--out", str(tmp_path)])
+        assert rc == 4
+        assert str(path) in capsys.readouterr().err

@@ -3,35 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from mgkd import numcore
+from mgkd import modelio, numcore
 from mgkd.errors import DimensionError, NumericError, StateError
 from mgkd.numcore import (Layer, MlpModel, adam_step, backward, forward,
-                          grad_check, init_adam, init_mlp, matmul)
+                          grad_check, init_adam, init_mlp)
 
 from conftest import loss_fn_over_model, small_model
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(a, np.eye(2)), a)
-
-    def test_zero(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(a, np.zeros((2, 2))), np.zeros((2, 2)))
-
-    def test_hand_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0], [6.0]])
-        assert np.array_equal(matmul(a, b), np.array([[17.0], [39.0]]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-    def test_nonfinite(self):
-        with pytest.raises(NumericError):
-            matmul(np.array([[1e308, 1e308]]), np.array([[2.0], [2.0]]))
 
 
 class TestForward:
@@ -52,9 +29,8 @@ class TestForward:
 
     def test_linear_closed_form(self):
         # No hidden layers: classifier acts on the raw input.
-        model = MlpModel(encoder=[],
-                         classifier=Layer(np.array([[1.0]]), np.zeros(1)),
-                         dropout_rate=0.0, input_dim=1)
+        model = MlpModel.from_layers([Layer(np.array([[1.0]]), np.zeros(1))],
+                                     0.0)
         assert forward(model, [[0.0]]).p[0] == 0.5
         assert forward(model, [[math.log(3.0)]]).p[0] == pytest.approx(0.75)
 
@@ -100,10 +76,8 @@ class TestBackward:
         assert all(np.all(g == 0.0) for _, g in grads.param_arrays())
 
     def test_linear_closed_form(self, rng):
-        model = MlpModel(encoder=[],
-                         classifier=Layer(np.array([[0.3], [-0.2]]),
-                                          np.zeros(1)),
-                         dropout_rate=0.0, input_dim=2)
+        model = MlpModel.from_layers(
+            [Layer(np.array([[0.3], [-0.2]]), np.zeros(1))], 0.0)
         x = rng.standard_normal((8, 2))
         cache = forward(model, x)
         gl = rng.standard_normal(8)
@@ -139,27 +113,25 @@ class TestAdam:
     def test_zero_grads_identity(self):
         model = small_model()
         before = [a.copy() for _, a in model.param_arrays()]
-        grads = numcore._zeros_like_model(model)
+        grads = model.zeros_like()
         adam_step(model, grads, init_adam(model), lr=0.1, weight_decay=0.0)
         for (_, after), prev in zip(model.param_arrays(), before):
             assert np.array_equal(after, prev)
 
     def test_scalar_one_step(self):
-        model = MlpModel(encoder=[],
-                         classifier=Layer(np.array([[1.0]]), np.zeros(1)),
-                         dropout_rate=0.0, input_dim=1)
-        grads = numcore._zeros_like_model(model)
+        model = MlpModel.from_layers([Layer(np.array([[1.0]]), np.zeros(1))],
+                                     0.0)
+        grads = model.zeros_like()
         grads.classifier.weights[0, 0] = 1.0
         adam_step(model, grads, init_adam(model), lr=0.1)
         # m_hat = v_hat = 1 after bias correction at step 1.
         assert model.classifier.weights[0, 0] == pytest.approx(0.9, abs=1e-7)
 
     def test_momentum_keeps_moving(self):
-        model = MlpModel(encoder=[],
-                         classifier=Layer(np.array([[1.0]]), np.zeros(1)),
-                         dropout_rate=0.0, input_dim=1)
+        model = MlpModel.from_layers([Layer(np.array([[1.0]]), np.zeros(1))],
+                                     0.0)
         state = init_adam(model)
-        grads = numcore._zeros_like_model(model)
+        grads = model.zeros_like()
         grads.classifier.weights[0, 0] = 1.0
         adam_step(model, grads, state, lr=0.1)
         after_first = model.classifier.weights[0, 0]
@@ -172,7 +144,7 @@ class TestAdam:
 
     def test_nonfinite_gradient_names_parameter(self):
         model = small_model()
-        grads = numcore._zeros_like_model(model)
+        grads = model.zeros_like()
         grads.encoder[1].weights[0, 0] = np.nan
         with pytest.raises(NumericError, match=r"encoder\[1\].weights"):
             adam_step(model, grads, init_adam(model), lr=0.1)
@@ -180,7 +152,7 @@ class TestAdam:
     def test_step_counter(self):
         model = small_model()
         state = init_adam(model)
-        grads = numcore._zeros_like_model(model)
+        grads = model.zeros_like()
         for expected in (1, 2, 3):
             adam_step(model, grads, state, lr=0.1)
             assert state.step == expected
@@ -193,7 +165,7 @@ class TestGradCheck:
         def quad(m):
             value = 0.5 * sum(float(np.sum(a * a))
                               for _, a in m.param_arrays())
-            grads = numcore._zeros_like_model(m)
+            grads = m.zeros_like()
             for (_, g), (_, theta) in zip(grads.param_arrays(),
                                           m.param_arrays()):
                 g[...] = theta
@@ -220,3 +192,90 @@ class TestGradCheck:
     def test_eps_validation(self):
         with pytest.raises(StateError):
             grad_check(lambda m: (0.0, None), small_model(), eps=0.0)
+
+
+def _old_adam_step(arrays, grads, ms, vs, t, lr, weight_decay,
+                   b1=0.9, b2=0.999, eps=1e-8):
+    """The per-array Adam loop that the flat update replaced."""
+    for theta, g, m, v in zip(arrays, grads, ms, vs):
+        if weight_decay != 0.0:
+            g = g + weight_decay * theta
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+class TestFlatLayout:
+    def test_views_write_through_both_ways(self):
+        model = small_model()
+        for i, (name, arr) in enumerate(model.param_arrays()):
+            arr.flat[-1] = 1000.0 + i
+            assert (model.flat == 1000.0 + i).sum() == 1, name
+        model.flat[:] = np.arange(model.flat.size)
+        seen = np.concatenate([a.ravel() for _, a in model.param_arrays()])
+        assert np.array_equal(seen, model.flat)
+
+    def test_views_share_one_buffer(self):
+        model = small_model()
+        grads = model.zeros_like()
+        for params in (model, grads):
+            for _, arr in params.param_arrays():
+                assert np.shares_memory(arr, params.flat)
+        assert not np.shares_memory(model.flat, grads.flat)
+        assert isinstance(model.encoder, tuple)
+
+    def test_order_matches_layers_and_file(self, tmp_path):
+        model = small_model()
+        names = [name for name, _ in model.param_arrays()]
+        assert names == ["encoder[0].weights", "encoder[0].bias",
+                         "encoder[1].weights", "encoder[1].bias",
+                         "classifier.weights", "classifier.bias"]
+        arrays = [a for _, a in model.param_arrays()]
+        layer_arrays = [a for layer in model.layers() for a in layer]
+        assert all(a is b for a, b in zip(arrays, layer_arrays))
+        path = tmp_path / "m.mgkd"
+        modelio.save_model(model, path)
+        raw, offset = path.read_bytes(), 4 + 13 + 4
+        data = b""
+        for rows, cols in model.shapes:
+            offset += 8
+            size = (rows * cols + cols) * 8
+            data += raw[offset:offset + size]
+            offset += size
+        assert offset == len(raw)
+        assert data == model.flat.astype("<f8").tobytes()
+
+    def test_adam_matches_per_array_loop(self, rng):
+        model = small_model()
+        reference = [a.copy() for _, a in model.param_arrays()]
+        ms = [np.zeros_like(a) for a in reference]
+        vs = [np.zeros_like(a) for a in reference]
+        state = init_adam(model)
+        grads = model.zeros_like()
+        for t in (1, 2, 3):
+            grads.flat[:] = rng.standard_normal(grads.flat.size)
+            adam_step(model, grads, state, lr=0.01, weight_decay=0.3)
+            _old_adam_step(reference, [g for _, g in grads.param_arrays()],
+                           ms, vs, t, lr=0.01, weight_decay=0.3)
+        flat_ref = np.concatenate([a.ravel() for a in reference])
+        assert model.flat.tobytes() == flat_ref.tobytes()
+        assert state.m.tobytes() == np.concatenate(
+            [m.ravel() for m in ms]).tobytes()
+        assert state.v.tobytes() == np.concatenate(
+            [v.ravel() for v in vs]).tobytes()
+
+    @pytest.mark.parametrize("shapes", [
+        [((5, 4), (4,)), ((6, 1), (1,))],   # fan-in 6 after fan-out 4
+        [((5, 4), (3,)), ((4, 1), (1,))],   # bias shorter than fan-out
+        [((5, 4), (4,)), ((4, 2), (2,))],   # two-output classifier
+        [((5,), (5,))],                     # 1-D weights
+        [],                                 # no layers at all
+    ])
+    def test_non_chaining_layers_rejected(self, shapes):
+        layers = [(np.zeros(w), np.zeros(b)) for w, b in shapes]
+        with pytest.raises(DimensionError, match="do not chain"):
+            MlpModel.from_layers(layers, 0.0)
