@@ -298,6 +298,7 @@ def _parse_seeds(arg: str | None, fallback: str = "0,1,2,3,4") -> list[int]:
 def cmd_ablate(args) -> int:
     parser = _parse_config(Path(args.config))
     cfg = _config(pipeline.DistillConfig, parser, "student")
+    teacher_cfg = _config(pipeline.DistillConfig, parser, "teacher")
     seeds = _parse_seeds(args.seeds)
     out_dir = _out_dir(args)
     dataset_path = _dataset_path(parser, args, out_dir)
@@ -306,7 +307,8 @@ def cmd_ablate(args) -> int:
 
     t0 = time.time()
     modes = pipeline.ABLATION_MODES
-    reports = pipeline.run_ablation(ds, cfg, seeds, modes, args.jobs)
+    reports = pipeline.run_ablation(ds, cfg, seeds, modes, args.jobs,
+                                    teacher_cfg)
     elapsed = time.time() - t0
 
     agg = pipeline.aggregate_reports(reports)
@@ -352,6 +354,7 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise ConfigError(f"bad grid value in {grid_text!r}") from None
     cfg = _config(pipeline.DistillConfig, parser, "student", mode="full")
+    teacher_cfg = _config(pipeline.DistillConfig, parser, "teacher")
     points = [(f"{param}={value}", {_field(param): value}) for value in grid]
     for _, overrides in points:
         replace(cfg, **overrides)  # validates the grid value
@@ -363,7 +366,8 @@ def cmd_sweep(args) -> int:
     _echo_config(cfg)
 
     t0 = time.time()
-    per_seed = pipeline.run_grid(ds, cfg, seeds, points, args.jobs)
+    per_seed = pipeline.run_grid(ds, cfg, seeds, points, args.jobs,
+                                 teacher_cfg)
     # Value-major order: every seed of the first grid value, then the next.
     records = [_report_record(report, {"record": "sweep_point",
                                        "param": param, "value": value})

@@ -34,14 +34,14 @@ def _midranks(scores: np.ndarray) -> np.ndarray:
     """Ascending 1-based ranks with tied values assigned their average."""
     order = np.argsort(scores, kind="stable")
     s_sorted = scores[order]
+    # A tie group starts wherever a sorted value differs from the one
+    # before it (so -0.0 and 0.0 share a group); its members sit at
+    # sorted positions starts..ends and all get 0.5 * (start + end) + 1.
+    starts = np.flatnonzero(np.concatenate(
+        ([True], s_sorted[1:] != s_sorted[:-1])))
+    ends = np.append(starts[1:], scores.size) - 1
     ranks = np.empty(scores.size)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and s_sorted[j + 1] == s_sorted[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 

@@ -143,9 +143,9 @@ class ForwardCache:
     """Everything the backward pass needs from one forward pass."""
 
     x: np.ndarray
-    pre_acts: list[np.ndarray]   # per encoder layer, before ReLU
+    pre_acts: list[np.ndarray]   # always empty; kept for perfbench/tracer.py
     post_acts: list[np.ndarray]  # per encoder layer, after ReLU and dropout
-    masks: list[np.ndarray]      # inverted-dropout masks (all-ones in eval)
+    masks: list[np.ndarray]      # inverted-dropout masks; empty without dropout
     h: np.ndarray                # representation, (n, repr_dim)
     z: np.ndarray                # logits, (n,)
     p: np.ndarray                # sigmoid(z), (n,)
@@ -156,8 +156,9 @@ def forward(model: MlpModel, x, mode: str = "eval",
             rng: np.random.Generator | None = None) -> ForwardCache:
     """Run the encoder and classifier, keeping intermediates for backprop.
 
-    Eval mode is deterministic (identity dropout masks); train mode with a
-    nonzero dropout rate draws masks from `rng`.
+    Each encoder layer keeps one array, its output. Eval mode, and train
+    mode at dropout 0, draw and keep no masks; train mode with a nonzero
+    dropout rate draws masks from `rng`.
     """
     x = _as_matrix(x, "x")
     if x.shape[1] != model.input_dim:
@@ -170,26 +171,24 @@ def forward(model: MlpModel, x, mode: str = "eval",
         raise StateError("train-mode forward with dropout needs an rng")
 
     a = x
-    pre_acts, post_acts, masks = [], [], []
+    post_acts, masks = [], []
     keep = 1.0 - model.dropout_rate
     for layer in model.encoder:
-        s = a @ layer.weights + layer.bias
-        r = np.maximum(s, 0.0)
+        a = a @ layer.weights
+        a += layer.bias
+        np.maximum(a, 0.0, out=a)
         if use_dropout:
-            mask = (rng.random(r.shape) >= model.dropout_rate) / keep
-        else:
-            mask = np.ones_like(r)
-        a = r * mask
-        pre_acts.append(s)
+            mask = (rng.random(a.shape) >= model.dropout_rate) / keep
+            a *= mask
+            masks.append(mask)
         post_acts.append(a)
-        masks.append(mask)
 
     h = a
     z = (h @ model.classifier.weights).ravel() + model.classifier.bias[0]
     p = sigmoid(z)
     if not (np.all(np.isfinite(h)) and np.all(np.isfinite(z))):
         raise NumericError("forward pass produced non-finite activations")
-    return ForwardCache(x, pre_acts, post_acts, masks, h, z, p, mode)
+    return ForwardCache(x, [], post_acts, masks, h, z, p, mode)
 
 
 def backward(model: MlpModel, cache: ForwardCache, grad_logit,
@@ -199,8 +198,12 @@ def backward(model: MlpModel, cache: ForwardCache, grad_logit,
     `grad_logit` is dL/dz per sample; `grad_repr` is dL/dH and is injected
     at the encoder output in addition to the classifier path. Either may be
     all zeros. The input gradient of `encoder[0]` is not computed.
+
+    The ReLU gate is read from the layer output: where the dropout mask is
+    non-zero, output > 0 exactly when the pre-activation is > 0, and where
+    it is zero the masked gradient is zero either way.
     """
-    if len(cache.pre_acts) != len(model.encoder):
+    if len(cache.post_acts) != len(model.encoder):
         raise StateError("cache does not match model layer count")
     n = cache.z.shape[0]
     grad_logit = np.asarray(grad_logit, dtype=np.float64)
@@ -222,7 +225,8 @@ def backward(model: MlpModel, cache: ForwardCache, grad_logit,
 
     for i in range(len(model.encoder) - 1, -1, -1):
         a_prev = cache.post_acts[i - 1] if i > 0 else cache.x
-        ds = da * cache.masks[i] * (cache.pre_acts[i] > 0.0)
+        gate = cache.post_acts[i] > 0.0
+        ds = da * cache.masks[i] * gate if cache.masks else da * gate
         grads.encoder[i].weights[...] = a_prev.T @ ds
         grads.encoder[i].bias[...] = ds.sum(axis=0)
         if i > 0:

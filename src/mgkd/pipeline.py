@@ -300,15 +300,15 @@ def evaluate_split(model: numcore.MlpModel, ds: TwoPhaseDataset, split: str,
 
 
 def _run_seed(ds: TwoPhaseDataset, base_cfg: DistillConfig,
-              points: list[tuple[str, dict]],
+              teacher_cfg: DistillConfig, points: list[tuple[str, dict]],
               seed: int) -> list[metrics.EvalReport]:
     cfgs = [replace(base_cfg, seed=seed, **overrides)
             for _, overrides in points]
     teacher = None
     if any(MODE_TABLE[cfg.mode].needs_teacher for cfg in cfgs):
-        # The teacher ignores alpha/beta/lam/tau and the mode, so one
-        # teacher per seed serves every point.
-        teacher, _ = train_teacher(ds, replace(base_cfg, seed=seed))
+        # The overrides never reach the teacher, so one teacher per seed
+        # serves every point.
+        teacher, _ = train_teacher(ds, replace(teacher_cfg, seed=seed))
     reports = []
     for (label, _), cfg in zip(points, cfgs):
         model, _ = train_student(ds, teacher, cfg)
@@ -319,15 +319,18 @@ def _run_seed(ds: TwoPhaseDataset, base_cfg: DistillConfig,
 
 
 def run_grid(ds: TwoPhaseDataset, base_cfg: DistillConfig, seeds: list[int],
-             points: list[tuple[str, dict]],
-             jobs: int = 1) -> list[list[metrics.EvalReport]]:
+             points: list[tuple[str, dict]], jobs: int = 1,
+             teacher_cfg: DistillConfig | None = None,
+             ) -> list[list[metrics.EvalReport]]:
     """Test reports for every (seed, point), one list per seed.
 
     Each point is a `(label, overrides)` pair: its student is `base_cfg`
     with `overrides` applied, and its report carries `label` as the mode.
-    With `jobs > 1` the seeds run in that many worker processes.
+    The per-seed teacher is trained from `teacher_cfg` (default
+    `base_cfg`). With `jobs > 1` the seeds run in that many worker
+    processes.
     """
-    run = partial(_run_seed, ds, base_cfg, points)
+    run = partial(_run_seed, ds, base_cfg, teacher_cfg or base_cfg, points)
     if jobs > 1:
         # Fork is unsafe once BLAS has started threads.
         ctx = multiprocessing.get_context("spawn")
@@ -339,17 +342,19 @@ def run_grid(ds: TwoPhaseDataset, base_cfg: DistillConfig, seeds: list[int],
 def run_ablation(ds: TwoPhaseDataset, base_cfg: DistillConfig,
                  seeds: list[int],
                  modes: tuple[str, ...] = ABLATION_MODES,
-                 jobs: int = 1) -> list[metrics.EvalReport]:
+                 jobs: int = 1, teacher_cfg: DistillConfig | None = None,
+                 ) -> list[metrics.EvalReport]:
     """Train every ablation mode on a shared seed set; report test metrics."""
     per_seed = run_grid(ds, base_cfg, seeds,
-                        [(mode, {"mode": mode}) for mode in modes], jobs)
+                        [(mode, {"mode": mode}) for mode in modes], jobs,
+                        teacher_cfg)
     return [report for reports in per_seed for report in reports]
 
 
 def aggregate_reports(reports: list[metrics.EvalReport]) -> dict[str, dict]:
-    """Per-mode mean and std of each metric."""
+    """Per-mode mean and std of each metric, modes in first-seen order."""
     out: dict[str, dict] = {}
-    for mode in {r.mode for r in reports}:
+    for mode in dict.fromkeys(r.mode for r in reports):
         rows = [r for r in reports if r.mode == mode]
         out[mode] = {"n_runs": len(rows)}
         for name, attr in (("auc", "auc"), ("ks", "ks"),

@@ -51,6 +51,7 @@ def ablation_agg():
     return pipeline.aggregate_reports(reports), elapsed
 
 
+@pytest.mark.slow
 def test_criterion_1_gradient_suite(rng):
     model = numcore.init_mlp(20, [256, 256], 0.0, np.random.default_rng(1))
     x = rng.standard_normal((32, 20))
@@ -148,6 +149,7 @@ def test_criterion_3_boundary_reductions(rng):
     print("\n[PASS] criterion 3: boundary reductions hold bitwise")
 
 
+@pytest.mark.slow
 def test_criterion_4_sandwich_ordering(ablation_agg):
     agg, elapsed = ablation_agg
     oracle = agg["oracle"]["auc_mean"]
@@ -161,6 +163,7 @@ def test_criterion_4_sandwich_ordering(ablation_agg):
           f"({elapsed:.0f}s for 5 seeds)")
 
 
+@pytest.mark.slow
 def test_criterion_5_window_trend():
     means = []
     for window in (30, 60, 90):
@@ -178,6 +181,7 @@ def test_criterion_5_window_trend():
           f"30/60/90 = {means[0]:.4f}/{means[1]:.4f}/{means[2]:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_6_ablation_direction(ablation_agg):
     agg, _ = ablation_agg
     full = agg["full"]["auc_mean"]
@@ -194,6 +198,7 @@ def test_criterion_6_ablation_direction(ablation_agg):
           f"{pretrain:.4f} >= baseline {base:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_7_imbalance_handling():
     priors = ClassPriors(1.0 - 0.072, 0.072)
     w = reweight(np.array([1, 0]), priors)

@@ -244,6 +244,38 @@ class TestAblate:
 
 
 @pytest.mark.parametrize("command", [
+    ["sweep", "--param", "alpha", "--grid", "0.2"],
+    ["ablate"],
+])
+def test_grid_teacher_reads_teacher_section(tmp_path, monkeypatch, command):
+    # [teacher] and [student] differ in everything but the widths.
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG.replace("n = 2500", "n = 1200").replace(
+        "lr = 0.005\nbatch_size = 1024\nmax_epochs = 4",
+        "lr = 0.02\nbatch_size = 512\nmax_epochs = 3", 1))
+    assert cli.main(["generate", "--config", str(config),
+                     "--out", str(tmp_path)]) == 0
+    assert cli.main(["train", "--config", str(config), "--out", str(tmp_path),
+                     "--mode", "teacher", "--seed", "0"]) == 0
+    saved, _ = modelio.load_model(tmp_path / "teacher.mgkd")
+
+    trained = []
+    train_teacher = pipeline.train_teacher
+
+    def capture(ds, cfg):
+        model, trace = train_teacher(ds, cfg)
+        trained.append(model)
+        return model, trace
+
+    monkeypatch.setattr(pipeline, "train_teacher", capture)
+    assert cli.main([*command, "--config", str(config), "--seeds", "0",
+                     "--data", str(tmp_path / "dataset.csv"),
+                     "--out", str(tmp_path / "grid")]) == 0
+    assert len(trained) == 1
+    assert trained[0].flat.tobytes() == saved.flat.tobytes()
+
+
+@pytest.mark.parametrize("command", [
     ["sweep", "--param", "lambda", "--grid", "0.0,0.3"],
     ["ablate"],
 ])

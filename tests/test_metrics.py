@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mgkd.errors import MetricError
-from mgkd.metrics import auc, evaluate, ks, recall_at_k
+from mgkd.metrics import _midranks, auc, evaluate, ks, recall_at_k
 
 
 def pairwise_auc(scores, labels):
@@ -155,3 +155,34 @@ class TestEvaluate:
         assert report.n_pos == 2 and report.n_neg == 2
         assert report.split == "test" and report.seed == 3
         assert 0.0 <= report.recall_at_k <= 1.0
+
+
+def loop_midranks(scores):
+    """The while-loop midranks that the whole-array version replaced."""
+    order = np.argsort(scores, kind="stable")
+    s_sorted = scores[order]
+    ranks = np.empty(scores.size)
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and s_sorted[j + 1] == s_sorted[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestMidranks:
+    @pytest.mark.parametrize("scores", [
+        np.random.default_rng(5).integers(0, 4, 500).astype(float),
+        np.full(9, 0.25),
+        np.array([0.7]),
+        np.array([0.0, -0.0, 1.0, -0.0, -1.0, 0.0]),
+        np.random.default_rng(6).standard_normal(300),
+    ], ids=["heavy_ties", "all_equal", "single", "signed_zeros", "no_ties"])
+    def test_matches_loop(self, scores):
+        assert np.array_equal(_midranks(scores), loop_midranks(scores))
+
+    def test_signed_zeros_share_one_midrank(self):
+        ranks = _midranks(np.array([0.0, -0.0, 1.0, -0.0, -1.0, 0.0]))
+        assert np.array_equal(ranks, [3.5, 3.5, 6.0, 3.5, 1.0, 3.5])

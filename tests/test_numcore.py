@@ -279,3 +279,81 @@ class TestFlatLayout:
         layers = [(np.zeros(w), np.zeros(b)) for w, b in shapes]
         with pytest.raises(DimensionError, match="do not chain"):
             MlpModel.from_layers(layers, 0.0)
+
+
+def _old_forward(model, x, mode, rng):
+    """The forward pass that kept pre-activations and all-ones eval masks."""
+    a = x
+    pre_acts, post_acts, masks = [], [], []
+    keep = 1.0 - model.dropout_rate
+    for layer in model.encoder:
+        s = a @ layer.weights + layer.bias
+        r = np.maximum(s, 0.0)
+        if mode == "train" and model.dropout_rate > 0.0:
+            mask = (rng.random(r.shape) >= model.dropout_rate) / keep
+        else:
+            mask = np.ones_like(r)
+        a = r * mask
+        pre_acts.append(s)
+        post_acts.append(a)
+        masks.append(mask)
+    z = (a @ model.classifier.weights).ravel() + model.classifier.bias[0]
+    return numcore.ForwardCache(x, pre_acts, post_acts, masks, a, z,
+                                numcore.sigmoid(z), mode)
+
+
+def _old_backward(model, cache, grad_logit, grad_repr):
+    """The backward pass that gated on the stored pre-activations."""
+    grads = model.zeros_like()
+    dz = grad_logit
+    grads.classifier.weights[...] = cache.h.T @ dz[:, None]
+    grads.classifier.bias[0] = dz.sum()
+    da = dz[:, None] * model.classifier.weights[:, 0][None, :] + grad_repr
+    for i in range(len(model.encoder) - 1, -1, -1):
+        a_prev = cache.post_acts[i - 1] if i > 0 else cache.x
+        ds = da * cache.masks[i] * (cache.pre_acts[i] > 0.0)
+        grads.encoder[i].weights[...] = a_prev.T @ ds
+        grads.encoder[i].bias[...] = ds.sum(axis=0)
+        if i > 0:
+            da = ds @ model.encoder[i].weights.T
+    return grads
+
+
+class TestLeanForward:
+    @pytest.mark.parametrize("mode, dropout", [
+        ("train", 0.3), ("train", 0.0), ("eval", 0.3)])
+    def test_matches_old_passes_bitwise(self, rng, mode, dropout):
+        model = small_model(hidden=(16, 12, 8), dropout=dropout)
+        model.flat[:] = 0.5 * rng.standard_normal(model.flat.size)  # biases too
+        x = rng.standard_normal((40, 6))
+        grad_logit = rng.standard_normal(40)
+        grad_repr = rng.standard_normal((40, 8))
+        new = forward(model, x, mode, np.random.default_rng(3))
+        old = _old_forward(model, x, mode, np.random.default_rng(3))
+        for name in ("h", "z", "p"):
+            assert getattr(new, name).tobytes() == \
+                getattr(old, name).tobytes(), name
+        # Some units are off, so the ReLU gate matters.
+        assert 0.0 < np.mean(new.post_acts[0] == 0.0) < 1.0
+        grads = backward(model, new, grad_logit, grad_repr)
+        ref = _old_backward(model, old, grad_logit, grad_repr)
+        for (name, g), (_, r) in zip(grads.param_arrays(),
+                                     ref.param_arrays()):
+            assert g.tobytes() == r.tobytes(), name
+
+    @pytest.mark.parametrize("mode, dropout", [
+        ("eval", 0.3), ("train", 0.0)])
+    def test_no_mask_one_array_per_layer(self, rng, mode, dropout):
+        model = small_model(hidden=(16, 12, 8), dropout=dropout)
+        cache = forward(model, rng.standard_normal((5, 6)), mode,
+                        np.random.default_rng(3))
+        assert cache.masks == [] and cache.pre_acts == []
+        assert len(cache.post_acts) == len(model.encoder)
+        assert cache.h is cache.post_acts[-1]
+
+    def test_dropout_keeps_one_mask_per_layer(self, rng):
+        model = small_model(hidden=(16, 12, 8), dropout=0.3)
+        cache = forward(model, rng.standard_normal((5, 6)), "train",
+                        np.random.default_rng(3))
+        assert len(cache.masks) == len(cache.post_acts) == 3
+        assert cache.pre_acts == []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from mgkd import data, pipeline
+from mgkd import data, metrics, pipeline
 from mgkd.errors import ConfigError, DataError
 from mgkd.pipeline import (DistillConfig, evaluate_split, predict,
                            run_ablation, train_student, train_teacher)
@@ -217,6 +217,15 @@ class TestAblation:
         agg = pipeline.aggregate_reports(reports)
         assert set(agg) == set(pipeline.ABLATION_MODES)
         assert all(agg[m]["n_runs"] == 2 for m in agg)
+
+    def test_aggregate_keeps_first_seen_mode_order(self):
+        labels = [f"m{i}" for i in (5, 2, 9, 0, 7, 3, 8, 1, 6, 4)]
+        reports = [metrics.EvalReport(auc=0.5 + 0.01 * seed, ks=0.1,
+                                      recall_at_k=0.2, seed=seed, mode=label)
+                   for seed in (0, 1) for label in labels]
+        agg = pipeline.aggregate_reports(reports)
+        assert list(agg) == labels
+        assert all(agg[m]["n_runs"] == 2 for m in labels)
 
     def test_mode_config_diff_is_flags_only(self):
         full = DistillConfig(mode="full").normalized()
