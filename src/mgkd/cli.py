@@ -126,7 +126,8 @@ def _config_snapshot(cfg) -> dict:
 
 def _write_manifest(out_dir: Path, command: str, config_snapshot: dict,
                     dataset_path: Path | None, seeds: list[int],
-                    artifacts: list[str], timings: dict) -> Path:
+                    artifacts: list[str], timings: dict,
+                    teacher_config: dict | None = None) -> Path:
     manifest = {
         "command": command,
         "config": config_snapshot,
@@ -136,6 +137,8 @@ def _write_manifest(out_dir: Path, command: str, config_snapshot: dict,
         "artifacts": artifacts,
         "timings": timings,
     }
+    if teacher_config is not None:
+        manifest["teacher_config"] = teacher_config
     path = out_dir / f"{command}_manifest.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -326,7 +329,8 @@ def cmd_ablate(args) -> int:
     results_path = out_dir / "ablation_results.jsonl"
     _write_records(results_path, records)
     _write_manifest(out_dir, "ablate", _config_snapshot(cfg), dataset_path,
-                    seeds, [str(results_path)], {"ablate_s": elapsed})
+                    seeds, [str(results_path)], {"ablate_s": elapsed},
+                    _config_snapshot(teacher_cfg))
 
     print(f"{'mode':>14} {'AUC':>8} {'±':>7} {'KS':>8} {'Recall@10':>10}")
     for mode in sorted(modes, key=lambda m: -agg[m]["auc_mean"]):
@@ -378,8 +382,8 @@ def cmd_sweep(args) -> int:
     results_path = out_dir / f"sweep_{param}_results.jsonl"
     _write_records(results_path, records)
     _write_manifest(out_dir, "sweep", _config_snapshot(cfg), dataset_path,
-                    seeds, [str(results_path)],
-                    {"sweep_s": elapsed})
+                    seeds, [str(results_path)], {"sweep_s": elapsed},
+                    _config_snapshot(teacher_cfg))
 
     print(f"{param:>8} {'seed':>5} {'AUC':>8} {'KS':>8} {'Recall@10':>10}")
     for record in records:

@@ -10,9 +10,10 @@ information advantage.
 
 from __future__ import annotations
 
-import csv
 import math
+import warnings
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -159,27 +160,45 @@ def _header(d_pre: int, d_in: int) -> list[str]:
             + [f"in_{j}" for j in range(d_in)])
 
 
+# Rows per formatted block: one `write` call each, and a small, bounded
+# amount of row text alive at a time.
+WRITE_BLOCK_ROWS = 2048
+
+_INT64 = np.iinfo(np.int64)
+
+
 def save_delimited(ds: TwoPhaseDataset, path) -> None:
-    """Write the dataset as CSV with exact round-trip float text."""
+    """Write the dataset as CSV with exact round-trip float text.
+
+    Rows are formatted a block at a time: comma-separated cells,
+    shortest-`repr` floats and CRLF line ends.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_header(ds.d_pre, ds.d_in))
-        for i in range(ds.n):
-            row = [str(i), str(int(ds.timestamp[i])), str(int(ds.y[i]))]
-            row += [repr(float(v)) for v in ds.x_pre[i]]
-            row += [repr(float(v)) for v in ds.x_in[i]]
-            writer.writerow(row)
+        fh.write(",".join(_header(ds.d_pre, ds.d_in)) + "\r\n")
+        for start in range(0, ds.n, WRITE_BLOCK_ROWS):
+            stop = min(start + WRITE_BLOCK_ROWS, ds.n)
+            ts = ds.timestamp[start:stop].astype(np.int64).tolist()
+            y = ds.y[start:stop].astype(np.int64).tolist()
+            x = np.hstack([ds.x_pre[start:stop], ds.x_in[start:stop]],
+                          dtype=np.float64).tolist()
+            fh.write("".join(
+                ",".join(map(repr, [uid, t, label, *row])) + "\r\n"
+                for uid, t, label, row in zip(range(start, stop), ts, y, x)))
 
 
 def load_delimited(path) -> TwoPhaseDataset:
-    """Parse a delimited dataset; the in-service block may be absent."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file, header required") from None
-        header = [h.strip() for h in header]
+    """Parse a delimited dataset; the in-service block may be absent.
+
+    numpy's streaming reader parses the rows into one record array. When
+    it rejects the file, skips a blank line, ignores extra fields, or the
+    parsed labels or features are out of range, `_raise_first_bad_line`
+    rescans the file and names the first line that breaks a rule.
+    """
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        if not first:
+            raise ParseError(f"{path}: empty file, header required")
+        header = [h.strip() for h in _decode_line(path, 1, first).split(",")]
         for col in ("user_id", "ts", "y"):
             if col not in header:
                 raise ParseError(f"{path}: missing column {col!r}")
@@ -189,40 +208,100 @@ def load_delimited(path) -> TwoPhaseDataset:
             raise ParseError(f"{path}: header does not match schema "
                              f"user_id, ts, y, pre_*, in_*")
 
-        ts_list, y_list, pre_rows, in_rows = [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
+        # What the reader cannot report: blank lines it skips, and extra
+        # fields past the last used column.
+        seen = {"lines": 0, "commas": 0}
+
+        def counted(lines):
+            for line in lines:
+                seen["lines"] += 1
+                seen["commas"] += line.count(b",")
+                yield line
+
+        dtype = np.dtype([("ts", np.int64), ("y", np.int64),
+                          ("x", np.float64, (d_pre + d_in,))])
+        try:
+            with warnings.catch_warnings():
+                # A header-only file is a valid empty dataset.
+                warnings.filterwarnings("ignore", "loadtxt: input contained "
+                                        "no data", UserWarning)
+                rec = np.loadtxt(counted(fh), dtype=dtype, delimiter=",",
+                                 usecols=range(1, len(header)),
+                                 comments=None, ndmin=1, encoding="utf-8")
+        except ValueError:
+            rec = None
+
+    n = seen["lines"]
+    if (rec is None or rec.shape[0] != n
+            or seen["commas"] != n * (len(header) - 1)
+            or not np.isin(rec["y"], (0, 1)).all()
+            or not np.isfinite(rec["x"]).all()):
+        _raise_first_bad_line(path, header)
+    timestamp, y = rec["ts"].copy(), rec["y"].copy()
+    x_pre = rec["x"][:, :d_pre].copy()
+    x_in = rec["x"][:, d_pre:].copy()
+    return TwoPhaseDataset(x_pre=x_pre, x_in=x_in, y=y, timestamp=timestamp,
+                           split=np.full(n, "", dtype="<U5"))
+
+
+def _decode_line(path, lineno: int, line: bytes) -> str:
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}:{lineno}: not UTF-8 text "
+                         f"({exc.reason})") from None
+    return text.removesuffix("\n").removesuffix("\r")
+
+
+def _number_text(cell: str) -> str:
+    # What `np.loadtxt` takes as a number: whitespace around it is
+    # stripped; ASCII digits only, with no `_` separators.
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a number: {cell!r}")
+    return text
+
+
+def _int64_cell(cell: str) -> int:
+    value = int(_number_text(cell))
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"integer {value} outside the int64 range")
+    return value
+
+
+def _raise_first_bad_line(path, header: list[str]) -> NoReturn:
+    """Rescan a rejected file and raise a ParseError naming its first bad line.
+
+    The cell rules are the ones `np.loadtxt` applies (`_number_text`, and
+    `ts` and `y` fit in int64). On top of those, every line has exactly
+    the header's fields, labels are 0 or 1 and features are finite.
+    """
+    with open(path, "rb") as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            text = _decode_line(path, lineno, line)
+            if "\r" in text:
+                raise ParseError(f"{path}:{lineno}: carriage return inside "
+                                 "the line")
+            row = text.split(",") if text else []
             if len(row) != len(header):
                 raise ParseError(f"{path}:{lineno}: expected "
                                  f"{len(header)} fields, got {len(row)}")
             try:
-                ts_list.append(int(row[1]))
-                label = int(row[2])
-                pre_rows.append([float(v) for v in row[3:3 + d_pre]])
-                in_rows.append([float(v) for v in row[3 + d_pre:]])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric cell "
-                                 f"({exc})") from None
+                _int64_cell(row[1])
+                label = _int64_cell(row[2])
+                values = [float(_number_text(v)) for v in row[3:]]
+            except ValueError as err:
+                raise ParseError(f"{path}:{lineno}: bad cell ({err})") \
+                    from None
             if label not in (0, 1):
                 raise ParseError(f"{path}:{lineno}: label {label} "
                                  "outside {0, 1}")
-            y_list.append(label)
-
-    n = len(y_list)
-    x_pre = np.array(pre_rows, dtype=np.float64).reshape(n, d_pre)
-    x_in = np.array(in_rows, dtype=np.float64).reshape(n, d_in)
-    finite = np.isfinite(x_pre).all(axis=1) & np.isfinite(x_in).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        col = np.argmin(np.isfinite(np.concatenate([x_pre[row], x_in[row]])))
-        raise ParseError(f"{path}:{row + 2}: non-finite value in column "
-                         f"{header[3 + col]}")
-    return TwoPhaseDataset(
-        x_pre=x_pre,
-        x_in=x_in,
-        y=np.array(y_list, dtype=np.int64),
-        timestamp=np.array(ts_list, dtype=np.int64),
-        split=np.full(n, "", dtype="<U5"),
-    )
+            for name, value in zip(header[3:], values):
+                if not math.isfinite(value):
+                    raise ParseError(f"{path}:{lineno}: non-finite value "
+                                     f"in column {name}")
+    raise ParseError(f"{path}: rows do not parse")
 
 
 def temporal_split(ds: TwoPhaseDataset, frac_valid: float,

@@ -243,11 +243,10 @@ class TestAblate:
         assert "ordering check" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", [
-    ["sweep", "--param", "alpha", "--grid", "0.2"],
-    ["ablate"],
-])
-def test_grid_teacher_reads_teacher_section(tmp_path, monkeypatch, command):
+GRID_COMMANDS = [["sweep", "--param", "alpha", "--grid", "0.2"], ["ablate"]]
+
+
+def _grid_config(tmp_path) -> Path:
     # [teacher] and [student] differ in everything but the widths.
     config = tmp_path / "run.ini"
     config.write_text(CONFIG.replace("n = 2500", "n = 1200").replace(
@@ -255,6 +254,12 @@ def test_grid_teacher_reads_teacher_section(tmp_path, monkeypatch, command):
         "lr = 0.02\nbatch_size = 512\nmax_epochs = 3", 1))
     assert cli.main(["generate", "--config", str(config),
                      "--out", str(tmp_path)]) == 0
+    return config
+
+
+@pytest.mark.parametrize("command", GRID_COMMANDS)
+def test_grid_teacher_reads_teacher_section(tmp_path, monkeypatch, command):
+    config = _grid_config(tmp_path)
     assert cli.main(["train", "--config", str(config), "--out", str(tmp_path),
                      "--mode", "teacher", "--seed", "0"]) == 0
     saved, _ = modelio.load_model(tmp_path / "teacher.mgkd")
@@ -273,6 +278,19 @@ def test_grid_teacher_reads_teacher_section(tmp_path, monkeypatch, command):
                      "--out", str(tmp_path / "grid")]) == 0
     assert len(trained) == 1
     assert trained[0].flat.tobytes() == saved.flat.tobytes()
+
+
+@pytest.mark.parametrize("command", GRID_COMMANDS)
+def test_grid_manifest_records_teacher_config(tmp_path, command):
+    config = _grid_config(tmp_path)
+    assert cli.main([*command, "--config", str(config), "--seeds", "0",
+                     "--data", str(tmp_path / "dataset.csv"),
+                     "--out", str(tmp_path / "grid")]) == 0
+    manifest = json.loads(
+        (tmp_path / "grid" / f"{command[0]}_manifest.json").read_text())
+    teacher, student = manifest["teacher_config"], manifest["config"]
+    assert (teacher["lr"], teacher["max_epochs"]) == (0.02, 3)
+    assert (student["lr"], student["max_epochs"]) == (0.005, 4)
 
 
 @pytest.mark.parametrize("command", [
@@ -334,6 +352,21 @@ def test_non_finite_cell_exit_4(workdir, tmp_path, capsys, column):
     assert rc == 4
     assert f"bad.csv:6: non-finite value in column {column}" \
         in capsys.readouterr().err
+
+
+def test_int64_overflow_cell_exit_4(workdir, tmp_path, capsys):
+    out, config = workdir
+    lines = (out / "dataset.csv").read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[1] = "99999999999999999999"
+    lines[5] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["train", "--config", str(config), "--out", str(tmp_path),
+                   "--mode", "teacher", "--data", str(bad)])
+    assert rc == 4
+    assert "bad.csv:6: bad cell (integer 99999999999999999999 outside " \
+        "the int64 range)" in capsys.readouterr().err
 
 
 def test_bad_config_value_exit_2(tmp_path, capsys):

@@ -1,5 +1,11 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mgkd import data
 from mgkd.data import (Scaler, SyntheticConfig, TwoPhaseDataset,
@@ -109,6 +115,120 @@ class TestDelimitedIO:
         path.write_text("user_id,ts,y,pre_0,pre_1\n0,5,1,0.25,-1.5\n")
         ds = load_delimited(path)
         assert ds.d_in == 0 and ds.d_pre == 2 and ds.n == 1
+
+
+# The loader's accept/reject table. Every file has the header
+# `user_id,ts,y,pre_0,in_0`, a good line 2 and the case's line 3. A
+# rejection is the exact ParseError message after "<path>:"; an acceptance
+# is the parsed (ts, y, pre_0, in_0) of both rows.
+GOOD_LINE = "0,1,0,0.5,0.25"
+LOADER_TABLE = [
+    ("blank_line", "\n1,2,1,1.5,-0.5", "3: expected 5 fields, got 0"),
+    # The long row's extra commas make up for the blank line's missing ones.
+    ("blank_then_long_row", "\n1,2,1,1.5,-0.5,0,0,0,0",
+     "3: expected 5 fields, got 0"),
+    ("short_row", "1,2,1,1.5", "3: expected 5 fields, got 4"),
+    ("extra_field", "1,2,1,1.5,-0.5,7", "3: expected 5 fields, got 6"),
+    ("non_numeric", "1,2,1,zzz,-0.5",
+     "3: bad cell (could not convert string to float: 'zzz')"),
+    ("label_2", "1,2,2,1.5,-0.5", "3: label 2 outside {0, 1}"),
+    ("ts_fraction", "1,1.5,1,1.5,-0.5",
+     "3: bad cell (invalid literal for int() with base 10: '1.5')"),
+    ("ts_overflow", "1,99999999999999999999,1,1.5,-0.5",
+     "3: bad cell (integer 99999999999999999999 outside the int64 range)"),
+    ("nan", "1,2,1,nan,-0.5", "3: non-finite value in column pre_0"),
+    ("inf", "1,2,1,1.5,inf", "3: non-finite value in column in_0"),
+    ("quoted", '1,2,1,"1.5",-0.5',
+     "3: bad cell (could not convert string to float: '\"1.5\"')"),
+    # "\udcff" is written as the single byte 0xff.
+    ("not_utf8", "1,2,1,1.5\udcff,-0.5",
+     "3: not UTF-8 text (invalid start byte)"),
+    ("underscore", "1,2,1,1_5,-0.5",
+     "3: bad cell (not a number: '1_5')"),
+    ("leading_space", "1,2,1, 1.5,-0.5",
+     ([1, 2], [0, 1], [0.5, 1.5], [0.25, -0.5])),
+    ("text_user_id", "abc,2,1,1.5,-0.5",
+     ([1, 2], [0, 1], [0.5, 1.5], [0.25, -0.5])),
+    ("header_only", None, ([], [], [], [])),
+]
+
+
+@pytest.mark.parametrize("body, outcome", [case[1:] for case in LOADER_TABLE],
+                         ids=[case[0] for case in LOADER_TABLE])
+def test_loader_accept_reject_table(tmp_path, body, outcome):
+    path = tmp_path / "table.csv"
+    lines = ["user_id,ts,y,pre_0,in_0"]
+    if body is not None:
+        lines += [GOOD_LINE, body]
+    path.write_text("\r\n".join(lines) + "\r\n", newline="",
+                    errors="surrogateescape")
+    if isinstance(outcome, str):
+        with pytest.raises(ParseError) as info:
+            load_delimited(path)
+        assert str(info.value) == f"{path}:{outcome}"
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = load_delimited(path)
+    ts, y, pre, inn = outcome
+    assert ds.n == len(ts) and ds.d_pre == 1 and ds.d_in == 1
+    assert ds.timestamp.tolist() == ts and ds.y.tolist() == y
+    assert ds.x_pre[:, 0].tolist() == pre and ds.x_in[:, 0].tolist() == inn
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(0, 50))
+    d_pre, d_in = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    cells = st.one_of(st.sampled_from(EDGE_FLOATS), FINITE)
+    return TwoPhaseDataset(
+        x_pre=draw(hnp.arrays(np.float64, (n, d_pre), elements=cells)),
+        x_in=draw(hnp.arrays(np.float64, (n, d_in), elements=cells)),
+        y=draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1))),
+        timestamp=draw(hnp.arrays(np.int64, n, elements=st.integers(
+            -2**63, 2**63 - 1))),
+        split=np.full(n, "", dtype="<U5"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ds=datasets())
+def test_round_trip_is_bit_exact(tmp_path_factory, ds):
+    path = tmp_path_factory.mktemp("rt") / "ds.csv"
+    save_delimited(ds, path)
+    back = load_delimited(path)
+    for name in ("x_pre", "x_in", "y", "timestamp"):
+        assert getattr(back, name).shape == getattr(ds, name).shape
+        assert getattr(back, name).tobytes() == getattr(ds, name).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(cell=st.text(alphabet="0123456789+-.eEinfatyx_\" \t\r\xa0١",
+                    max_size=8))
+@example(cell="1.5\r")
+def test_every_rejection_names_a_line(tmp_path_factory, cell):
+    # The rescan that names the bad line must agree with numpy's reader on
+    # every cell: no rejected file may fall through without a line number.
+    path = tmp_path_factory.mktemp("cell") / "cell.csv"
+    path.write_bytes(f"user_id,ts,y,pre_0\r\n0,1,0,0.5\r\n1,2,1,{cell}\r\n"
+                     .encode("utf-8"))
+    try:
+        load_delimited(path)
+    except ParseError as exc:
+        assert str(exc).startswith(f"{path}:3: ")
+
+
+def test_save_bytes_match_golden_digest(tmp_path):
+    # Recorded from the csv.writer-based writer: the file's bytes must not
+    # change with the writer.
+    path = tmp_path / "golden.csv"
+    save_delimited(generate_synthetic(small_config(n=200, d_pre=3, d_in=2)),
+                   path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "7562fa10f9462aae008cb531406a8181cfe11a6a78f50467a958edaf2a7f63ae"
 
 
 class TestTemporalSplit:
