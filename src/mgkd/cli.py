@@ -53,10 +53,10 @@ def _field(key: str) -> str:
 def _parse_config(path: Path) -> configparser.ConfigParser:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # '%' is text
     try:
-        parser.read(path)
-    except configparser.Error as exc:
+        parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from None
     allowed = {"dataset": DATASET_KEYS, "teacher": TRAIN_KEYS,
                "student": TRAIN_KEYS, "sweep": SWEEP_KEYS}
@@ -290,19 +290,23 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _parse_seeds(arg: str | None, fallback: str = "0,1,2,3,4") -> list[int]:
-    text = arg if arg else fallback
+def _parse_list(text: str, cast, what: str) -> list:
+    """Comma-separated `text` as a non-empty list of `cast` values."""
     try:
-        return [int(v) for v in text.split(",") if v.strip()]
+        values = [cast(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise ConfigError(f"bad seed list {text!r}") from None
+        values = []
+    if not values:
+        raise ConfigError(f"bad {what} {text!r}: need one or more "
+                          "comma-separated numbers")
+    return values
 
 
 def cmd_ablate(args) -> int:
     parser = _parse_config(Path(args.config))
     cfg = _config(pipeline.DistillConfig, parser, "student")
     teacher_cfg = _config(pipeline.DistillConfig, parser, "teacher")
-    seeds = _parse_seeds(args.seeds)
+    seeds = _parse_list(args.seeds or "0,1,2,3,4", int, "seed list")
     out_dir = _out_dir(args)
     dataset_path = _dataset_path(parser, args, out_dir)
     ds = _load_split_dataset(parser, dataset_path)
@@ -350,20 +354,16 @@ def cmd_sweep(args) -> int:
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"sweep param must be one of {SWEEP_PARAMS}, "
                           f"got {param!r}")
-    grid_text = args.grid or section.get("grid")
-    if not grid_text:
-        raise ConfigError("sweep needs a grid (--grid or [sweep] grid)")
-    try:
-        grid = [float(v) for v in grid_text.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"bad grid value in {grid_text!r}") from None
+    grid = _parse_list(args.grid or section.get("grid", ""), float,
+                       "sweep grid (--grid or [sweep] grid)")
     cfg = _config(pipeline.DistillConfig, parser, "student", mode="full")
     teacher_cfg = _config(pipeline.DistillConfig, parser, "teacher")
     points = [(f"{param}={value}", {_field(param): value}) for value in grid]
     for _, overrides in points:
         replace(cfg, **overrides)  # validates the grid value
 
-    seeds = _parse_seeds(args.seeds, section.get("seeds", "0,1,2,3,4"))
+    seeds = _parse_list(args.seeds or section.get("seeds", "0,1,2,3,4"),
+                        int, "seed list")
     out_dir = _out_dir(args)
     dataset_path = _dataset_path(parser, args, out_dir)
     ds = _load_split_dataset(parser, dataset_path)

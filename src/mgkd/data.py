@@ -65,6 +65,13 @@ class TwoPhaseDataset:
                                self.split.copy())
 
 
+def check_finite(cfg) -> None:
+    """Raise ConfigError if any float field of dataclass `cfg` is nan/inf."""
+    for name, value in vars(cfg).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+
+
 @dataclass
 class SyntheticConfig:
     n: int = 50_000
@@ -79,6 +86,10 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self)
+        if min(self.n, self.d_pre, self.d_in, self.seed, self.window_gain) < 0:
+            raise ConfigError("n, d_pre, d_in, seed and window_gain must be "
+                              "nonnegative")
         if self.window_days not in (30, 60, 90):
             raise ConfigError(f"window_days must be 30/60/90, "
                               f"got {self.window_days}")
@@ -86,8 +97,6 @@ class SyntheticConfig:
             raise ConfigError("positive_rate must be in (0,1)")
         if self.snr_pre <= 0.0 or self.snr_in_base <= 0.0:
             raise ConfigError("signal-to-noise ratios must be positive")
-        if self.window_gain < 0.0:
-            raise ConfigError("window_gain must be nonnegative")
         if not 0.0 <= self.label_noise < 0.5:
             raise ConfigError("label_noise must be in [0, 0.5)")
         if self.snr_in(self.window_days) <= self.snr_pre:
@@ -311,7 +320,7 @@ def temporal_split(ds: TwoPhaseDataset, frac_valid: float,
     Rows whose timestamp ties the boundary go to the earlier split, so no
     timestamp ever straddles two splits.
     """
-    if frac_valid <= 0.0 or frac_test <= 0.0 or frac_valid + frac_test >= 1.0:
+    if not (min(frac_valid, frac_test) > 0.0 and frac_valid + frac_test < 1.0):
         raise ConfigError("split fractions must be positive and sum below 1")
     n = ds.n
     order = np.argsort(ds.timestamp, kind="stable")

@@ -1,9 +1,10 @@
 """Training losses for the teacher/student objective.
 
 Every loss returns a LossValue carrying the scalar plus its gradient w.r.t.
-the student logits and (where relevant) the student representation, so the
-trainer composes terms linearly and feeds both channels to backprop. The
-teacher/snapshot side of every distillation term is treated as a constant.
+the student logits and (where relevant) the student representation.
+`objective` composes the terms linearly into the training loss, and the
+trainer feeds both channels to backprop. The teacher/snapshot side of every
+distillation term is treated as a constant.
 
 Temperature acts on logits: both sides of a softened KL term are
 sigmoid(z / tau), and the softened losses carry the conventional tau^2
@@ -102,32 +103,6 @@ def kl_soft(teacher_logits, student_logits, tau: float) -> LossValue:
     return LossValue(value, grad_logit, None)
 
 
-def mix_labels(hard: LossValue, soft: LossValue, alpha: float) -> LossValue:
-    """(1 - alpha) * hard + alpha * soft, gradients combined linearly."""
-    return LossValue((1.0 - alpha) * hard.value + alpha * soft.value,
-                     (1.0 - alpha) * hard.grad_logit
-                     + alpha * soft.grad_logit)
-
-
-def label_loss(y, p, teacher_logits, student_logits, tau: float,
-               alpha: float, weights=None,
-               hard_part: LossValue | None = None) -> LossValue:
-    """mix_labels of the hard term and kl_soft, skipping a zero-weight term.
-
-    `hard_part` substitutes a precomputed hard-term LossValue (re-weighted
-    or focal variants); by default the hard term is plain kl_hard.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"alpha must be in [0,1], got {alpha}")
-    hard = hard_part if hard_part is not None else kl_hard(y, p, weights)
-    if alpha == 0.0:
-        return hard
-    soft = kl_soft(teacher_logits, student_logits, tau)
-    if alpha == 1.0:
-        return soft
-    return mix_labels(hard, soft, alpha)
-
-
 def feat_loss(h_teacher, h_student, metric: str = "mse") -> LossValue:
     """Representation alignment loss; gradient w.r.t. the student rows."""
     ht = np.asarray(h_teacher, dtype=np.float64)
@@ -214,3 +189,39 @@ def focal_loss(y, p, gamma: float = 2.0, weights=None) -> LossValue:
     sign = np.where(y == 1, 1.0, -1.0)
     grad_logit = dl_dpt * sign * pc * (1.0 - pc) / n
     return LossValue(value, grad_logit, None)
+
+
+# What each DistillConfig.hard_term name means: (reweighted, focal), that is
+# sample weights 1/pi_c from `reweight`, and `focal_loss` for `kl_hard`.
+HARD_TERMS = {"ce": (False, False), "reweighted": (True, False),
+              "focal": (False, True), "reweighted_focal": (True, True)}
+
+
+def objective(cfg, cache, y, weights=None, teacher_h=None, teacher_z=None,
+              snapshot=None) -> tuple[LossValue, dict[str, float]]:
+    """(1 - alpha) * hard + alpha * soft + beta * feat + lam * self.
+
+    One batch's training loss and each term's value, 0.0 for a term left
+    out: soft at alpha = 0, feat at beta = 0, self at lam = 0 or with no
+    snapshot. `cfg` holds the settings (a DistillConfig), `cache` is the
+    student's ForwardCache and the rest are the batch's rows.
+    """
+    alpha = cfg.alpha
+    if not 0.0 <= alpha <= 1.0:
+        raise ConfigError(f"alpha must be in [0,1], got {alpha}")
+    _, focal = HARD_TERMS[cfg.hard_term]
+    hard = label = (focal_loss(y, cache.p, cfg.gamma, weights) if focal
+                    else kl_hard(y, cache.p, weights))
+    soft = feat = self_part = None
+    if alpha > 0.0:
+        soft = kl_soft(teacher_z, cache.z, cfg.tau)
+        label = LossValue((1.0 - alpha) * hard.value + alpha * soft.value,
+                          (1.0 - alpha) * hard.grad_logit
+                          + alpha * soft.grad_logit)
+    if cfg.beta > 0.0:
+        feat = feat_loss(teacher_h, cache.h, cfg.feat_metric)
+    if cfg.lam > 0.0 and snapshot is not None:
+        self_part = self_loss(cache.z, snapshot, cfg.tau)
+    terms = {name: 0.0 if part is None else part.value for name, part in (
+        ("hard", hard), ("soft", soft), ("feat", feat), ("self", self_part))}
+    return distill_total(label, feat, self_part, cfg.beta, cfg.lam), terms

@@ -15,6 +15,7 @@ student point against it.
 from __future__ import annotations
 
 import multiprocessing
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -22,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from . import losses, metrics, numcore
-from .data import TwoPhaseDataset
+from .data import TwoPhaseDataset, check_finite
 from .errors import ConfigError, DataError, TrainingError
 
 
@@ -52,7 +53,6 @@ MODE_TABLE = {
 }
 MODES = tuple(MODE_TABLE)
 ABLATION_MODES = tuple(m for m, spec in MODE_TABLE.items() if spec.ablated)
-HARD_TERMS = ("ce", "reweighted", "focal", "reweighted_focal")
 
 
 @dataclass
@@ -77,6 +77,8 @@ class DistillConfig:
     mode: str = "full"
 
     def __post_init__(self):
+        check_finite(self)
+        self.hidden_dims = tuple(int(d) for d in self.hidden_dims)
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0,1], got {self.alpha}")
         if self.beta < 0.0 or self.lam < 0.0:
@@ -85,7 +87,7 @@ class DistillConfig:
             raise ConfigError(f"tau must be >= 1, got {self.tau}")
         if self.feat_metric not in ("mse", "cosine"):
             raise ConfigError(f"unknown feat_metric {self.feat_metric!r}")
-        if self.hard_term not in HARD_TERMS:
+        if self.hard_term not in losses.HARD_TERMS:
             raise ConfigError(f"unknown hard_term {self.hard_term!r}")
         if self.gamma < 0.0:
             raise ConfigError("gamma must be nonnegative")
@@ -95,11 +97,12 @@ class DistillConfig:
             raise ConfigError("weight decay must be nonnegative")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0,1)")
-        if self.batch_size < 1 or self.max_epochs < 0 or self.patience < 0:
-            raise ConfigError("batch_size/max_epochs/patience out of range")
+        if min(self.hidden_dims, default=1) < 1 or self.batch_size < 1 \
+                or min(self.max_epochs, self.patience, self.seed) < 0:
+            raise ConfigError("hidden_dims/batch_size/max_epochs/patience/"
+                              "seed out of range")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        self.hidden_dims = tuple(int(d) for d in self.hidden_dims)
 
     def normalized(self) -> "DistillConfig":
         """Apply the loss-term constraints implied by the ablation mode."""
@@ -114,18 +117,6 @@ class TrainTrace:
     epochs: list[dict] = field(default_factory=list)
     best_epoch: int = -1
     stop_reason: str = ""
-
-
-def _hard_loss(cfg: DistillConfig, y, p, weights):
-    if cfg.hard_term in ("focal", "reweighted_focal"):
-        return losses.focal_loss(y, p, cfg.gamma, weights)
-    return losses.kl_hard(y, p, weights)
-
-
-def _hard_weights(cfg: DistillConfig, y, priors):
-    if cfg.hard_term in ("reweighted", "reweighted_focal"):
-        return losses.reweight(y, priors)
-    return None
 
 
 def _train_model(x_tr, y_tr, x_va, y_va, cfg: DistillConfig, *,
@@ -149,16 +140,19 @@ def _train_model(x_tr, y_tr, x_va, y_va, cfg: DistillConfig, *,
 
     state = numcore.init_adam(model)
     priors = losses.ClassPriors.from_labels(y_tr)
-    w_tr = _hard_weights(cfg, y_tr, priors)
-    w_va = _hard_weights(cfg, y_va, priors)
+    reweighted, _ = losses.HARD_TERMS[cfg.hard_term]
+    w_tr, w_va = (losses.reweight(y, priors) if reweighted else None
+                  for y in (y_tr, y_va))
 
     # Teacher pass once over the full train set, eval mode (frozen, rng-free).
     teacher_h = teacher_z = None
     if teacher is not None and (cfg.alpha > 0.0 or cfg.beta > 0.0):
         t_cache = numcore.forward(teacher, teacher_x, "eval")
-        teacher_h, teacher_z = t_cache.h, t_cache.z
+        teacher_h = t_cache.h if cfg.beta > 0.0 else None
+        teacher_z = t_cache.z if cfg.alpha > 0.0 else None
         del t_cache  # frees every other layer's train-set activations
 
+    hard_only = replace(cfg, alpha=0.0, beta=0.0, lam=0.0)
     batch_size = min(cfg.batch_size, n_tr)
     snapshot = None
     trace = TrainTrace(stop_reason="max_epochs")
@@ -168,26 +162,14 @@ def _train_model(x_tr, y_tr, x_va, y_va, cfg: DistillConfig, *,
     for epoch in range(cfg.max_epochs):
         new_snapshot = np.empty(n_tr)
         perm = rng.permutation(n_tr)
-        sums = {"hard": 0.0, "soft": 0.0, "feat": 0.0, "self": 0.0}
+        sums = defaultdict(float)  # term -> sum over rows, objective's order
         for start in range(0, n_tr, batch_size):
             idx = perm[start:start + batch_size]
             cache = numcore.forward(model, x_tr[idx], "train", rng)
-            y_b = y_tr[idx]
-            w_b = None if w_tr is None else w_tr[idx]
-
-            hard = _hard_loss(cfg, y_b, cache.p, w_b)
-            soft = feat = self_part = None
-            label = hard
-            if cfg.alpha > 0.0:
-                soft = losses.kl_soft(teacher_z[idx], cache.z, cfg.tau)
-                label = losses.mix_labels(hard, soft, cfg.alpha)
-            if cfg.beta > 0.0:
-                feat = losses.feat_loss(teacher_h[idx], cache.h,
-                                        cfg.feat_metric)
-            if cfg.lam > 0.0 and snapshot is not None:
-                self_part = losses.self_loss(cache.z, snapshot[idx], cfg.tau)
-            total = losses.distill_total(label, feat, self_part,
-                                         cfg.beta, cfg.lam)
+            total, terms = losses.objective(
+                cfg, cache, y_tr[idx],
+                *(None if rows is None else rows[idx]
+                  for rows in (w_tr, teacher_h, teacher_z, snapshot)))
             if not np.isfinite(total.value):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
 
@@ -198,26 +180,21 @@ def _train_model(x_tr, y_tr, x_va, y_va, cfg: DistillConfig, *,
                                      grad_repr)
             numcore.adam_step(model, grads, state, cfg.lr, cfg.weight_decay)
 
-            nb = len(idx)
-            sums["hard"] += hard.value * nb
-            sums["soft"] += (soft.value if soft else 0.0) * nb
-            sums["feat"] += (feat.value if feat else 0.0) * nb
-            sums["self"] += (self_part.value if self_part else 0.0) * nb
+            for term, value in terms.items():
+                sums[term] += value * len(idx)
             new_snapshot[idx] = cache.z
-        snapshot = new_snapshot
+        snapshot = new_snapshot if cfg.lam > 0.0 else None
 
         va_cache = numcore.forward(model, x_va, "eval")
-        val_loss = _hard_loss(cfg, y_va, va_cache.p, w_va).value
+        val_loss = losses.objective(hard_only, va_cache, y_va,
+                                    w_va)[0].value
         if not np.isfinite(val_loss):
             raise TrainingError(f"non-finite validation loss at epoch {epoch}")
         report = metrics.evaluate(va_cache.p, y_va, split="valid",
                                   seed=cfg.seed, mode=cfg.mode)
         trace.epochs.append({
             "epoch": epoch,
-            "hard": sums["hard"] / n_tr,
-            "soft": sums["soft"] / n_tr,
-            "feat": sums["feat"] / n_tr,
-            "self": sums["self"] / n_tr,
+            **{term: value / n_tr for term, value in sums.items()},
             "val_loss": val_loss,
             "val_auc": report.auc,
             "val_ks": report.ks,
@@ -330,6 +307,8 @@ def run_grid(ds: TwoPhaseDataset, base_cfg: DistillConfig, seeds: list[int],
     `base_cfg`). With `jobs > 1` the seeds run in that many worker
     processes.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     run = partial(_run_seed, ds, base_cfg, teacher_cfg or base_cfg, points)
     if jobs > 1:
         # Fork is unsafe once BLAS has started threads.

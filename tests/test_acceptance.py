@@ -9,13 +9,14 @@ import json
 import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from mgkd import cli, data, numcore, pipeline
-from mgkd.losses import (ClassPriors, distill_total, feat_loss, focal_loss,
-                         kl_hard, kl_soft, label_loss, reweight, self_loss)
+from mgkd.losses import (ClassPriors, feat_loss, focal_loss, kl_hard,
+                         kl_soft, objective, reweight, self_loss)
 from mgkd.metrics import auc, ks, recall_at_k
 
 from test_metrics import naive_recall, pairwise_auc, scan_ks
@@ -62,11 +63,10 @@ def test_criterion_1_gradient_suite(rng):
     priors = ClassPriors.from_labels(np.concatenate([y, np.zeros(8)]))
     w = reweight(y, priors)
 
-    def total(cache):
-        label = label_loss(y, cache.p, zt, cache.z, 2.5, 0.2)
-        feat = feat_loss(ht, cache.h, "mse")
-        self_part = self_loss(cache.z, snap, 2.5)
-        return distill_total(label, feat, self_part, 0.25, 0.1)
+    def total(hard_term, weights):
+        cfg = pipeline.DistillConfig(alpha=0.2, beta=0.25, lam=0.1, tau=2.5,
+                                     feat_metric="mse", hard_term=hard_term)
+        return lambda c: objective(cfg, c, y, weights, ht, zt, snap)[0]
 
     cases = {
         "kl_hard": lambda c: kl_hard(y, c.p),
@@ -78,7 +78,8 @@ def test_criterion_1_gradient_suite(rng):
         "self": lambda c: self_loss(c.z, snap, 2.5),
         "focal_gamma0": lambda c: focal_loss(y, c.p, 0.0),
         "focal_gamma2": lambda c: focal_loss(y, c.p, 2.0),
-        "distill_total": total,
+        "distill_total": total("ce", None),
+        "objective_reweighted_focal": total("reweighted_focal", w),
     }
     from conftest import loss_fn_over_model
     t0 = time.time()
@@ -124,7 +125,9 @@ def test_criterion_3_boundary_reductions(rng):
     zt = rng.standard_normal(64)
     p = numcore.sigmoid(zs)
 
-    a = label_loss(y, p, zt, zs, 2.5, 0.0)
+    inert = pipeline.DistillConfig(alpha=0.0, beta=0.0, lam=0.0, tau=2.5)
+    a, _ = objective(inert, SimpleNamespace(p=p, z=zs, h=None), y,
+                     teacher_z=zt)
     b = kl_hard(y, p)
     assert a.value == b.value
     assert np.array_equal(a.grad_logit, b.grad_logit)

@@ -1,9 +1,14 @@
+import configparser
+import dataclasses
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgkd import cli, data, errors, modelio, numcore, pipeline
 
@@ -435,3 +440,122 @@ class TestModelFile:
                        "--config", str(config), "--out", str(tmp_path)])
         assert rc == 4
         assert str(path) in capsys.readouterr().err
+
+
+def _config_with(tmp_path, section: str, key: str, value: str) -> Path:
+    """CONFIG with `key = value` set in `section`, written to run.ini."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(CONFIG)
+    parser[section][key] = value
+    config = tmp_path / "run.ini"
+    with open(config, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    return config
+
+
+@pytest.mark.parametrize("key,value", [
+    ("beta", "nan"), ("lambda", "nan"), ("lr", "nan"), ("tau", "nan"),
+    ("weight_decay", "nan"), ("hidden_dims", "0,8"), ("hidden_dims", "-3,8"),
+    ("seed", "-1")])
+def test_bad_student_value_exit_2(workdir, tmp_path, capsys, key, value):
+    out, _ = workdir
+    config = _config_with(tmp_path, "student", key, value)
+    rc = cli.main(["train", "--config", str(config), "--out", str(tmp_path),
+                   "--mode", "full", "--data", str(out / "dataset.csv"),
+                   "--teacher", str(out / "teacher.mgkd")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("snr_pre", "nan"), ("snr_in_base", "inf"), ("window_gain", "nan"),
+    ("n", "-5"), ("d_pre", "-1"), ("d_in", "-2"), ("seed", "-1")])
+def test_bad_dataset_value_exit_2(tmp_path, capsys, key, value):
+    config = _config_with(tmp_path, "dataset", key, value)
+    assert cli.main(["generate", "--config", str(config),
+                     "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "dataset.csv").exists()
+
+
+def test_non_finite_split_fraction_exit_2(workdir, tmp_path):
+    out, _ = workdir
+    config = _config_with(tmp_path, "dataset", "frac_valid", "nan")
+    assert cli.main(["train", "--config", str(config), "--out",
+                     str(tmp_path), "--mode", "teacher",
+                     "--data", str(out / "dataset.csv")]) == 2
+
+
+@pytest.mark.parametrize("raw", [b"[dataset]\nseed = 5%\n",
+                                 b"[dataset]\nn = 2\xff0\n"],
+                         ids=["percent", "not_utf8"])
+def test_config_text_exit_2(tmp_path, raw):
+    config = tmp_path / "run.ini"
+    config.write_bytes(raw)
+    assert cli.main(["generate", "--config", str(config),
+                     "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("grid", [",", "nan", "0.2,inf"])
+def test_sweep_bad_grid_exit_2(workdir, tmp_path, grid):
+    out, config = workdir
+    rc = cli.main(["sweep", "--config", str(config), "--out", str(tmp_path),
+                   "--param", "beta", "--grid", grid, "--seeds", "0",
+                   "--data", str(out / "dataset.csv")])
+    assert rc == 2
+    assert not (tmp_path / "sweep_beta_results.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", GRID_COMMANDS)
+def test_empty_seed_list_exit_2(workdir, tmp_path, command):
+    out, config = workdir
+    rc = cli.main([*command, "--config", str(config), "--out", str(tmp_path),
+                   "--seeds", ",", "--data", str(out / "dataset.csv")])
+    assert rc == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", GRID_COMMANDS)
+def test_jobs_below_one_exit_2(workdir, tmp_path, command, jobs):
+    out, config = workdir
+    rc = cli.main([*command, "--config", str(config), "--out", str(tmp_path),
+                   "--seeds", "0", "--jobs", jobs,
+                   "--data", str(out / "dataset.csv")])
+    assert rc == 2
+
+
+CONFIG_VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "NaN", "1e309", "-1", "-3", "0",
+                     "0.0", "", "lots", "0,8", "-3,8", "8,", "5%", "1_0"]),
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")),
+            max_size=8))
+FUZZED_SECTIONS = {"dataset": (data.SyntheticConfig, sorted(cli.DATASET_KEYS)),
+                   "student": (pipeline.DistillConfig, sorted(cli.TRAIN_KEYS))}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config_fuzz")
+
+
+@settings(max_examples=200, deadline=None)
+@given(section=st.sampled_from(sorted(FUZZED_SECTIONS)), draw=st.data())
+def test_config_boundary_yields_finite_config_or_config_error(
+        fuzz_dir, section, draw):
+    cls, keys = FUZZED_SECTIONS[section]
+    values = draw.draw(st.dictionaries(st.sampled_from(keys), CONFIG_VALUES,
+                                       min_size=1))
+    path = fuzz_dir / "fuzz.ini"
+    path.write_text(f"[{section}]\n" + "".join(
+        f"{key} = {value}\n" for key, value in values.items()),
+        encoding="utf-8")
+    try:
+        cfg = cli._config(cls, cli._parse_config(path), section)
+    except errors.ConfigError:
+        return
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float):
+            assert math.isfinite(value), (f.name, value)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from mgkd import losses, numcore
 from mgkd.errors import ConfigError, DimensionError, NumericError, StateError
 from mgkd.losses import (ClassPriors, distill_total, feat_loss, focal_loss,
-                         kl_hard, kl_soft, label_loss, reweight, self_loss)
+                         kl_hard, kl_soft, objective, reweight, self_loss)
 from mgkd.numcore import grad_check
+from mgkd.pipeline import DistillConfig
 
 from conftest import loss_fn_over_model, small_model
 
@@ -82,20 +84,31 @@ class TestKlSoft:
 
 
 class TestLabelLoss:
+    """The label part of `objective`, (1 - alpha) * hard + alpha * soft."""
+
     def setup_method(self):
         self.y = np.array([1.0, 0.0, 1.0, 0.0])
         self.zs = np.array([0.4, -0.6, 1.2, 0.1])
         self.zt = np.array([1.0, -1.0, 2.0, -0.2])
         self.p = numcore.sigmoid(self.zs)
 
+    def label(self, alpha):
+        cfg = DistillConfig(alpha=alpha, beta=0.0, lam=0.0, tau=2.0)
+        return self.label_for(cfg)
+
+    def label_for(self, cfg):
+        cache = SimpleNamespace(p=self.p, z=self.zs, h=None)
+        total, _ = objective(cfg, cache, self.y, teacher_z=self.zt)
+        return total
+
     def test_alpha_zero_is_hard(self):
-        lv = label_loss(self.y, self.p, self.zt, self.zs, 2.0, 0.0)
+        lv = self.label(0.0)
         ref = kl_hard(self.y, self.p)
         assert lv.value == ref.value
         assert np.array_equal(lv.grad_logit, ref.grad_logit)
 
     def test_alpha_one_is_soft(self):
-        lv = label_loss(self.y, self.p, self.zt, self.zs, 2.0, 1.0)
+        lv = self.label(1.0)
         ref = kl_soft(self.zt, self.zs, 2.0)
         assert lv.value == ref.value
         assert np.array_equal(lv.grad_logit, ref.grad_logit)
@@ -103,12 +116,84 @@ class TestLabelLoss:
     def test_linearity(self):
         hard = kl_hard(self.y, self.p)
         soft = kl_soft(self.zt, self.zs, 2.0)
-        lv = label_loss(self.y, self.p, self.zt, self.zs, 2.0, 0.5)
+        lv = self.label(0.5)
         assert lv.value == pytest.approx(0.5 * hard.value + 0.5 * soft.value)
 
     def test_alpha_range(self):
+        cfg = DistillConfig(beta=0.0, lam=0.0, tau=2.0)
+        cfg.alpha = 1.5  # past DistillConfig's own check
         with pytest.raises(ConfigError):
-            label_loss(self.y, self.p, self.zt, self.zs, 2.0, 1.5)
+            self.label_for(cfg)
+
+
+def parent_assembly(cfg, cache, y, weights, teacher_h, teacher_z, snapshot):
+    """The trainer's inline per-batch loss from before `objective`.
+
+    A frozen reference: `objective` must match it bit for bit.
+    """
+    if cfg.hard_term in ("focal", "reweighted_focal"):
+        hard = losses.focal_loss(y, cache.p, cfg.gamma, weights)
+    else:
+        hard = losses.kl_hard(y, cache.p, weights)
+    soft = feat = self_part = None
+    label = hard
+    if cfg.alpha > 0.0:
+        soft = losses.kl_soft(teacher_z, cache.z, cfg.tau)
+        label = losses.LossValue(
+            (1.0 - cfg.alpha) * hard.value + cfg.alpha * soft.value,
+            (1.0 - cfg.alpha) * hard.grad_logit
+            + cfg.alpha * soft.grad_logit)
+    if cfg.beta > 0.0:
+        feat = losses.feat_loss(teacher_h, cache.h, cfg.feat_metric)
+    if cfg.lam > 0.0 and snapshot is not None:
+        self_part = losses.self_loss(cache.z, snapshot, cfg.tau)
+    total = losses.distill_total(label, feat, self_part, cfg.beta, cfg.lam)
+    terms = {"hard": hard.value,
+             "soft": soft.value if soft else 0.0,
+             "feat": feat.value if feat else 0.0,
+             "self": self_part.value if self_part else 0.0}
+    return total, terms
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+class TestObjectiveMatchesParentAssembly:
+    @pytest.mark.parametrize("with_snapshot", [False, True])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("feat_metric", ["mse", "cosine"])
+    @pytest.mark.parametrize("hard_term", list(losses.HARD_TERMS))
+    def test_bitwise(self, hard_term, feat_metric, alpha, with_snapshot):
+        rng = np.random.default_rng(31)
+        model = small_model(input_dim=5, hidden=(8, 8), dropout=0.2)
+        cache = numcore.forward(model, rng.standard_normal((40, 5)),
+                                "train", rng)
+        y = rng.integers(0, 2, 40).astype(float)
+        weights = None
+        if hard_term in ("reweighted", "reweighted_focal"):
+            weights = reweight(y, ClassPriors.from_labels(y))
+        teacher_h = rng.standard_normal((40, 8))
+        teacher_z = rng.standard_normal(40)
+        snapshot = rng.standard_normal(40) if with_snapshot else None
+        cfg = DistillConfig(alpha=alpha, beta=0.25, lam=0.1, tau=2.5,
+                            feat_metric=feat_metric, hard_term=hard_term,
+                            gamma=2.0)
+        args = (cfg, cache, y, weights, teacher_h, teacher_z, snapshot)
+
+        total, terms = objective(*args)
+        ref, ref_terms = parent_assembly(*args)
+        assert total.value == ref.value
+        assert _same_bits(total.grad_logit, ref.grad_logit)
+        assert _same_bits(total.grad_repr, ref.grad_repr)
+        assert list(terms) == list(ref_terms)
+        for name in ref_terms:
+            assert terms[name] == ref_terms[name], name
+        assert (terms["self"] != 0.0) == with_snapshot
+        assert (terms["soft"] != 0.0) == (alpha > 0.0)
 
 
 class TestFeatLoss:
@@ -289,11 +374,8 @@ class TestGradientsAgainstFiniteDifferences:
         ht = rng.standard_normal((12, 8))
         snap = rng.standard_normal(12)
 
-        def total(cache):
-            label = label_loss(y, cache.p, zt, cache.z, 2.5, 0.2)
-            feat = feat_loss(ht, cache.h, "mse")
-            self_part = self_loss(cache.z, snap, 2.5)
-            return distill_total(label, feat, self_part, 0.25, 0.1)
-
-        self._check(total, rng)
+        cfg = DistillConfig(alpha=0.2, beta=0.25, lam=0.1, tau=2.5,
+                            feat_metric="mse")
+        self._check(lambda c: objective(cfg, c, y, None, ht, zt, snap)[0],
+                    rng)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from mgkd import data, metrics, pipeline
+from mgkd import data, losses, metrics, pipeline
 from mgkd.errors import ConfigError, DataError
 from mgkd.pipeline import (DistillConfig, evaluate_split, predict,
                            run_ablation, train_student, train_teacher)
@@ -47,6 +47,22 @@ class TestConfig:
             DistillConfig(mode="bogus")
         with pytest.raises(ConfigError):
             DistillConfig(hard_term="hinge")
+
+
+@pytest.mark.parametrize("hard_term", ["ce", "reweighted", "focal",
+                                       "reweighted_focal"])
+def test_validation_loss_is_the_named_hard_term(small_ds, hard_term):
+    cfg = small_cfg(mode="baseline_pre", hard_term=hard_term, max_epochs=1)
+    model, trace = train_student(small_ds, None, cfg)
+    va = small_ds.mask("valid")
+    y_va, p = small_ds.y[va], predict(model, small_ds.x_pre[va])
+    weights = None
+    if hard_term.startswith("reweighted"):
+        y_tr = small_ds.y[small_ds.mask("train")]
+        weights = losses.reweight(y_va, losses.ClassPriors.from_labels(y_tr))
+    ref = losses.focal_loss(y_va, p, cfg.gamma, weights) \
+        if hard_term.endswith("focal") else losses.kl_hard(y_va, p, weights)
+    assert trace.epochs[0]["val_loss"] == ref.value
 
 
 class TestModeTable:
