@@ -400,19 +400,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-phase teacher-student distillation workbench")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data_flag=True):
+    def common(p):
         p.add_argument("--config", required=False)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        if data_flag:
-            p.add_argument("--data", default=None)
+        p.add_argument("--data", default=None)
 
     p = sub.add_parser("generate", help="write a synthetic dataset")
     common(p)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="train teacher or student")
     common(p)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--mode", required=True,
                    choices=("teacher", *pipeline.MODES))
     p.add_argument("--teacher", default=None,
@@ -428,13 +428,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate", help="run the six-mode ablation grid")
+    # ablate and sweep take --seeds and no --seed. Without abbreviations
+    # argparse rejects --seed instead of reading it as --seeds.
+    p = sub.add_parser("ablate", help="run the six-mode ablation grid",
+                       allow_abbrev=False)
     common(p)
     p.add_argument("--seeds", default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("sweep", help="sweep alpha/beta/lambda/tau")
+    p = sub.add_parser("sweep", help="sweep alpha/beta/lambda/tau",
+                       allow_abbrev=False)
     common(p)
     p.add_argument("--param", choices=SWEEP_PARAMS, default=None)
     p.add_argument("--grid", default=None)

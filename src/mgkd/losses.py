@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericError, StateError
-from .numcore import sigmoid
+from .errors import ConfigError, DimensionError, StateError
+from .numcore import Workspace, _room, sigmoid
 
 PROB_CLAMP = 1e-7
 
@@ -103,8 +103,14 @@ def kl_soft(teacher_logits, student_logits, tau: float) -> LossValue:
     return LossValue(value, grad_logit, None)
 
 
-def feat_loss(h_teacher, h_student, metric: str = "mse") -> LossValue:
-    """Representation alignment loss; gradient w.r.t. the student rows."""
+def feat_loss(h_teacher, h_student, metric: str = "mse",
+              ws: Workspace | None = None) -> LossValue:
+    """Representation alignment loss; gradient w.r.t. the student rows.
+
+    With a workspace the MSE gradient is the workspace's `diff` buffer.
+    Under cosine, a row where either side has norm 0 counts as cosine 0
+    (distance 1) and gets a zero gradient.
+    """
     ht = np.asarray(h_teacher, dtype=np.float64)
     hs = np.asarray(h_student, dtype=np.float64)
     if ht.shape != hs.shape:
@@ -112,24 +118,24 @@ def feat_loss(h_teacher, h_student, metric: str = "mse") -> LossValue:
             f"representation shapes differ: {ht.shape} vs {hs.shape}")
     n, d = hs.shape
     if metric == "mse":
-        diff = hs - ht
-        value = float(np.mean(diff * diff))
-        grad_repr = 2.0 * diff / (n * d)
-        return LossValue(value, None, grad_repr)
+        diff = np.subtract(hs, ht, out=_room(ws, "diff", hs.shape))
+        square = np.multiply(diff, diff, out=_room(ws, "square", hs.shape))
+        value = float(np.mean(square))
+        diff *= 2.0
+        diff /= n * d
+        return LossValue(value, None, diff)
     if metric == "cosine":
         nt = np.linalg.norm(ht, axis=1)
         ns = np.linalg.norm(hs, axis=1)
-        for name, norms in (("teacher", nt), ("student", ns)):
-            bad = np.flatnonzero(norms == 0.0)
-            if bad.size:
-                raise NumericError(
-                    f"cosine distance undefined: zero-norm {name} row "
-                    f"{int(bad[0])}")
-        dot = np.sum(ht * hs, axis=1)
-        cos = dot / (nt * ns)
+        zero = (nt == 0.0) | (ns == 0.0)
+        # A zero row's dot product is 0, so its cosine is 0 / 1.
+        norms = np.where(zero, 1.0, nt * ns)
+        cos = np.sum(ht * hs, axis=1) / norms
         value = float(np.mean(1.0 - cos))
-        grad_repr = -(ht / (nt * ns)[:, None]
-                      - (cos / (ns * ns))[:, None] * hs) / n
+        grad_repr = -(ht / norms[:, None]
+                      - (cos / np.where(zero, 1.0, ns * ns))[:, None] * hs
+                      ) / n
+        grad_repr[zero] = 0.0
         return LossValue(value, None, grad_repr)
     raise ConfigError(f"unknown feature metric {metric!r}")
 
@@ -149,7 +155,10 @@ def self_loss(student_logits, snapshot_logits, tau: float) -> LossValue:
 def distill_total(label: LossValue, feat: LossValue | None,
                   self_part: LossValue | None,
                   beta: float, lam: float) -> LossValue:
-    """label + beta * feat + lam * self, gradients summed channel-wise."""
+    """label + beta * feat + lam * self, gradients summed channel-wise.
+
+    feat's `grad_repr` is scaled by beta in place and becomes the total's.
+    """
     if beta < 0.0 or lam < 0.0:
         raise ConfigError("beta and lambda must be nonnegative")
     value = label.value
@@ -157,7 +166,8 @@ def distill_total(label: LossValue, feat: LossValue | None,
     grad_repr = None
     if beta > 0.0 and feat is not None:
         value += beta * feat.value
-        grad_repr = beta * feat.grad_repr
+        grad_repr = feat.grad_repr
+        grad_repr *= beta
     if lam > 0.0 and self_part is not None:
         value += lam * self_part.value
         grad_logit = grad_logit + lam * self_part.grad_logit
@@ -198,13 +208,15 @@ HARD_TERMS = {"ce": (False, False), "reweighted": (True, False),
 
 
 def objective(cfg, cache, y, weights=None, teacher_h=None, teacher_z=None,
-              snapshot=None) -> tuple[LossValue, dict[str, float]]:
+              snapshot=None, ws: Workspace | None = None,
+              ) -> tuple[LossValue, dict[str, float]]:
     """(1 - alpha) * hard + alpha * soft + beta * feat + lam * self.
 
     One batch's training loss and each term's value, 0.0 for a term left
     out: soft at alpha = 0, feat at beta = 0, self at lam = 0 or with no
     snapshot. `cfg` holds the settings (a DistillConfig), `cache` is the
-    student's ForwardCache and the rest are the batch's rows.
+    student's ForwardCache and the rest are the batch's rows. `ws` is
+    passed on to `feat_loss`.
     """
     alpha = cfg.alpha
     if not 0.0 <= alpha <= 1.0:
@@ -219,7 +231,7 @@ def objective(cfg, cache, y, weights=None, teacher_h=None, teacher_z=None,
                           (1.0 - alpha) * hard.grad_logit
                           + alpha * soft.grad_logit)
     if cfg.beta > 0.0:
-        feat = feat_loss(teacher_h, cache.h, cfg.feat_metric)
+        feat = feat_loss(teacher_h, cache.h, cfg.feat_metric, ws)
     if cfg.lam > 0.0 and snapshot is not None:
         self_part = self_loss(cache.z, snapshot, cfg.tau)
     terms = {name: 0.0 if part is None else part.value for name, part in (

@@ -138,14 +138,69 @@ def init_mlp(input_dim: int, hidden_dims: list[int], dropout_rate: float,
     return MlpModel.from_layers(layers, dropout_rate)
 
 
+class Workspace:
+    """Batch-sized buffers that one training run reuses on every step.
+
+    Room for `rows` rows of: the gathered input rows (`x`) and teacher
+    representation rows (`teacher_h`), each encoder layer's output
+    (`act<i>`), one dropout draw (`draw`) and one bool buffer (`bool`) of
+    the widest layer, two activation-gradient buffers (`grad0`, `grad1`),
+    and the MSE feature loss's difference (`diff`) and square (`square`);
+    plus one set of parameter gradients (`grads`). `forward`, `backward`
+    and `losses.feat_loss` write into it, so every array they return from
+    it, and a ForwardCache built on it, is valid only until the next step.
+    """
+
+    def __init__(self, model: MlpModel, rows: int):
+        widths = [fan_out for _, fan_out in model.shapes[:-1]]
+        widest = max([model.repr_dim, *widths])
+        sizes = {"x": model.input_dim, "teacher_h": model.repr_dim,
+                 **{f"act{i}": width for i, width in enumerate(widths)},
+                 "draw": widest, "grad0": widest, "grad1": widest,
+                 "diff": model.repr_dim, "square": model.repr_dim}
+        self.buffers = {name: np.empty(rows * width)
+                        for name, width in sizes.items()}
+        self.buffers["bool"] = np.empty(rows * widest, dtype=bool)
+        self.grads = model.zeros_like()
+
+    def take(self, name: str, rows: np.ndarray, idx) -> np.ndarray:
+        """`rows[idx]` gathered into buffer `name`; `idx` must be in range.
+
+        mode="clip" lets np.take write straight into the buffer, where the
+        default mode="raise" fills a temporary first.
+        """
+        out = _room(self, name, (len(idx), rows.shape[1]))
+        return np.take(rows, idx, axis=0, out=out, mode="clip")
+
+
+def _room(ws: Workspace | None, name: str, shape: tuple[int, ...]):
+    """`ws`'s buffer `name` viewed as a C-contiguous array of `shape`.
+
+    Without a workspace this is None, so a numpy `out=` allocates. It is
+    private so that perfbench/tracer.py, which wraps every public function,
+    does not record a span for each call.
+    """
+    if ws is None:
+        return None
+    buf, size = ws.buffers[name], math.prod(shape)
+    if size > buf.size:
+        raise StateError(f"workspace buffer {name!r} holds {buf.size} "
+                         f"values, {size} needed")
+    return buf[:size].reshape(shape)
+
+
 @dataclass
 class ForwardCache:
-    """Everything the backward pass needs from one forward pass."""
+    """Everything the backward pass needs from one forward pass.
+
+    `pre_acts` and `masks` are always empty; they stay only because
+    perfbench/tracer.py reads them.
+    """
 
     x: np.ndarray
-    pre_acts: list[np.ndarray]   # always empty; kept for perfbench/tracer.py
+    pre_acts: list[np.ndarray]   # always empty
     post_acts: list[np.ndarray]  # per encoder layer, after ReLU and dropout
-    masks: list[np.ndarray]      # inverted-dropout masks; empty without dropout
+    masks: list[np.ndarray]      # always empty
     h: np.ndarray                # representation, (n, repr_dim)
     z: np.ndarray                # logits, (n,)
     p: np.ndarray                # sigmoid(z), (n,)
@@ -153,12 +208,13 @@ class ForwardCache:
 
 
 def forward(model: MlpModel, x, mode: str = "eval",
-            rng: np.random.Generator | None = None) -> ForwardCache:
+            rng: np.random.Generator | None = None,
+            ws: Workspace | None = None) -> ForwardCache:
     """Run the encoder and classifier, keeping intermediates for backprop.
 
-    Each encoder layer keeps one array, its output. Eval mode, and train
-    mode at dropout 0, draw and keep no masks; train mode with a nonzero
-    dropout rate draws masks from `rng`.
+    Each encoder layer keeps one array, its output, and no dropout mask.
+    Train mode with a nonzero dropout rate draws the masks from `rng`.
+    With a workspace every batch-by-width array is written into it.
     """
     x = _as_matrix(x, "x")
     if x.shape[1] != model.input_dim:
@@ -171,66 +227,85 @@ def forward(model: MlpModel, x, mode: str = "eval",
         raise StateError("train-mode forward with dropout needs an rng")
 
     a = x
-    post_acts, masks = [], []
-    keep = 1.0 - model.dropout_rate
-    for layer in model.encoder:
-        a = a @ layer.weights
+    n = x.shape[0]
+    post_acts = []
+    for i, layer in enumerate(model.encoder):
+        shape = (n, layer.weights.shape[1])
+        a = np.matmul(a, layer.weights, out=_room(ws, f"act{i}", shape))
         a += layer.bias
         np.maximum(a, 0.0, out=a)
         if use_dropout:
-            mask = (rng.random(a.shape) >= model.dropout_rate) / keep
-            a *= mask
-            masks.append(mask)
+            # Inverted dropout: the same draw and products as multiplying
+            # by the float mask (draw >= rate) / keep.
+            draw = rng.random(shape, out=_room(ws, "draw", shape))
+            a *= 1.0 / (1.0 - model.dropout_rate)
+            a *= np.greater_equal(draw, model.dropout_rate,
+                                  out=_room(ws, "bool", shape))
         post_acts.append(a)
 
     h = a
     z = (h @ model.classifier.weights).ravel() + model.classifier.bias[0]
     p = sigmoid(z)
-    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(z))):
+    if not (np.isfinite(h, out=_room(ws, "bool", h.shape)).all()
+            and np.all(np.isfinite(z))):
         raise NumericError("forward pass produced non-finite activations")
-    return ForwardCache(x, [], post_acts, masks, h, z, p, mode)
+    return ForwardCache(x, [], post_acts, [], h, z, p, mode)
 
 
 def backward(model: MlpModel, cache: ForwardCache, grad_logit,
-             grad_repr) -> FlatParams:
+             grad_repr=None, ws: Workspace | None = None) -> FlatParams:
     """Reverse-accumulate parameter gradients from two upstream channels.
 
     `grad_logit` is dL/dz per sample; `grad_repr` is dL/dH and is injected
-    at the encoder output in addition to the classifier path. Either may be
-    all zeros. The input gradient of `encoder[0]` is not computed.
+    at the encoder output in addition to the classifier path. None means
+    a zero `grad_repr`. The input gradient of `encoder[0]` is not computed.
+    Without a workspace the gradients are new arrays on every call; with
+    one they are `ws.grads`, overwritten by the next call.
 
-    The ReLU gate is read from the layer output: where the dropout mask is
-    non-zero, output > 0 exactly when the pre-activation is > 0, and where
-    it is zero the masked gradient is zero either way.
+    Both gates are read from the layer output. A train-mode output is 0
+    where dropout dropped the unit, so gating on output > 0 and scaling by
+    1/keep equals multiplying by the mask; where the unit was kept, output
+    > 0 exactly when the pre-activation is > 0.
     """
     if len(cache.post_acts) != len(model.encoder):
         raise StateError("cache does not match model layer count")
     n = cache.z.shape[0]
     grad_logit = np.asarray(grad_logit, dtype=np.float64)
-    grad_repr = np.asarray(grad_repr, dtype=np.float64)
     if grad_logit.shape != (n,):
         raise DimensionError(
             f"grad_logit shape {grad_logit.shape} != ({n},)")
-    if grad_repr.shape != cache.h.shape:
-        raise DimensionError(
-            f"grad_repr shape {grad_repr.shape} != {cache.h.shape}")
+    if grad_repr is not None:
+        grad_repr = np.asarray(grad_repr, dtype=np.float64)
+        if grad_repr.shape != cache.h.shape:
+            raise DimensionError(
+                f"grad_repr shape {grad_repr.shape} != {cache.h.shape}")
     if cache.h.shape[1] != model.repr_dim:
         raise StateError("cache representation width does not match model")
 
-    grads = model.zeros_like()
+    grads = model.zeros_like() if ws is None else ws.grads
     dz = grad_logit
-    grads.classifier.weights[...] = cache.h.T @ dz[:, None]
+    np.matmul(cache.h.T, dz[:, None], out=grads.classifier.weights)
     grads.classifier.bias[0] = dz.sum()
-    da = dz[:, None] * model.classifier.weights[:, 0][None, :] + grad_repr
+    da = np.multiply(dz[:, None], model.classifier.weights[:, 0][None, :],
+                     out=_room(ws, "grad0", cache.h.shape))
+    if grad_repr is None:
+        da += 0.0  # -0.0 to +0.0, as adding a zeros grad_repr did
+    else:
+        da += grad_repr
 
+    dropped = cache.mode == "train" and model.dropout_rate > 0.0
     for i in range(len(model.encoder) - 1, -1, -1):
         a_prev = cache.post_acts[i - 1] if i > 0 else cache.x
-        gate = cache.post_acts[i] > 0.0
-        ds = da * cache.masks[i] * gate if cache.masks else da * gate
-        grads.encoder[i].weights[...] = a_prev.T @ ds
-        grads.encoder[i].bias[...] = ds.sum(axis=0)
+        if dropped:
+            da *= 1.0 / (1.0 - model.dropout_rate)
+        da *= np.greater(cache.post_acts[i], 0.0,
+                         out=_room(ws, "bool", da.shape))
+        np.matmul(a_prev.T, da, out=grads.encoder[i].weights)
+        np.sum(da, axis=0, out=grads.encoder[i].bias)
         if i > 0:
-            da = ds @ model.encoder[i].weights.T
+            buffer = f"grad{(len(model.encoder) - i) % 2}"  # the other one
+            da = np.matmul(da, model.encoder[i].weights.T,
+                           out=_room(ws, buffer, a_prev.shape))
     return grads
 
 

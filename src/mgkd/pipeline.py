@@ -154,36 +154,40 @@ def _train_model(x_tr, y_tr, x_va, y_va, cfg: DistillConfig, *,
 
     hard_only = replace(cfg, alpha=0.0, beta=0.0, lam=0.0)
     batch_size = min(cfg.batch_size, n_tr)
+    ws = numcore.Workspace(model, batch_size)
     snapshot = None
     trace = TrainTrace(stop_reason="max_epochs")
     best_val = np.inf
     best_model = model.copy()
 
     for epoch in range(cfg.max_epochs):
-        new_snapshot = np.empty(n_tr)
+        new_snapshot = np.empty(n_tr) if cfg.lam > 0.0 else None
         perm = rng.permutation(n_tr)
         sums = defaultdict(float)  # term -> sum over rows, objective's order
         for start in range(0, n_tr, batch_size):
             idx = perm[start:start + batch_size]
-            cache = numcore.forward(model, x_tr[idx], "train", rng)
+            cache = numcore.forward(model, ws.take("x", x_tr, idx), "train",
+                                    rng, ws)
+            rows_h = None if teacher_h is None \
+                else ws.take("teacher_h", teacher_h, idx)
+            weights, rows_z, rows_snapshot = (
+                None if rows is None else rows[idx]
+                for rows in (w_tr, teacher_z, snapshot))
             total, terms = losses.objective(
-                cfg, cache, y_tr[idx],
-                *(None if rows is None else rows[idx]
-                  for rows in (w_tr, teacher_h, teacher_z, snapshot)))
+                cfg, cache, y_tr[idx], weights, rows_h, rows_z,
+                rows_snapshot, ws)
             if not np.isfinite(total.value):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
 
-            grad_repr = total.grad_repr
-            if grad_repr is None:
-                grad_repr = np.zeros_like(cache.h)
             grads = numcore.backward(model, cache, total.grad_logit,
-                                     grad_repr)
+                                     total.grad_repr, ws)
             numcore.adam_step(model, grads, state, cfg.lr, cfg.weight_decay)
 
             for term, value in terms.items():
                 sums[term] += value * len(idx)
-            new_snapshot[idx] = cache.z
-        snapshot = new_snapshot if cfg.lam > 0.0 else None
+            if new_snapshot is not None:
+                new_snapshot[idx] = cache.z
+        snapshot = new_snapshot
 
         va_cache = numcore.forward(model, x_va, "eval")
         val_loss = losses.objective(hard_only, va_cache, y_va,

@@ -514,6 +514,38 @@ def test_empty_seed_list_exit_2(workdir, tmp_path, command):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", GRID_COMMANDS)
+def test_grid_commands_reject_seed(workdir, tmp_path, command):
+    # They take --seeds; a --seed would be ignored.
+    out, config = workdir
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--config", str(config), "--out", str(tmp_path),
+                  "--seeds", "0", "--seed", "99",
+                  "--data", str(out / "dataset.csv")])
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_cosine_ablation_survives_zero_rows(tmp_path):
+    # At dropout 0.2 and width 16, ReLU and dropout zero whole rows of the
+    # representation; the cosine feature loss used to abort on them.
+    config = tmp_path / "run.ini"
+    train = ("hidden_dims = 16,16\ndropout = 0.2\nbatch_size = 512\n"
+             "max_epochs = 5\npatience = 5\nhard_term = reweighted_focal\n")
+    config.write_text(
+        CONFIG.split("[teacher]")[0].replace("n = 2500", "n = 4000")
+        .replace("d_in = 4", "d_in = 7").replace("d_pre = 4", "d_pre = 5")
+        + "[teacher]\n" + train + "[student]\n" + train
+        + "alpha = 0.2\nbeta = 0.25\nlambda = 0.1\nfeat_metric = cosine\n")
+    assert cli.main(["generate", "--config", str(config),
+                     "--out", str(tmp_path)]) == 0
+    assert cli.main(["ablate", "--config", str(config), "--out",
+                     str(tmp_path), "--seeds", "0,1"]) == 0
+    records = read_jsonl(tmp_path / "ablation_results.jsonl")
+    assert all(0.0 <= r["auc"] <= 1.0 for r in records
+               if r["record"] == "ablation_run")
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 @pytest.mark.parametrize("command", GRID_COMMANDS)
 def test_jobs_below_one_exit_2(workdir, tmp_path, command, jobs):

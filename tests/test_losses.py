@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mgkd import losses, numcore
-from mgkd.errors import ConfigError, DimensionError, NumericError, StateError
+from mgkd.errors import ConfigError, DimensionError, StateError
 from mgkd.losses import (ClassPriors, distill_total, feat_loss, focal_loss,
                          kl_hard, kl_soft, objective, reweight, self_loss)
 from mgkd.numcore import grad_check
@@ -211,10 +211,31 @@ class TestFeatLoss:
         lv = feat_loss([[1.0, 0.0]], [[0.0, 1.0]], "cosine")
         assert lv.value == pytest.approx(1.0)
 
-    def test_cosine_zero_norm_names_row(self):
-        with pytest.raises(NumericError, match="row 1"):
-            feat_loss([[1.0, 0.0], [0.0, 0.0]],
-                      [[1.0, 0.0], [1.0, 0.0]], "cosine")
+    @staticmethod
+    def parent_cosine(ht, hs):
+        """The cosine branch from before zero rows were allowed."""
+        n = hs.shape[0]
+        nt, ns = np.linalg.norm(ht, axis=1), np.linalg.norm(hs, axis=1)
+        cos = np.sum(ht * hs, axis=1) / (nt * ns)
+        grad = -(ht / (nt * ns)[:, None] - (cos / (ns * ns))[:, None] * hs) / n
+        return 1.0 - cos, grad
+
+    def test_cosine_zero_norm_row_is_distance_one(self, rng):
+        ht, hs = rng.standard_normal((2, 6, 4))
+        dist, ref = self.parent_cosine(ht, hs)
+        lv = feat_loss(ht, hs, "cosine")
+        assert lv.value == float(np.mean(dist))
+        assert lv.grad_repr.tobytes() == ref.tobytes()
+        # Student row 1 and teacher row 4 are zero; the other rows keep
+        # their gradient bit for bit.
+        hs[1] = 0.0
+        ht[4] = 0.0
+        with np.errstate(all="raise"):
+            lv = feat_loss(ht, hs, "cosine")
+        others = [0, 2, 3, 5]
+        assert np.array_equal(lv.grad_repr[[1, 4]], np.zeros((2, 4)))
+        assert lv.grad_repr[others].tobytes() == ref[others].tobytes()
+        assert lv.value == pytest.approx((dist[others].sum() + 2.0) / 6)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):

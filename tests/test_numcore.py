@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,17 +56,23 @@ class TestForward:
 
 class TestDropout:
     def test_mask_fraction_and_rescale(self, rng):
-        rate = 0.3
+        rate, keep = 0.3, 0.7
         model = small_model(input_dim=4, hidden=(400,), dropout=rate)
         x = np.abs(rng.standard_normal((50, 4))) + 0.5
-        cache = forward(model, x, "train", rng)
-        mask = cache.masks[0]
+        cache = forward(model, x, "train", np.random.default_rng(5))
+        # Replay the draw: the mask is (draw >= rate) / keep.
+        kept = np.random.default_rng(5).random((50, 400)) >= rate
+        mask = kept / keep
         n = mask.size
         zero_frac = np.mean(mask == 0.0)
         sigma = math.sqrt(rate * (1 - rate) / n)
         assert abs(zero_frac - rate) < 3 * sigma
         # Survivors rescaled by 1/(1-rate): mask expectation is 1.
         assert np.mean(mask) == pytest.approx(1.0, abs=3 * sigma / (1 - rate))
+        layer = model.encoder[0]
+        pre = x @ layer.weights + layer.bias
+        expected = np.maximum(pre, 0.0) * (1.0 / keep) * kept
+        assert cache.post_acts[0].tobytes() == expected.tobytes()
 
 
 class TestBackward:
@@ -351,9 +358,98 @@ class TestLeanForward:
         assert len(cache.post_acts) == len(model.encoder)
         assert cache.h is cache.post_acts[-1]
 
-    def test_dropout_keeps_one_mask_per_layer(self, rng):
+    def test_train_mode_keeps_no_mask(self, rng):
         model = small_model(hidden=(16, 12, 8), dropout=0.3)
         cache = forward(model, rng.standard_normal((5, 6)), "train",
                         np.random.default_rng(3))
-        assert len(cache.masks) == len(cache.post_acts) == 3
-        assert cache.pre_acts == []
+        assert cache.masks == [] and cache.pre_acts == []
+        assert len(cache.post_acts) == 3
+
+
+def _same_grads(grads, ref):
+    for (name, g), (_, r) in zip(grads.param_arrays(), ref.param_arrays()):
+        assert g.tobytes() == r.tobytes(), name
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("dropout", [0.3, 0.0])
+    def test_steps_match_old_passes_bitwise(self, rng, dropout):
+        # Full, full, then a short last batch, as one epoch of training
+        # runs them, with the model moving between steps.
+        model = small_model(hidden=(16, 12, 8), dropout=dropout)
+        ws = numcore.Workspace(model, 40)
+        new_rng, old_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for step, n in enumerate((40, 40, 17)):
+            model.flat[:] = 0.5 * rng.standard_normal(model.flat.size)
+            x = rng.standard_normal((n, 6))
+            # Step 1 has no grad_repr and a zero grad_logit.
+            grad_logit = rng.standard_normal(n) if step != 1 else np.zeros(n)
+            grad_repr = rng.standard_normal((n, 8)) if step != 1 else None
+            new = forward(model, x, "train", new_rng, ws)
+            old = _old_forward(model, x, "train", old_rng)
+            for name in ("h", "z", "p"):
+                assert getattr(new, name).tobytes() == \
+                    getattr(old, name).tobytes(), (step, name)
+            assert np.shares_memory(new.h, ws.buffers["act2"])
+            grads = backward(model, new, grad_logit, grad_repr, ws)
+            assert grads is ws.grads
+            ref = _old_backward(model, old, grad_logit,
+                                np.zeros((n, 8)) if grad_repr is None
+                                else grad_repr)
+            _same_grads(grads, ref)
+
+    def test_backward_without_workspace_returns_fresh_grads(self, rng):
+        model = small_model()
+        cache = forward(model, rng.standard_normal((4, 6)))
+        first = backward(model, cache, np.ones(4))
+        before = first.flat.copy()
+        second = backward(model, cache, np.ones(4))
+        assert not np.shares_memory(first.flat, second.flat)
+        assert first.flat.tobytes() == before.tobytes()
+
+    def test_batch_larger_than_workspace(self, rng):
+        model = small_model()
+        with pytest.raises(StateError, match="workspace buffer"):
+            forward(model, rng.standard_normal((9, 6)), "train", None,
+                    numcore.Workspace(model, 8))
+
+    def test_step_allocates_less_than_one_batch_array(self):
+        from mgkd import losses
+        from mgkd.pipeline import DistillConfig
+        rows, width = 4096, 64
+        # Three layers, so the backward pass uses both gradient buffers.
+        cfg = DistillConfig(alpha=0.2, beta=0.25, lam=0.1, dropout=0.2,
+                            hidden_dims=(width, width, width))
+        data_rng = np.random.default_rng(0)
+        x_tr = data_rng.standard_normal((2 * rows, 20))
+        y_tr = (data_rng.random(2 * rows) < 0.2).astype(float)
+        teacher_h = data_rng.standard_normal((2 * rows, width))
+        teacher_z = data_rng.standard_normal(2 * rows)
+        snapshot = data_rng.standard_normal(2 * rows)
+        rng = np.random.default_rng(1)
+        model = init_mlp(20, list(cfg.hidden_dims), cfg.dropout, rng)
+        state = init_adam(model)
+
+        def step(ws):
+            idx = rng.permutation(2 * rows)[:rows]
+            x, h = (x_tr[idx], teacher_h[idx]) if ws is None else \
+                (ws.take("x", x_tr, idx), ws.take("teacher_h", teacher_h, idx))
+            cache = forward(model, x, "train", rng, ws)
+            total, _ = losses.objective(cfg, cache, y_tr[idx], None, h,
+                                        teacher_z[idx], snapshot[idx], ws)
+            grads = backward(model, cache, total.grad_logit,
+                             total.grad_repr, ws)
+            adam_step(model, grads, state, cfg.lr, cfg.weight_decay)
+
+        def peak_bytes(ws):
+            step(ws)  # warm-up
+            tracemalloc.start()
+            try:
+                step(ws)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_array = rows * width * 8
+        assert peak_bytes(numcore.Workspace(model, rows)) < one_array
+        assert peak_bytes(None) > one_array  # numpy's buffers are traced

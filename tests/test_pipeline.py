@@ -65,6 +65,101 @@ def test_validation_loss_is_the_named_hard_term(small_ds, hard_term):
     assert trace.epochs[0]["val_loss"] == ref.value
 
 
+def parent_train_model(x_tr, y_tr, x_va, y_va, cfg, teacher=None,
+                       teacher_x=None):
+    """The training loop from before the workspace: allocating passes,
+    `x_tr[idx]` gathers, a zeros `grad_repr` and a snapshot every epoch.
+
+    A frozen reference: `_train_model` must match it bit for bit.
+    """
+    from collections import defaultdict
+    from mgkd import numcore
+    n_tr = x_tr.shape[0]
+    rng = np.random.default_rng(cfg.seed)
+    model = numcore.init_mlp(x_tr.shape[1], list(cfg.hidden_dims),
+                             cfg.dropout, rng)
+    state = numcore.init_adam(model)
+    priors = losses.ClassPriors.from_labels(y_tr)
+    reweighted, _ = losses.HARD_TERMS[cfg.hard_term]
+    w_tr, w_va = (losses.reweight(y, priors) if reweighted else None
+                  for y in (y_tr, y_va))
+    teacher_h = teacher_z = None
+    if teacher is not None and (cfg.alpha > 0.0 or cfg.beta > 0.0):
+        t_cache = numcore.forward(teacher, teacher_x, "eval")
+        teacher_h = t_cache.h if cfg.beta > 0.0 else None
+        teacher_z = t_cache.z if cfg.alpha > 0.0 else None
+    hard_only = replace(cfg, alpha=0.0, beta=0.0, lam=0.0)
+    batch_size = min(cfg.batch_size, n_tr)
+    snapshot = None
+    trace = pipeline.TrainTrace(stop_reason="max_epochs")
+    best_val = np.inf
+    best_model = model.copy()
+    for epoch in range(cfg.max_epochs):
+        new_snapshot = np.empty(n_tr)
+        perm = rng.permutation(n_tr)
+        sums = defaultdict(float)
+        for start in range(0, n_tr, batch_size):
+            idx = perm[start:start + batch_size]
+            cache = numcore.forward(model, x_tr[idx], "train", rng)
+            total, terms = losses.objective(
+                cfg, cache, y_tr[idx],
+                *(None if rows is None else rows[idx]
+                  for rows in (w_tr, teacher_h, teacher_z, snapshot)))
+            grad_repr = total.grad_repr
+            if grad_repr is None:
+                grad_repr = np.zeros_like(cache.h)
+            grads = numcore.backward(model, cache, total.grad_logit,
+                                     grad_repr)
+            numcore.adam_step(model, grads, state, cfg.lr, cfg.weight_decay)
+            for term, value in terms.items():
+                sums[term] += value * len(idx)
+            new_snapshot[idx] = cache.z
+        snapshot = new_snapshot if cfg.lam > 0.0 else None
+        va_cache = numcore.forward(model, x_va, "eval")
+        val_loss = losses.objective(hard_only, va_cache, y_va,
+                                    w_va)[0].value
+        report = metrics.evaluate(va_cache.p, y_va, split="valid",
+                                  seed=cfg.seed, mode=cfg.mode)
+        trace.epochs.append({
+            "epoch": epoch,
+            **{term: value / n_tr for term, value in sums.items()},
+            "val_loss": val_loss, "val_auc": report.auc,
+            "val_ks": report.ks, "val_recall": report.recall_at_k})
+        if val_loss < best_val:
+            best_val = val_loss
+            best_model = model.copy()
+            trace.best_epoch = epoch
+        if epoch - trace.best_epoch > cfg.patience:
+            trace.stop_reason = "early_stop"
+            break
+    return best_model, trace
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("terms, feat_metric", [
+    ((0.0, 0.0, 0.0), "mse"), ((0.2, 0.25, 0.1), "mse"),
+    ((0.0, 0.25, 0.0), "cosine"), ((1.0, 0.0, 0.3), "mse")])
+def test_train_model_matches_parent_loop(small_ds, dropout, terms,
+                                         feat_metric):
+    # 3 epochs of batches 1024, 1024 and a short 752.
+    alpha, beta, lam = terms
+    cfg = small_cfg(alpha=alpha, beta=beta, lam=lam, dropout=dropout,
+                    feat_metric=feat_metric, hard_term="reweighted_focal",
+                    max_epochs=3)
+    teacher, _ = train_teacher(small_ds, small_cfg(max_epochs=2))
+    x_tr, y_tr, x_va, y_va = pipeline._split_xy(small_ds, "pre")
+    assert x_tr.shape[0] % cfg.batch_size > 0
+    teacher_x = pipeline._features(small_ds, "in", small_ds.mask("train"))
+    model, trace = pipeline._train_model(x_tr, y_tr, x_va, y_va, cfg,
+                                         teacher=teacher,
+                                         teacher_x=teacher_x)
+    ref_model, ref_trace = parent_train_model(x_tr, y_tr, x_va, y_va, cfg,
+                                              teacher, teacher_x)
+    assert model_bytes(model) == model_bytes(ref_model)
+    assert trace == ref_trace
+    assert len(trace.epochs) == 3
+
+
 class TestModeTable:
     def test_one_record_per_mode(self):
         assert list(pipeline.MODE_TABLE) == list(pipeline.MODES)
