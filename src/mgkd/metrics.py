@@ -23,56 +23,75 @@ def _validate(scores, labels, need_negative=True):
                           "nonempty")
     if not np.all(np.isfinite(scores)):
         raise MetricError("scores must be finite")
-    n_pos = int(np.sum(labels == 1))
-    n_neg = int(np.sum(labels == 0))
+    pos = labels == 1
+    n_pos, n_neg = int(np.sum(pos)), int(np.sum(labels == 0))
+    if n_pos + n_neg != scores.size:
+        raise MetricError("labels must be 0 or 1")
     if n_pos == 0 or (need_negative and n_neg == 0):
         raise MetricError("need at least one positive and one negative")
-    return scores, labels, n_pos, n_neg
+    return scores, pos, n_pos, n_neg
 
 
-def _midranks(scores: np.ndarray) -> np.ndarray:
-    """Ascending 1-based ranks with tied values assigned their average."""
+def _rank(scores: np.ndarray, pos: np.ndarray):
+    """Midranks, tie groups and cumulative positives of one stable sort.
+
+    A tie group starts wherever a sorted value differs from the one before
+    it (so -0.0 and 0.0 share a group); its members sit at sorted positions
+    starts..ends and all get 0.5 * (start + end) + 1. `cpos[i]` counts the
+    positives among the first i sorted rows.
+    """
     order = np.argsort(scores, kind="stable")
     s_sorted = scores[order]
-    # A tie group starts wherever a sorted value differs from the one
-    # before it (so -0.0 and 0.0 share a group); its members sit at
-    # sorted positions starts..ends and all get 0.5 * (start + end) + 1.
     starts = np.flatnonzero(np.concatenate(
         ([True], s_sorted[1:] != s_sorted[:-1])))
     ends = np.append(starts[1:], scores.size) - 1
     ranks = np.empty(scores.size)
     ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
-    return ranks
+    return ranks, starts, ends, np.concatenate(([0], np.cumsum(pos[order])))
+
+
+def _auc(ranked, pos, n_pos: int, n_neg: int) -> float:
+    pos_rank_sum = float(ranked[0][pos].sum())
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _ks(ranked, n_pos: int, n_neg: int) -> float:
+    _, _, ends, cpos = ranked
+    below = cpos[ends + 1]  # positives at or below each distinct score
+    return float(np.max(np.abs(below / n_pos - (ends + 1 - below) / n_neg)))
+
+
+def _recall(ranked, n_pos: int, k_percent: float) -> float:
+    if not 0.0 < k_percent <= 100.0:
+        raise MetricError(f"k_percent must be in (0, 100], got {k_percent}")
+    _, starts, ends, cpos = ranked
+    n = cpos.size - 1
+    cut = n - math.ceil(k_percent / 100.0 * n)  # first kept sorted position
+    # The groups above the one holding `cut`, and that group's rows from
+    # `cut` on: its lowest original indices, which a stable sort on the
+    # negated scores puts first.
+    g = np.searchsorted(starts, cut, side="right") - 1
+    hits = cpos[n] - cpos[ends[g] + 1] \
+        + cpos[starts[g] + ends[g] - cut + 1] - cpos[starts[g]]
+    return float(hits) / n_pos
 
 
 def auc(scores, labels) -> float:
     """Rank-formula AUC: (sum of positive ranks - n+(n+ + 1)/2) / (n+ n-)."""
-    scores, labels, n_pos, n_neg = _validate(scores, labels)
-    ranks = _midranks(scores)
-    pos_rank_sum = float(ranks[labels == 1].sum())
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    scores, pos, n_pos, n_neg = _validate(scores, labels)
+    return _auc(_rank(scores, pos), pos, n_pos, n_neg)
 
 
 def ks(scores, labels) -> float:
     """Max gap between the class-conditional empirical score CDFs."""
-    scores, labels, n_pos, n_neg = _validate(scores, labels)
-    thresholds = np.unique(scores)
-    pos_sorted = np.sort(scores[labels == 1])
-    neg_sorted = np.sort(scores[labels == 0])
-    f1 = np.searchsorted(pos_sorted, thresholds, side="right") / n_pos
-    f0 = np.searchsorted(neg_sorted, thresholds, side="right") / n_neg
-    return float(np.max(np.abs(f1 - f0)))
+    scores, pos, n_pos, n_neg = _validate(scores, labels)
+    return _ks(_rank(scores, pos), n_pos, n_neg)
 
 
 def recall_at_k(scores, labels, k_percent: float = 10.0) -> float:
     """Fraction of all positives inside the top k% of scores."""
-    if not 0.0 < k_percent <= 100.0:
-        raise MetricError(f"k_percent must be in (0, 100], got {k_percent}")
-    scores, labels, n_pos, _ = _validate(scores, labels, need_negative=False)
-    m = math.ceil(k_percent / 100.0 * scores.size)
-    # Stable sort on negated scores: ties keep original index order.
-    top = np.argsort(-scores, kind="stable")[:m]
-    return float(np.sum(labels[top] == 1)) / n_pos
+    scores, pos, n_pos, _ = _validate(scores, labels, need_negative=False)
+    return _recall(_rank(scores, pos), n_pos, k_percent)
 
 
 @dataclass
@@ -92,11 +111,12 @@ class EvalReport:
 
 def evaluate(scores, labels, k_percent: float = 10.0, split: str = "",
              seed: int | None = None, mode: str = "") -> EvalReport:
-    scores, labels, n_pos, n_neg = _validate(scores, labels)
+    scores, pos, n_pos, n_neg = _validate(scores, labels)
+    ranked = _rank(scores, pos)
     return EvalReport(
-        auc=auc(scores, labels),
-        ks=ks(scores, labels),
-        recall_at_k=recall_at_k(scores, labels, k_percent),
+        auc=_auc(ranked, pos, n_pos, n_neg),
+        ks=_ks(ranked, n_pos, n_neg),
+        recall_at_k=_recall(ranked, n_pos, k_percent),
         k_percent=k_percent,
         n_pos=n_pos,
         n_neg=n_neg,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ def _write_layer(fh, layer: Layer) -> None:
 
 
 def _read(fh, n: int, path, what: str) -> bytes:
-    chunk = fh.read(n)
+    chunk = fh.read(min(n, sys.maxsize))  # a corrupt shape can exceed it
     if len(chunk) != n:
         raise ParseError(f"{path}: truncated {what}")
     return chunk
@@ -70,6 +71,8 @@ def load_model(path) -> tuple[MlpModel, str]:
         raise ParseError(f"{path}: unsupported version {version}")
     if mode_code >= len(FEATURE_MODES):
         raise ParseError(f"{path}: bad feature mode {mode_code}")
+    if not 0.0 <= dropout < 1.0:  # init_mlp's range; False for nan
+        raise ParseError(f"{path}: dropout rate {dropout} not in [0, 1)")
     (n_layers,) = struct.unpack("<I", _read(fh, 4, path, "header"))
     layers = [_read_layer(fh, path) for _ in range(n_layers + 1)]
     if fh.read(1):

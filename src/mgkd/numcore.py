@@ -139,7 +139,7 @@ def init_mlp(input_dim: int, hidden_dims: list[int], dropout_rate: float,
 
 
 class Workspace:
-    """Batch-sized buffers that one training run reuses on every step.
+    """Batch-sized buffers reused by every step of a run or `predict` call.
 
     Room for `rows` rows of: the gathered input rows (`x`) and teacher
     representation rows (`teacher_h`), each encoder layer's output

@@ -267,9 +267,26 @@ def train_student(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
                         teacher_x=teacher_x, init_from=init_from)
 
 
+PREDICT_ROWS = 8192
+
+
 def predict(model: numcore.MlpModel, x) -> np.ndarray:
-    """Deterministic eval-mode probabilities."""
-    return numcore.forward(model, x, "eval").p
+    """Eval-mode probabilities, PREDICT_ROWS rows at a time in one workspace.
+
+    A row's BLAS bits depend on its place in its block, and a 1-row product
+    runs another kernel; so tiles start at multiples of PREDICT_ROWS and a
+    lone last row joins the tile before it. With one BLAS thread `p` then
+    equals one whole-array pass bit for bit.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        return numcore.forward(model, x, "eval").p  # raises DimensionError
+    starts = list(range(0, max(len(x) - 1, 1), PREDICT_ROWS))
+    ws = numcore.Workspace(model, min(len(x), PREDICT_ROWS + 1))
+    p = np.empty(len(x))
+    for a, b in zip(starts, [*starts[1:], len(x)]):
+        p[a:b] = numcore.forward(model, x[a:b], "eval", ws=ws).p
+    return p
 
 
 def evaluate_split(model: numcore.MlpModel, ds: TwoPhaseDataset, split: str,

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgkd import cli, data, errors, modelio, numcore, pipeline
@@ -440,6 +440,71 @@ class TestModelFile:
                        "--config", str(config), "--out", str(tmp_path)])
         assert rc == 4
         assert str(path) in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("rate", [math.nan, 1.5, 1.0, -0.1])
+    def test_bad_dropout_exit_4(self, workdir, tmp_path, capsys, rate):
+        out, config = workdir
+        raw = bytearray((out / "teacher.mgkd").read_bytes())
+        raw[9:17] = struct.pack("<d", rate)  # after magic, version, mode
+        path = tmp_path / "bad.mgkd"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(errors.ParseError, match="dropout rate"):
+            modelio.load_model(path)
+        capsys.readouterr()
+        rc = cli.main(["train", "--config", str(config),
+                       "--out", str(tmp_path), "--mode", "pretrain_only",
+                       "--teacher", str(path),
+                       "--data", str(out / "dataset.csv")])
+        assert rc == 4
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "student_pretrain_only.mgkd").exists()
+
+
+def _tiny_model_file() -> bytes:
+    """A valid file: a 3->2 encoder layer and a 2->1 classifier."""
+    raw = b"MGKD" + struct.pack("<IBd", 1, 0, 0.25) + struct.pack("<I", 1)
+    for rows, cols in ((3, 2), (2, 1)):
+        raw += struct.pack("<II", rows, cols)
+        raw += struct.pack(f"<{rows * cols + cols}d",
+                           *np.linspace(-1.0, 1.0, rows * cols + cols))
+    return raw
+
+
+TINY_MODEL = _tiny_model_file()
+
+
+@st.composite
+def corrupt_model_files(draw):
+    """Random bytes, a truncation, or overwritten bytes of TINY_MODEL."""
+    kind = draw(st.sampled_from(["random", "truncated", "overwritten"]))
+    if kind == "random":
+        return draw(st.binary(max_size=200))
+    if kind == "truncated":
+        return TINY_MODEL[:draw(st.integers(0, len(TINY_MODEL) - 1))]
+    raw = bytearray(TINY_MODEL)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(raw) - 1))
+        chunk = draw(st.binary(min_size=1, max_size=8))
+        raw[at:at + len(chunk)] = chunk
+    return bytes(raw)
+
+
+# Both shape fields of the first layer at 2**32 - 1: its byte count does
+# not fit an index.
+@example(raw=TINY_MODEL[:25] + b"\xff" * 8 + TINY_MODEL[33:])
+@settings(max_examples=300, deadline=None)
+@given(raw=corrupt_model_files())
+def test_load_model_fails_only_with_parse_error(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("fuzz") / "m.mgkd"
+    path.write_bytes(raw)
+    try:
+        model, feature_mode = modelio.load_model(path)
+    except errors.ParseError as exc:
+        assert str(path) in str(exc)
+        return
+    assert 0.0 <= model.dropout_rate < 1.0
+    assert feature_mode in modelio.FEATURE_MODES
 
 
 def _config_with(tmp_path, section: str, key: str, value: str) -> Path:

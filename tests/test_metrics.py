@@ -1,10 +1,13 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgkd.errors import MetricError
-from mgkd.metrics import _midranks, auc, evaluate, ks, recall_at_k
+from mgkd.metrics import EvalReport, _rank, auc, evaluate, ks, recall_at_k
 
 
 def pairwise_auc(scores, labels):
@@ -146,6 +149,19 @@ class TestOracleAgreement:
                 naive_recall(scores, labels, k)
 
 
+class TestLabels:
+    @pytest.mark.parametrize("bad", [-1, 2, 0.5])
+    @pytest.mark.parametrize("metric", [auc, ks, recall_at_k, evaluate])
+    def test_only_zero_and_one(self, metric, bad):
+        with pytest.raises(MetricError, match="labels must be 0 or 1"):
+            metric([0.1, 0.4, 0.35, 0.8, 0.5], [0, 1, 0, 1, bad])
+
+    def test_bool_labels(self):
+        scores, labels = [0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1]
+        assert evaluate(scores, np.array(labels, dtype=bool)) == \
+            evaluate(scores, labels)
+
+
 class TestEvaluate:
     def test_report_fields(self):
         report = evaluate([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1],
@@ -155,6 +171,11 @@ class TestEvaluate:
         assert report.n_pos == 2 and report.n_neg == 2
         assert report.split == "test" and report.seed == 3
         assert 0.0 <= report.recall_at_k <= 1.0
+
+    @pytest.mark.parametrize("k", [0.0, -5.0, 100.5, math.nan])
+    def test_bad_k(self, k):
+        with pytest.raises(MetricError, match="k_percent"):
+            evaluate([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1], k_percent=k)
 
 
 def loop_midranks(scores):
@@ -172,6 +193,10 @@ def loop_midranks(scores):
     return ranks
 
 
+def midranks(scores):
+    return _rank(scores, np.zeros(scores.size, dtype=bool))[0]
+
+
 class TestMidranks:
     @pytest.mark.parametrize("scores", [
         np.random.default_rng(5).integers(0, 4, 500).astype(float),
@@ -181,8 +206,89 @@ class TestMidranks:
         np.random.default_rng(6).standard_normal(300),
     ], ids=["heavy_ties", "all_equal", "single", "signed_zeros", "no_ties"])
     def test_matches_loop(self, scores):
-        assert np.array_equal(_midranks(scores), loop_midranks(scores))
+        assert np.array_equal(midranks(scores), loop_midranks(scores))
 
     def test_signed_zeros_share_one_midrank(self):
-        ranks = _midranks(np.array([0.0, -0.0, 1.0, -0.0, -1.0, 0.0]))
+        ranks = midranks(np.array([0.0, -0.0, 1.0, -0.0, -1.0, 0.0]))
         assert np.array_equal(ranks, [3.5, 3.5, 6.0, 3.5, 1.0, 3.5])
+
+
+# The four-sort metrics that `evaluate` replaced: one validation per
+# metric, a stable argsort for AUC, np.unique and two class sorts for KS,
+# and a stable argsort of the negated scores for Recall@k.
+
+def parent_midranks(scores):
+    order = np.argsort(scores, kind="stable")
+    s_sorted = scores[order]
+    starts = np.flatnonzero(np.concatenate(
+        ([True], s_sorted[1:] != s_sorted[:-1])))
+    ends = np.append(starts[1:], scores.size) - 1
+    ranks = np.empty(scores.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
+    return ranks
+
+
+def parent_auc(scores, labels):
+    n_pos, n_neg = int(np.sum(labels == 1)), int(np.sum(labels == 0))
+    pos_rank_sum = float(parent_midranks(scores)[labels == 1].sum())
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def parent_ks(scores, labels):
+    n_pos, n_neg = int(np.sum(labels == 1)), int(np.sum(labels == 0))
+    thresholds = np.unique(scores)
+    pos_sorted = np.sort(scores[labels == 1])
+    neg_sorted = np.sort(scores[labels == 0])
+    f1 = np.searchsorted(pos_sorted, thresholds, side="right") / n_pos
+    f0 = np.searchsorted(neg_sorted, thresholds, side="right") / n_neg
+    return float(np.max(np.abs(f1 - f0)))
+
+
+def parent_recall_at_k(scores, labels, k_percent):
+    m = math.ceil(k_percent / 100.0 * scores.size)
+    top = np.argsort(-scores, kind="stable")[:m]
+    return float(np.sum(labels[top] == 1)) / int(np.sum(labels == 1))
+
+
+@st.composite
+def scored_sets(draw):
+    """Heavy ties, mixed signed zeros or all-equal scores, n >= 2."""
+    n = draw(st.integers(2, 300))
+    kind = draw(st.sampled_from(["ties", "signed_zeros", "equal"]))
+    if kind == "ties":
+        scores = [float(v) for v in draw(st.lists(
+            st.integers(0, 4), min_size=n, max_size=n))]
+    elif kind == "signed_zeros":
+        scores = draw(st.lists(st.sampled_from([0.0, -0.0]),
+                               min_size=n, max_size=n))
+    else:
+        scores = [draw(st.sampled_from([0.25, -0.0, 7.0]))] * n
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    labels[0], labels[-1] = 0, 1  # both classes present
+    return np.array(scores), np.array(labels)
+
+
+def bits(report):
+    return [np.float64(v).tobytes() if isinstance(v, float) else v
+            for v in astuple(report)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored=scored_sets(), k=st.sampled_from([0.01, 10.0, 33.3, 100.0]))
+def test_one_sort_matches_four_sorts(scored, k):
+    scores, labels = scored
+    parent = EvalReport(parent_auc(scores, labels), parent_ks(scores, labels),
+                        parent_recall_at_k(scores, labels, k), k,
+                        int(np.sum(labels == 1)), int(np.sum(labels == 0)))
+    assert bits(evaluate(scores, labels, k)) == bits(parent)
+    assert bits(EvalReport(auc(scores, labels), ks(scores, labels),
+                           recall_at_k(scores, labels, k), k,
+                           parent.n_pos, parent.n_neg)) == bits(parent)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_recall_accepts_all_positive_labels(n):
+    scores = np.linspace(0.0, 1.0, n)
+    for k in (0.01, 10.0, 100.0):
+        assert recall_at_k(scores, np.ones(n, dtype=int), k) == \
+            parent_recall_at_k(scores, np.ones(n, dtype=int), k)

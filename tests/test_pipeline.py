@@ -1,11 +1,20 @@
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
-from mgkd import data, losses, metrics, pipeline
-from mgkd.errors import ConfigError, DataError
-from mgkd.pipeline import (DistillConfig, evaluate_split, predict,
-                           run_ablation, train_student, train_teacher)
+import mgkd
+from mgkd import data, losses, metrics, numcore, pipeline
+from mgkd.errors import ConfigError, DataError, DimensionError
+from mgkd.pipeline import (PREDICT_ROWS, DistillConfig, evaluate_split,
+                           predict, run_ablation, train_student,
+                           train_teacher)
 
 
 @pytest.fixture(scope="module")
@@ -307,6 +316,32 @@ class TestPredict:
         perm = np.random.default_rng(0).permutation(50)
         assert np.array_equal(predict(model, x)[perm], predict(model, x[perm]))
 
+    def test_rejects_bad_shapes(self):
+        model = numcore.init_mlp(20, [8], 0.0, np.random.default_rng(0))
+        for x in (np.zeros(20), np.zeros((3, 19)), np.zeros((0, 19)),
+                  np.zeros((PREDICT_ROWS + 2, 21)), 0.5):
+            with pytest.raises(DimensionError):
+                predict(model, x)
+
+    def test_tiles_allocate_less_than_one_layer_output(self):
+        rows, width = 100_000, 64
+        model = numcore.init_mlp(20, [width, width], 0.2,
+                                 np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((rows, 20))
+
+        def peak_bytes(score):
+            tracemalloc.start()
+            try:
+                score()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_output = rows * width * 8
+        assert peak_bytes(lambda: predict(model, x)) < one_output
+        assert peak_bytes(lambda: numcore.forward(model, x, "eval")) \
+            > one_output
+
     def test_student_ignores_in_service(self, small_ds):
         teacher, _ = train_teacher(small_ds, small_cfg())
         model, _ = train_student(small_ds, teacher, small_cfg(mode="full"))
@@ -316,6 +351,37 @@ class TestPredict:
         a = evaluate_split(model, small_ds, "test", "pre")
         b = evaluate_split(model, garbage, "test", "pre")
         assert (a.auc, a.ks, a.recall_at_k) == (b.auc, b.ks, b.recall_at_k)
+
+
+# Run with one BLAS thread: with more, how many threads split a product
+# changes the whole-array pass's own bits.
+WHOLE_PASS_SCRIPT = """
+import json
+import numpy as np
+from mgkd import numcore
+from mgkd.pipeline import PREDICT_ROWS, predict
+R = PREDICT_ROWS
+x = np.random.default_rng(0).standard_normal((3 * R + 7, 20))
+bad = []
+for rate in (0.0, 0.3):
+    model = numcore.init_mlp(20, [64, 64], rate, np.random.default_rng(1))
+    for n in (0, 1, 2, R - 1, R, R + 1, R + 2, 3 * R + 7):
+        p = predict(model, x[:n])
+        if p.tobytes() != numcore.forward(model, x[:n], "eval").p.tobytes():
+            bad.append([rate, n])
+print(json.dumps(bad))
+"""
+
+
+def test_tiled_predict_matches_whole_pass():
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               [str(Path(mgkd.__file__).parents[1]),
+                os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", WHOLE_PASS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []  # (dropout, rows) that differ
 
 
 class TestAblation:
@@ -346,3 +412,4 @@ class TestAblation:
                           "hidden_dims", "batch_size", "mode")
                 if getattr(full, f) != getattr(base, f)}
         assert set(diff) == {"alpha", "beta", "lam", "mode"}
+
