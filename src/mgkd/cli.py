@@ -53,9 +53,12 @@ def _field(key: str) -> str:
 def _parse_config(path: Path) -> configparser.ConfigParser:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(interpolation=None)  # '%' is text
+    # '%' is text, and no section header names the defaults section, so
+    # [DEFAULT] is an unknown section like any other.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        parser.read(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from None
     allowed = {"dataset": DATASET_KEYS, "teacher": TRAIN_KEYS,
@@ -458,8 +461,8 @@ def main(argv=None) -> int:
     except (ConfigError, GenerationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"missing artifact: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"missing or unusable path: {exc}", file=sys.stderr)
         return EXIT_MISSING_ARTIFACT
     except (DimensionError, ParseError, DataError, SplitError,
             MetricError) as exc:

@@ -139,29 +139,17 @@ def init_mlp(input_dim: int, hidden_dims: list[int], dropout_rate: float,
 
 
 class Workspace:
-    """Batch-sized buffers reused by every step of a run or `predict` call.
+    """Scratch buffers reused by every step of a run or `predict` call.
 
-    Room for `rows` rows of: the gathered input rows (`x`) and teacher
-    representation rows (`teacher_h`), each encoder layer's output
-    (`act<i>`), one dropout draw (`draw`) and one bool buffer (`bool`) of
-    the widest layer, two activation-gradient buffers (`grad0`, `grad1`),
-    and the MSE feature loss's difference (`diff`) and square (`square`);
-    plus one set of parameter gradients (`grads`). `forward`, `backward`
-    and `losses.feat_loss` write into it, so every array they return from
-    it, and a ForwardCache built on it, is valid only until the next step.
+    A buffer is allocated on its first request and again only when a later
+    request for that name is larger, so one workspace serves batches and
+    passes of any size. `forward`, `backward` and `losses.feat_loss` write
+    into it, so every array they return from it, and a ForwardCache built
+    on it, is valid only until the next call that writes into it.
     """
 
-    def __init__(self, model: MlpModel, rows: int):
-        widths = [fan_out for _, fan_out in model.shapes[:-1]]
-        widest = max([model.repr_dim, *widths])
-        sizes = {"x": model.input_dim, "teacher_h": model.repr_dim,
-                 **{f"act{i}": width for i, width in enumerate(widths)},
-                 "draw": widest, "grad0": widest, "grad1": widest,
-                 "diff": model.repr_dim, "square": model.repr_dim}
-        self.buffers = {name: np.empty(rows * width)
-                        for name, width in sizes.items()}
-        self.buffers["bool"] = np.empty(rows * widest, dtype=bool)
-        self.grads = model.zeros_like()
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
 
     def take(self, name: str, rows: np.ndarray, idx) -> np.ndarray:
         """`rows[idx]` gathered into buffer `name`; `idx` must be in range.
@@ -173,7 +161,8 @@ class Workspace:
         return np.take(rows, idx, axis=0, out=out, mode="clip")
 
 
-def _room(ws: Workspace | None, name: str, shape: tuple[int, ...]):
+def _room(ws: Workspace | None, name: str, shape: tuple[int, ...],
+          dtype=np.float64):
     """`ws`'s buffer `name` viewed as a C-contiguous array of `shape`.
 
     Without a workspace this is None, so a numpy `out=` allocates. It is
@@ -182,10 +171,10 @@ def _room(ws: Workspace | None, name: str, shape: tuple[int, ...]):
     """
     if ws is None:
         return None
-    buf, size = ws.buffers[name], math.prod(shape)
-    if size > buf.size:
-        raise StateError(f"workspace buffer {name!r} holds {buf.size} "
-                         f"values, {size} needed")
+    size = math.prod(shape)
+    buf = ws.buffers.get(name)
+    if buf is None or buf.size < size:
+        buf = ws.buffers[name] = np.empty(size, dtype)
     return buf[:size].reshape(shape)
 
 
@@ -240,13 +229,13 @@ def forward(model: MlpModel, x, mode: str = "eval",
             draw = rng.random(shape, out=_room(ws, "draw", shape))
             a *= 1.0 / (1.0 - model.dropout_rate)
             a *= np.greater_equal(draw, model.dropout_rate,
-                                  out=_room(ws, "bool", shape))
+                                  out=_room(ws, "bool", shape, dtype=bool))
         post_acts.append(a)
 
     h = a
     z = (h @ model.classifier.weights).ravel() + model.classifier.bias[0]
     p = sigmoid(z)
-    if not (np.isfinite(h, out=_room(ws, "bool", h.shape)).all()
+    if not (np.isfinite(h, out=_room(ws, "bool", h.shape, dtype=bool)).all()
             and np.all(np.isfinite(z))):
         raise NumericError("forward pass produced non-finite activations")
     return ForwardCache(x, [], post_acts, [], h, z, p, mode)
@@ -260,7 +249,7 @@ def backward(model: MlpModel, cache: ForwardCache, grad_logit,
     at the encoder output in addition to the classifier path. None means
     a zero `grad_repr`. The input gradient of `encoder[0]` is not computed.
     Without a workspace the gradients are new arrays on every call; with
-    one they are `ws.grads`, overwritten by the next call.
+    one they are views of its `grads` buffer, overwritten by the next call.
 
     Both gates are read from the layer output. A train-mode output is 0
     where dropout dropped the unit, so gating on output > 0 and scaling by
@@ -282,7 +271,8 @@ def backward(model: MlpModel, cache: ForwardCache, grad_logit,
     if cache.h.shape[1] != model.repr_dim:
         raise StateError("cache representation width does not match model")
 
-    grads = model.zeros_like() if ws is None else ws.grads
+    grads = model.zeros_like() if ws is None else \
+        FlatParams(_room(ws, "grads", model.flat.shape), model.shapes)
     dz = grad_logit
     np.matmul(cache.h.T, dz[:, None], out=grads.classifier.weights)
     grads.classifier.bias[0] = dz.sum()
@@ -299,7 +289,7 @@ def backward(model: MlpModel, cache: ForwardCache, grad_logit,
         if dropped:
             da *= 1.0 / (1.0 - model.dropout_rate)
         da *= np.greater(cache.post_acts[i], 0.0,
-                         out=_room(ws, "bool", da.shape))
+                         out=_room(ws, "bool", da.shape, dtype=bool))
         np.matmul(a_prev.T, da, out=grads.encoder[i].weights)
         np.sum(da, axis=0, out=grads.encoder[i].bias)
         if i > 0:
@@ -309,6 +299,11 @@ def backward(model: MlpModel, cache: ForwardCache, grad_logit,
     return grads
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second-moment accumulators, flat like the model parameters."""
@@ -316,19 +311,14 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def init_adam(model: MlpModel, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
-    return AdamState(np.zeros_like(model.flat), np.zeros_like(model.flat),
-                     0, beta1, beta2, eps)
+def init_adam(model: MlpModel) -> AdamState:
+    return AdamState(np.zeros_like(model.flat), np.zeros_like(model.flat))
 
 
 def adam_step(model: MlpModel, grads: FlatParams, state: AdamState,
-              lr: float, weight_decay: float = 0.0) -> tuple[MlpModel, AdamState]:
+              lr: float, weight_decay: float = 0.0) -> None:
     """One Adam update in place; weight decay is classic L2 added to grads."""
     if not np.all(np.isfinite(grads.flat)):
         name = next(name for name, g in grads.param_arrays()
@@ -336,7 +326,7 @@ def adam_step(model: MlpModel, grads: FlatParams, state: AdamState,
         raise NumericError(f"non-finite gradient for {name}")
     state.step += 1
     t = state.step
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     g, m, v = grads.flat, state.m, state.v
     if weight_decay != 0.0:
         g = g + weight_decay * model.flat
@@ -346,8 +336,7 @@ def adam_step(model: MlpModel, grads: FlatParams, state: AdamState,
     v += (1.0 - b2) * g * g
     m_hat = m / (1.0 - b1 ** t)
     v_hat = v / (1.0 - b2 ** t)
-    model.flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    return model, state
+    model.flat -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 GRAD_CHECK_MAX_PARAMS = 10_000

@@ -153,8 +153,7 @@ def _train_model(x_tr, y_tr, x_va, y_va, cfg: DistillConfig, *,
         del t_cache  # frees every other layer's train-set activations
 
     hard_only = replace(cfg, alpha=0.0, beta=0.0, lam=0.0)
-    batch_size = min(cfg.batch_size, n_tr)
-    ws = numcore.Workspace(model, batch_size)
+    ws = numcore.Workspace()
     snapshot = None
     trace = TrainTrace(stop_reason="max_epochs")
     best_val = np.inf
@@ -164,8 +163,8 @@ def _train_model(x_tr, y_tr, x_va, y_va, cfg: DistillConfig, *,
         new_snapshot = np.empty(n_tr) if cfg.lam > 0.0 else None
         perm = rng.permutation(n_tr)
         sums = defaultdict(float)  # term -> sum over rows, objective's order
-        for start in range(0, n_tr, batch_size):
-            idx = perm[start:start + batch_size]
+        for start in range(0, n_tr, cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
             cache = numcore.forward(model, ws.take("x", x_tr, idx), "train",
                                     rng, ws)
             rows_h = None if teacher_h is None \
@@ -189,7 +188,7 @@ def _train_model(x_tr, y_tr, x_va, y_va, cfg: DistillConfig, *,
                 new_snapshot[idx] = cache.z
         snapshot = new_snapshot
 
-        va_cache = numcore.forward(model, x_va, "eval")
+        va_cache = numcore.forward(model, x_va, "eval", ws=ws)
         val_loss = losses.objective(hard_only, va_cache, y_va,
                                     w_va)[0].value
         if not np.isfinite(val_loss):
@@ -282,7 +281,7 @@ def predict(model: numcore.MlpModel, x) -> np.ndarray:
     if x.ndim != 2:
         return numcore.forward(model, x, "eval").p  # raises DimensionError
     starts = list(range(0, max(len(x) - 1, 1), PREDICT_ROWS))
-    ws = numcore.Workspace(model, min(len(x), PREDICT_ROWS + 1))
+    ws = numcore.Workspace()
     p = np.empty(len(x))
     for a, b in zip(starts, [*starts[1:], len(x)]):
         p[a:b] = numcore.forward(model, x[a:b], "eval", ws=ws).p

@@ -552,13 +552,63 @@ def test_non_finite_split_fraction_exit_2(workdir, tmp_path):
 
 
 @pytest.mark.parametrize("raw", [b"[dataset]\nseed = 5%\n",
-                                 b"[dataset]\nn = 2\xff0\n"],
-                         ids=["percent", "not_utf8"])
+                                 b"[dataset]\nn = 2\xff0\n",
+                                 b"[DEFAULT]\nn = 10\n",
+                                 b"[DEFAULT]\nmax_epochs = 0\n[teacher]\n",
+                                 b"[DEFAULT]\n[dataset]\nn = 10\n"],
+                         ids=["percent", "not_utf8", "default_only",
+                              "default_and_teacher", "empty_default"])
 def test_config_text_exit_2(tmp_path, raw):
     config = tmp_path / "run.ini"
     config.write_bytes(raw)
     assert cli.main(["generate", "--config", str(config),
                      "--out", str(tmp_path)]) == 2
+
+
+def _files(root: Path) -> list[Path]:
+    return [path for path in root.rglob("*") if path.is_file()]
+
+
+def test_config_directory_exit_3(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.mkdir()
+    assert cli.main(["generate", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 3
+    assert str(config) in capsys.readouterr().err
+    assert _files(tmp_path) == []
+
+
+def test_data_directory_exit_3(workdir, tmp_path, capsys):
+    _, config = workdir
+    dataset = tmp_path / "dataset.csv"
+    dataset.mkdir()
+    assert cli.main(["train", "--config", str(config), "--mode", "teacher",
+                     "--out", str(tmp_path / "out"),
+                     "--data", str(dataset)]) == 3
+    assert str(dataset) in capsys.readouterr().err
+    assert _files(tmp_path) == []
+
+
+def test_model_directory_exit_3(workdir, tmp_path, capsys):
+    out, config = workdir
+    model = tmp_path / "teacher.mgkd"
+    model.mkdir()
+    assert cli.main(["eval", "--model", str(model), "--config", str(config),
+                     "--data", str(out / "dataset.csv"),
+                     "--out", str(tmp_path / "out")]) == 3
+    assert str(model) in capsys.readouterr().err
+    assert _files(tmp_path) == []
+
+
+def test_out_is_a_file_exit_3(workdir, tmp_path, capsys):
+    _, config = workdir
+    dest = tmp_path / "out"
+    dest.write_text("kept\n")
+    assert cli.main(["generate", "--config", str(config),
+                     "--out", str(dest)]) == 3
+    assert str(dest) in capsys.readouterr().err
+    assert _files(tmp_path) == [dest]
+    assert dest.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("grid", [",", "nan", "0.2,inf"])
@@ -656,3 +706,36 @@ def test_config_boundary_yields_finite_config_or_config_error(
         value = getattr(cfg, f.name)
         if isinstance(value, float):
             assert math.isfinite(value), (f.name, value)
+
+
+INI_KEYS = sorted(cli.DATASET_KEYS | cli.TRAIN_KEYS | cli.SWEEP_KEYS)
+INI_LINES = st.one_of(
+    st.sampled_from(["[dataset]", "[teacher]", "[student]", "[sweep]",
+                     "[DEFAULT]", "[default]", "[]", "[dataset", "  0.5",
+                     "# comment", "; comment", "", "=", "lambda"]),
+    st.builds("{}{}{}".format, st.sampled_from(INI_KEYS) | st.text(max_size=6),
+              st.sampled_from([" = ", "=", ": ", " "]), CONFIG_VALUES),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12))
+CONFIG_SECTIONS = {"dataset": data.SyntheticConfig,
+                   "teacher": pipeline.DistillConfig,
+                   "student": pipeline.DistillConfig}
+
+
+@example(lines=["[DEFAULT]", "max_epochs = 0", "[teacher]"])
+@example(lines=["[student]", "lr = 0.1", "[student]"])
+@example(lines=["[student]", "lr = 0.1", "lr = 0.2"])
+@example(lines=["n = 10"])
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(INI_LINES, max_size=12))
+def test_config_text_raises_only_config_error(fuzz_dir, lines):
+    path = fuzz_dir / "text.ini"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        parser = cli._parse_config(path)
+    except errors.ConfigError:
+        return
+    for section, cls in CONFIG_SECTIONS.items():
+        try:
+            cli._config(cls, parser, section)
+        except errors.ConfigError:
+            pass

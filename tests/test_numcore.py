@@ -374,12 +374,14 @@ def _same_grads(grads, ref):
 class TestWorkspace:
     @pytest.mark.parametrize("dropout", [0.3, 0.0])
     def test_steps_match_old_passes_bitwise(self, rng, dropout):
-        # Full, full, then a short last batch, as one epoch of training
-        # runs them, with the model moving between steps.
+        # A short batch, two full ones and a short last one, with the model
+        # moving between steps: the second step grows every row-sized
+        # buffer, and the last two reuse them.
         model = small_model(hidden=(16, 12, 8), dropout=dropout)
-        ws = numcore.Workspace(model, 40)
+        ws = numcore.Workspace()
         new_rng, old_rng = np.random.default_rng(3), np.random.default_rng(3)
-        for step, n in enumerate((40, 40, 17)):
+        for step, n in enumerate((17, 40, 40, 17)):
+            before = dict(ws.buffers)
             model.flat[:] = 0.5 * rng.standard_normal(model.flat.size)
             x = rng.standard_normal((n, 6))
             # Step 1 has no grad_repr and a zero grad_logit.
@@ -392,11 +394,17 @@ class TestWorkspace:
                     getattr(old, name).tobytes(), (step, name)
             assert np.shares_memory(new.h, ws.buffers["act2"])
             grads = backward(model, new, grad_logit, grad_repr, ws)
-            assert grads is ws.grads
+            assert np.shares_memory(grads.flat, ws.buffers["grads"])
             ref = _old_backward(model, old, grad_logit,
                                 np.zeros((n, 8)) if grad_repr is None
                                 else grad_repr)
             _same_grads(grads, ref)
+            grown = {name for name, buf in ws.buffers.items()
+                     if before.get(name) is not buf}
+            assert grown == [set(ws.buffers), set(ws.buffers) - {"grads"},
+                             set(), set()][step], step
+        assert ("draw" in ws.buffers) == (dropout > 0.0)
+        assert ws.buffers["bool"].dtype == bool
 
     def test_backward_without_workspace_returns_fresh_grads(self, rng):
         model = small_model()
@@ -406,12 +414,6 @@ class TestWorkspace:
         second = backward(model, cache, np.ones(4))
         assert not np.shares_memory(first.flat, second.flat)
         assert first.flat.tobytes() == before.tobytes()
-
-    def test_batch_larger_than_workspace(self, rng):
-        model = small_model()
-        with pytest.raises(StateError, match="workspace buffer"):
-            forward(model, rng.standard_normal((9, 6)), "train", None,
-                    numcore.Workspace(model, 8))
 
     def test_step_allocates_less_than_one_batch_array(self):
         from mgkd import losses
@@ -451,5 +453,5 @@ class TestWorkspace:
                 tracemalloc.stop()
 
         one_array = rows * width * 8
-        assert peak_bytes(numcore.Workspace(model, rows)) < one_array
+        assert peak_bytes(numcore.Workspace()) < one_array
         assert peak_bytes(None) > one_array  # numpy's buffers are traced

@@ -337,8 +337,10 @@ class TestPredict:
             finally:
                 tracemalloc.stop()
 
+        # One tile's activations and masks plus `p`: about 10 MB. A
+        # workspace that also held the training buffers peaked at 36.5 MB.
+        assert peak_bytes(lambda: predict(model, x)) < 16 * 10**6
         one_output = rows * width * 8
-        assert peak_bytes(lambda: predict(model, x)) < one_output
         assert peak_bytes(lambda: numcore.forward(model, x, "eval")) \
             > one_output
 
