@@ -105,10 +105,8 @@ def _split_fractions(parser) -> tuple[float, float]:
 
 
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("MGKD_OUT_DIR") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The output directory; it is made only by the first write into it."""
+    return Path(args.out or os.environ.get("MGKD_OUT_DIR") or ".")
 
 
 def _sha256(path: Path) -> str:
@@ -139,6 +137,9 @@ def _write_manifest(out_dir: Path, command: str, config_snapshot: dict,
         "seeds": seeds,
         "artifacts": artifacts,
         "timings": timings,
+        "step_dtype": np.dtype(pipeline.STEP_DTYPE).name,
+        **{var: os.environ.get(var) for var in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
     }
     if teacher_config is not None:
         manifest["teacher_config"] = teacher_config
@@ -154,6 +155,7 @@ def _echo_config(cfg) -> None:
 
 
 def _write_records(path: Path, records: list[dict]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -198,6 +200,7 @@ def cmd_generate(args) -> int:
     t0 = time.time()
     ds = data.generate_synthetic(cfg)
     dataset_path = _dataset_path(parser, args, out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     data.save_delimited(ds, dataset_path)
     timings = {"generate_s": time.time() - t0}
     manifest = _write_manifest(out_dir, "generate", _config_snapshot(cfg),
@@ -243,7 +246,6 @@ def cmd_train(args) -> int:
         model_path = out_dir / f"student_{mode}.mgkd"
     train_s = time.time() - t0
 
-    modelio.save_model(model, model_path, feature_mode)
     trace_path = out_dir / f"trace_{mode}.jsonl"
     records = [{"record": "epoch", "mode": mode, "seed": cfg.seed, **row}
                for row in trace.epochs]
@@ -251,7 +253,8 @@ def cmd_train(args) -> int:
                     "best_epoch": trace.best_epoch,
                     "stop_reason": trace.stop_reason,
                     "epochs_run": len(trace.epochs)})
-    _write_records(trace_path, records)
+    _write_records(trace_path, records)  # the first write: makes out_dir
+    modelio.save_model(model, model_path, feature_mode)
 
     manifest = _write_manifest(out_dir, f"train_{mode}",
                                _config_snapshot(cfg), dataset_path,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, StateError
-from .numcore import Workspace, _room, sigmoid
+from .numcore import Workspace, _as_matrix, _room, sigmoid
 
 PROB_CLAMP = 1e-7
 
@@ -108,18 +108,21 @@ def feat_loss(h_teacher, h_student, metric: str = "mse",
     """Representation alignment loss; gradient w.r.t. the student rows.
 
     With a workspace the MSE gradient is the workspace's `diff` buffer.
-    Under cosine, a row where either side has norm 0 counts as cosine 0
-    (distance 1) and gets a zero gradient.
+    Float32 operands keep the arithmetic in float32. Under cosine, a row
+    where either side has norm 0 counts as cosine 0 (distance 1) and gets a
+    zero gradient.
     """
-    ht = np.asarray(h_teacher, dtype=np.float64)
-    hs = np.asarray(h_student, dtype=np.float64)
+    ht = _as_matrix(h_teacher, "h_teacher")
+    hs = _as_matrix(h_student, "h_student")
     if ht.shape != hs.shape:
         raise DimensionError(
             f"representation shapes differ: {ht.shape} vs {hs.shape}")
     n, d = hs.shape
     if metric == "mse":
-        diff = np.subtract(hs, ht, out=_room(ws, "diff", hs.shape))
-        square = np.multiply(diff, diff, out=_room(ws, "square", hs.shape))
+        dtype = np.result_type(hs, ht)
+        diff = np.subtract(hs, ht, out=_room(ws, "diff", hs.shape, dtype))
+        square = np.multiply(diff, diff,
+                             out=_room(ws, "square", hs.shape, dtype))
         value = float(np.mean(square))
         diff *= 2.0
         diff /= n * d

@@ -8,10 +8,12 @@ one w.r.t. the representation, which lets the trainer mix prediction-level
 and representation-level losses without an autodiff framework.
 
 Every parameter set (model, gradients, both Adam moments) is one contiguous
-float64 vector, `FlatParams.flat`. Its order is the encoder layers, then
-the classifier, each as weights (fan_in x fan_out, row-major) then bias;
-that is also the order of `layers()`, `param_arrays()` and the model file.
+vector, `FlatParams.flat`. Its order is the encoder layers, then the
+classifier, each as weights (fan_in x fan_out, row-major) then bias; that
+is also the order of `layers()`, `param_arrays()` and the model file.
 The per-layer `Layer` views are the only way to reach the weights.
+Activations take the input's dtype (float32 stays float32, anything else
+becomes float64) and parameter gradients the model's.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from .errors import DimensionError, NumericError, StateError
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
+    a = np.asarray(a)
+    a = a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
     if a.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {a.shape}")
     return a
@@ -49,7 +52,7 @@ class Layer(NamedTuple):
 
 
 class FlatParams:
-    """One contiguous float64 vector and per-layer views into it.
+    """One contiguous vector and per-layer views into it.
 
     `shapes` holds each layer's (fan_in, fan_out), encoder layers first and
     the classifier last. Writes through a view land in `flat` and the
@@ -142,10 +145,11 @@ class Workspace:
     """Scratch buffers reused by every step of a run or `predict` call.
 
     A buffer is allocated on its first request and again only when a later
-    request for that name is larger, so one workspace serves batches and
-    passes of any size. `forward`, `backward` and `losses.feat_loss` write
-    into it, so every array they return from it, and a ForwardCache built
-    on it, is valid only until the next call that writes into it.
+    request for that name is larger or of another dtype, so one workspace
+    serves batches and passes of any size. `forward`, `backward` and
+    `losses.feat_loss` write into it, so every array they return from it,
+    and a ForwardCache built on it, is valid only until the next call that
+    writes into it.
     """
 
     def __init__(self):
@@ -157,7 +161,7 @@ class Workspace:
         mode="clip" lets np.take write straight into the buffer, where the
         default mode="raise" fills a temporary first.
         """
-        out = _room(self, name, (len(idx), rows.shape[1]))
+        out = _room(self, name, (len(idx), rows.shape[1]), rows.dtype)
         return np.take(rows, idx, axis=0, out=out, mode="clip")
 
 
@@ -173,7 +177,7 @@ def _room(ws: Workspace | None, name: str, shape: tuple[int, ...],
         return None
     size = math.prod(shape)
     buf = ws.buffers.get(name)
-    if buf is None or buf.size < size:
+    if buf is None or buf.size < size or buf.dtype != dtype:
         buf = ws.buffers[name] = np.empty(size, dtype)
     return buf[:size].reshape(shape)
 
@@ -220,7 +224,8 @@ def forward(model: MlpModel, x, mode: str = "eval",
     post_acts = []
     for i, layer in enumerate(model.encoder):
         shape = (n, layer.weights.shape[1])
-        a = np.matmul(a, layer.weights, out=_room(ws, f"act{i}", shape))
+        a = np.matmul(a, layer.weights,
+                      out=_room(ws, f"act{i}", shape, x.dtype))
         a += layer.bias
         np.maximum(a, 0.0, out=a)
         if use_dropout:
@@ -258,13 +263,13 @@ def backward(model: MlpModel, cache: ForwardCache, grad_logit,
     """
     if len(cache.post_acts) != len(model.encoder):
         raise StateError("cache does not match model layer count")
-    n = cache.z.shape[0]
-    grad_logit = np.asarray(grad_logit, dtype=np.float64)
+    n, dtype = cache.z.shape[0], cache.h.dtype
+    grad_logit = np.asarray(grad_logit, dtype=dtype)
     if grad_logit.shape != (n,):
         raise DimensionError(
             f"grad_logit shape {grad_logit.shape} != ({n},)")
     if grad_repr is not None:
-        grad_repr = np.asarray(grad_repr, dtype=np.float64)
+        grad_repr = np.asarray(grad_repr, dtype=dtype)
         if grad_repr.shape != cache.h.shape:
             raise DimensionError(
                 f"grad_repr shape {grad_repr.shape} != {cache.h.shape}")
@@ -272,12 +277,13 @@ def backward(model: MlpModel, cache: ForwardCache, grad_logit,
         raise StateError("cache representation width does not match model")
 
     grads = model.zeros_like() if ws is None else \
-        FlatParams(_room(ws, "grads", model.flat.shape), model.shapes)
+        FlatParams(_room(ws, "grads", model.flat.shape, model.flat.dtype),
+                   model.shapes)
     dz = grad_logit
     np.matmul(cache.h.T, dz[:, None], out=grads.classifier.weights)
     grads.classifier.bias[0] = dz.sum()
     da = np.multiply(dz[:, None], model.classifier.weights[:, 0][None, :],
-                     out=_room(ws, "grad0", cache.h.shape))
+                     out=_room(ws, "grad0", cache.h.shape, dtype))
     if grad_repr is None:
         da += 0.0  # -0.0 to +0.0, as adding a zeros grad_repr did
     else:
@@ -295,7 +301,7 @@ def backward(model: MlpModel, cache: ForwardCache, grad_logit,
         if i > 0:
             buffer = f"grad{(len(model.encoder) - i) % 2}"  # the other one
             da = np.matmul(da, model.encoder[i].weights.T,
-                           out=_room(ws, buffer, a_prev.shape))
+                           out=_room(ws, buffer, a_prev.shape, dtype))
     return grads
 
 
@@ -319,7 +325,7 @@ def init_adam(model: MlpModel) -> AdamState:
 
 def adam_step(model: MlpModel, grads: FlatParams, state: AdamState,
               lr: float, weight_decay: float = 0.0) -> None:
-    """One Adam update in place; weight decay is classic L2 added to grads."""
+    """One in-place Adam update in the model's dtype, with L2 weight decay."""
     if not np.all(np.isfinite(grads.flat)):
         name = next(name for name, g in grads.param_arrays()
                     if not np.all(np.isfinite(g)))
@@ -327,7 +333,7 @@ def adam_step(model: MlpModel, grads: FlatParams, state: AdamState,
     state.step += 1
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    g, m, v = grads.flat, state.m, state.v
+    g, m, v = grads.flat.astype(model.flat.dtype, copy=False), state.m, state.v
     if weight_decay != 0.0:
         g = g + weight_decay * model.flat
     m *= b1

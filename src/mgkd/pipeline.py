@@ -10,6 +10,10 @@ validation split.
 `MODE_TABLE` is the one definition of what each student mode implies.
 Ablations and sweeps share `run_grid`: one teacher per seed, then every
 student point against it.
+
+Each training step runs in STEP_DTYPE on a working copy of the model, and
+Adam updates the float64 master, which validation scores and training
+returns. The rng draws the same float64 numbers in either precision.
 """
 
 from __future__ import annotations
@@ -110,6 +114,9 @@ class DistillConfig:
                                              0.0))
 
 
+STEP_DTYPE = np.float32
+
+
 @dataclass
 class TrainTrace:
     """Per-epoch loss components and validation metrics for one run."""
@@ -126,6 +133,7 @@ def _train_model(x_tr, y_tr, x_va, y_va, cfg: DistillConfig, *,
                  ) -> tuple[numcore.MlpModel, TrainTrace]:
     """Core loop shared by teacher, student, and baseline training."""
     n_tr = x_tr.shape[0]
+    x_tr = x_tr.astype(STEP_DTYPE, copy=False)
     rng = np.random.default_rng(cfg.seed)
     if init_from is not None:
         model = init_from
@@ -148,12 +156,15 @@ def _train_model(x_tr, y_tr, x_va, y_va, cfg: DistillConfig, *,
     teacher_h = teacher_z = None
     if teacher is not None and (cfg.alpha > 0.0 or cfg.beta > 0.0):
         t_cache = numcore.forward(teacher, teacher_x, "eval")
-        teacher_h = t_cache.h if cfg.beta > 0.0 else None
+        teacher_h = t_cache.h.astype(STEP_DTYPE, copy=False) \
+            if cfg.beta > 0.0 else None
         teacher_z = t_cache.z if cfg.alpha > 0.0 else None
         del t_cache  # frees every other layer's train-set activations
 
     hard_only = replace(cfg, alpha=0.0, beta=0.0, lam=0.0)
-    ws = numcore.Workspace()
+    work = numcore.MlpModel(model.flat.astype(STEP_DTYPE), model.shapes,
+                            model.dropout_rate)
+    ws, va_ws = numcore.Workspace(), numcore.Workspace()
     snapshot = None
     trace = TrainTrace(stop_reason="max_epochs")
     best_val = np.inf
@@ -165,7 +176,8 @@ def _train_model(x_tr, y_tr, x_va, y_va, cfg: DistillConfig, *,
         sums = defaultdict(float)  # term -> sum over rows, objective's order
         for start in range(0, n_tr, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            cache = numcore.forward(model, ws.take("x", x_tr, idx), "train",
+            np.copyto(work.flat, model.flat, casting="same_kind")
+            cache = numcore.forward(work, ws.take("x", x_tr, idx), "train",
                                     rng, ws)
             rows_h = None if teacher_h is None \
                 else ws.take("teacher_h", teacher_h, idx)
@@ -178,7 +190,7 @@ def _train_model(x_tr, y_tr, x_va, y_va, cfg: DistillConfig, *,
             if not np.isfinite(total.value):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
 
-            grads = numcore.backward(model, cache, total.grad_logit,
+            grads = numcore.backward(work, cache, total.grad_logit,
                                      total.grad_repr, ws)
             numcore.adam_step(model, grads, state, cfg.lr, cfg.weight_decay)
 
@@ -188,7 +200,7 @@ def _train_model(x_tr, y_tr, x_va, y_va, cfg: DistillConfig, *,
                 new_snapshot[idx] = cache.z
         snapshot = new_snapshot
 
-        va_cache = numcore.forward(model, x_va, "eval", ws=ws)
+        va_cache = numcore.forward(model, x_va, "eval", ws=va_ws)
         val_loss = losses.objective(hard_only, va_cache, y_va,
                                     w_va)[0].value
         if not np.isfinite(val_loss):

@@ -611,6 +611,43 @@ def test_out_is_a_file_exit_3(workdir, tmp_path, capsys):
     assert dest.read_text() == "kept\n"
 
 
+def test_failed_command_leaves_no_out_dir(workdir, tmp_path):
+    out, config = workdir
+    model = tmp_path / "teacher.mgkd"
+    model.mkdir()
+    assert cli.main(["eval", "--model", str(model),
+                     "--data", str(out / "dataset.csv"),
+                     "--out", str(tmp_path / "fo" / "out")]) == 3
+    assert cli.main(["train", "--config", str(config), "--mode", "teacher",
+                     "--data", str(tmp_path / "missing.csv"),
+                     "--out", str(tmp_path / "fo" / "out2")]) == 3
+    assert not (tmp_path / "fo").exists()
+
+
+def test_manifests_record_step_dtype_and_blas_threads(workdir, tmp_path,
+                                                      monkeypatch):
+    _, config = workdir
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    dest = tmp_path / "out"
+    common = ["--config", str(config), "--out", str(dest)]
+    assert cli.main(["generate", *common]) == 0
+    assert cli.main(["train", *common, "--mode", "teacher"]) == 0
+    assert cli.main(["eval", *common, "--model", str(dest / "teacher.mgkd"),
+                     "--data", str(dest / "dataset.csv")]) == 0
+    manifests = sorted(dest.glob("*_manifest.json"))
+    assert [path.name for path in manifests] == [
+        "eval_manifest.json", "generate_manifest.json",
+        "train_teacher_manifest.json"]
+    for path in manifests:
+        manifest = json.loads(path.read_text())
+        assert manifest["step_dtype"] == "float32"
+        assert manifest["OPENBLAS_NUM_THREADS"] == "1"
+        assert manifest["OMP_NUM_THREADS"] is None
+        assert manifest["MKL_NUM_THREADS"] == "2"
+
+
 @pytest.mark.parametrize("grid", [",", "nan", "0.2,inf"])
 def test_sweep_bad_grid_exit_2(workdir, tmp_path, grid):
     out, config = workdir

@@ -416,42 +416,134 @@ class TestWorkspace:
         assert first.flat.tobytes() == before.tobytes()
 
     def test_step_allocates_less_than_one_batch_array(self):
-        from mgkd import losses
-        from mgkd.pipeline import DistillConfig
-        rows, width = 4096, 64
-        # Three layers, so the backward pass uses both gradient buffers.
-        cfg = DistillConfig(alpha=0.2, beta=0.25, lam=0.1, dropout=0.2,
-                            hidden_dims=(width, width, width))
-        data_rng = np.random.default_rng(0)
-        x_tr = data_rng.standard_normal((2 * rows, 20))
-        y_tr = (data_rng.random(2 * rows) < 0.2).astype(float)
-        teacher_h = data_rng.standard_normal((2 * rows, width))
-        teacher_z = data_rng.standard_normal(2 * rows)
-        snapshot = data_rng.standard_normal(2 * rows)
-        rng = np.random.default_rng(1)
-        model = init_mlp(20, list(cfg.hidden_dims), cfg.dropout, rng)
-        state = init_adam(model)
+        one_array = STEP_ROWS * STEP_WIDTH * 8
+        assert _step_peak_bytes(np.float64, numcore.Workspace()) < one_array
+        # numpy's buffers are traced
+        assert _step_peak_bytes(np.float64, None) > one_array
 
-        def step(ws):
-            idx = rng.permutation(2 * rows)[:rows]
-            x, h = (x_tr[idx], teacher_h[idx]) if ws is None else \
-                (ws.take("x", x_tr, idx), ws.take("teacher_h", teacher_h, idx))
-            cache = forward(model, x, "train", rng, ws)
-            total, _ = losses.objective(cfg, cache, y_tr[idx], None, h,
-                                        teacher_z[idx], snapshot[idx], ws)
-            grads = backward(model, cache, total.grad_logit,
-                             total.grad_repr, ws)
-            adam_step(model, grads, state, cfg.lr, cfg.weight_decay)
+    def test_float32_step_allocates_less_than_one_batch_array(self):
+        one_array = STEP_ROWS * STEP_WIDTH * 4
+        assert _step_peak_bytes(np.float32, numcore.Workspace()) < one_array
+        assert _step_peak_bytes(np.float32, None) > one_array
 
-        def peak_bytes(ws):
-            step(ws)  # warm-up
-            tracemalloc.start()
-            try:
-                step(ws)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
 
-        one_array = rows * width * 8
-        assert peak_bytes(numcore.Workspace()) < one_array
-        assert peak_bytes(None) > one_array  # numpy's buffers are traced
+STEP_ROWS, STEP_WIDTH = 4096, 64
+
+
+def _step_peak_bytes(dtype, ws):
+    """Peak traced bytes of the second of two training steps, run as
+    `pipeline._train_model` runs them: a `dtype` copy of the model does
+    forward, losses and backward, and Adam updates the float64 master."""
+    from mgkd import losses
+    from mgkd.pipeline import DistillConfig
+    rows, width = STEP_ROWS, STEP_WIDTH
+    # Three layers, so the backward pass uses both gradient buffers.
+    cfg = DistillConfig(alpha=0.2, beta=0.25, lam=0.1, dropout=0.2,
+                        hidden_dims=(width, width, width))
+    data_rng = np.random.default_rng(0)
+    x_tr = data_rng.standard_normal((2 * rows, 20)).astype(dtype)
+    y_tr = (data_rng.random(2 * rows) < 0.2).astype(float)
+    teacher_h = data_rng.standard_normal((2 * rows, width)).astype(dtype)
+    teacher_z = data_rng.standard_normal(2 * rows)
+    snapshot = data_rng.standard_normal(2 * rows)
+    rng = np.random.default_rng(1)
+    model = init_mlp(20, list(cfg.hidden_dims), cfg.dropout, rng)
+    work = MlpModel(model.flat.astype(dtype), model.shapes, cfg.dropout)
+    state = init_adam(model)
+
+    def step():
+        idx = rng.permutation(2 * rows)[:rows]
+        x, h = (x_tr[idx], teacher_h[idx]) if ws is None else \
+            (ws.take("x", x_tr, idx), ws.take("teacher_h", teacher_h, idx))
+        np.copyto(work.flat, model.flat, casting="same_kind")
+        cache = forward(work, x, "train", rng, ws)
+        total, _ = losses.objective(cfg, cache, y_tr[idx], None, h,
+                                    teacher_z[idx], snapshot[idx], ws)
+        grads = backward(work, cache, total.grad_logit, total.grad_repr, ws)
+        adam_step(model, grads, state, cfg.lr, cfg.weight_decay)
+
+    step()  # warm-up
+    tracemalloc.start()
+    try:
+        step()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFloat32:
+    def _model_and_batch(self, rng, dropout=0.3):
+        model = small_model(hidden=(16, 12, 8), dropout=dropout)
+        model.flat[:] = 0.5 * rng.standard_normal(model.flat.size)
+        return (model, rng.standard_normal((40, 6)),
+                rng.standard_normal(40), rng.standard_normal((40, 8)))
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("use_ws", [True, False])
+    def test_float32_pass_close_to_float64(self, rng, mode, use_ws):
+        model, x, grad_logit, grad_repr = self._model_and_batch(rng)
+        work = MlpModel(model.flat.astype(np.float32), model.shapes,
+                        model.dropout_rate)
+        ws = numcore.Workspace() if use_ws else None
+        # The same rng stream, so the same dropout masks.
+        ref = forward(model, x, mode, np.random.default_rng(3))
+        ref_grads = backward(model, ref, grad_logit, grad_repr)
+        cache = forward(work, x.astype(np.float32), mode,
+                        np.random.default_rng(3), ws)
+        for name in ("h", "z"):
+            got = getattr(cache, name)
+            assert got.dtype == np.float32, name
+            np.testing.assert_allclose(got, getattr(ref, name), rtol=1e-4,
+                                       atol=1e-6)
+        assert all(a.dtype == np.float32 for a in cache.post_acts)
+        assert cache.p.dtype == np.float64  # sigmoid upcasts
+        np.testing.assert_allclose(cache.p, ref.p, rtol=1e-4)
+        grads = backward(work, cache, grad_logit, grad_repr, ws)
+        assert grads.flat.dtype == np.float32
+        np.testing.assert_allclose(grads.flat, ref_grads.flat, rtol=1e-4,
+                                   atol=1e-5)
+        if use_ws:
+            assert np.shares_memory(grads.flat, ws.buffers["grads"])
+            for name, buf in ws.buffers.items():
+                expected = {"bool": bool, "draw": np.float64}.get(
+                    name, np.float32)
+                assert buf.dtype == expected, name
+
+    def test_dtype_change_reallocates_buffers(self, rng):
+        model, x, grad_logit, _ = self._model_and_batch(rng, dropout=0.0)
+        work = MlpModel(model.flat.astype(np.float32), model.shapes)
+        ws = numcore.Workspace()
+        backward(work, forward(work, x.astype(np.float32), ws=ws),
+                 grad_logit, ws=ws)
+        cache = forward(model, x, ws=ws)
+        assert cache.h.dtype == np.float64
+        assert ws.buffers["act0"].dtype == np.float64
+        grads = backward(model, cache, grad_logit, ws=ws)
+        assert grads.flat.dtype == ws.buffers["grads"].dtype == np.float64
+        assert cache.h.tobytes() == forward(model, x).h.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.float16,
+                                       np.float64, bool])
+    def test_as_matrix_upcasts_all_but_float32(self, dtype):
+        a = numcore._as_matrix(np.ones((2, 3), dtype=dtype), "a")
+        assert a.dtype == np.float64
+        assert numcore._as_matrix([[1, 2]], "a").dtype == np.float64
+        f32 = np.ones((2, 3), dtype=np.float32)
+        assert numcore._as_matrix(f32, "a") is f32
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.3])
+    def test_adam_upcasts_float32_grads(self, rng, weight_decay):
+        model, ref = small_model(), small_model()
+        state, ref_state = init_adam(model), init_adam(ref)
+        grads = numcore.FlatParams(np.empty(model.flat.size, np.float32),
+                                   model.shapes)
+        for _ in range(3):
+            grads.flat[:] = rng.standard_normal(grads.flat.size)
+            adam_step(model, grads, state, 0.01, weight_decay)
+            adam_step(ref, numcore.FlatParams(grads.flat.astype(np.float64),
+                                              ref.shapes),
+                      ref_state, 0.01, weight_decay)
+        for got, want in ((model.flat, ref.flat), (state.m, ref_state.m),
+                          (state.v, ref_state.v)):
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()

@@ -75,11 +75,14 @@ def test_validation_loss_is_the_named_hard_term(small_ds, hard_term):
 
 
 def parent_train_model(x_tr, y_tr, x_va, y_va, cfg, teacher=None,
-                       teacher_x=None):
+                       teacher_x=None, dtype=np.float64):
     """The training loop from before the workspace: allocating passes,
     `x_tr[idx]` gathers, a zeros `grad_repr` and a snapshot every epoch.
 
-    A frozen reference: `_train_model` must match it bit for bit.
+    A frozen reference: `_train_model` must match it bit for bit. `dtype`
+    is the step's precision. Its casts are no-ops at float64: the train
+    rows and the teacher representation are cast once, each step runs on
+    a `dtype` copy of the model, and the gradients are cast back for Adam.
     """
     from collections import defaultdict
     from mgkd import numcore
@@ -95,8 +98,9 @@ def parent_train_model(x_tr, y_tr, x_va, y_va, cfg, teacher=None,
     teacher_h = teacher_z = None
     if teacher is not None and (cfg.alpha > 0.0 or cfg.beta > 0.0):
         t_cache = numcore.forward(teacher, teacher_x, "eval")
-        teacher_h = t_cache.h if cfg.beta > 0.0 else None
+        teacher_h = t_cache.h.astype(dtype) if cfg.beta > 0.0 else None
         teacher_z = t_cache.z if cfg.alpha > 0.0 else None
+    x_step = x_tr.astype(dtype)
     hard_only = replace(cfg, alpha=0.0, beta=0.0, lam=0.0)
     batch_size = min(cfg.batch_size, n_tr)
     snapshot = None
@@ -109,7 +113,9 @@ def parent_train_model(x_tr, y_tr, x_va, y_va, cfg, teacher=None,
         sums = defaultdict(float)
         for start in range(0, n_tr, batch_size):
             idx = perm[start:start + batch_size]
-            cache = numcore.forward(model, x_tr[idx], "train", rng)
+            work = numcore.MlpModel(model.flat.astype(dtype), model.shapes,
+                                    model.dropout_rate)
+            cache = numcore.forward(work, x_step[idx], "train", rng)
             total, terms = losses.objective(
                 cfg, cache, y_tr[idx],
                 *(None if rows is None else rows[idx]
@@ -117,8 +123,10 @@ def parent_train_model(x_tr, y_tr, x_va, y_va, cfg, teacher=None,
             grad_repr = total.grad_repr
             if grad_repr is None:
                 grad_repr = np.zeros_like(cache.h)
-            grads = numcore.backward(model, cache, total.grad_logit,
+            grads = numcore.backward(work, cache, total.grad_logit,
                                      grad_repr)
+            grads = numcore.FlatParams(grads.flat.astype(np.float64),
+                                       grads.shapes)
             numcore.adam_step(model, grads, state, cfg.lr, cfg.weight_decay)
             for term, value in terms.items():
                 sums[term] += value * len(idx)
@@ -144,12 +152,34 @@ def parent_train_model(x_tr, y_tr, x_va, y_va, cfg, teacher=None,
     return best_model, trace
 
 
-@pytest.mark.parametrize("dropout", [0.0, 0.2])
-@pytest.mark.parametrize("terms, feat_metric", [
-    ((0.0, 0.0, 0.0), "mse"), ((0.2, 0.25, 0.1), "mse"),
-    ((0.0, 0.25, 0.0), "cosine"), ((1.0, 0.0, 0.3), "mse")])
-def test_train_model_matches_parent_loop(small_ds, dropout, terms,
-                                         feat_metric):
+def _parent_loop_cases(test):
+    test = pytest.mark.parametrize("terms, feat_metric", [
+        ((0.0, 0.0, 0.0), "mse"), ((0.2, 0.25, 0.1), "mse"),
+        ((0.0, 0.25, 0.0), "cosine"), ((1.0, 0.0, 0.3), "mse")])(test)
+    return pytest.mark.parametrize("dropout", [0.0, 0.2])(test)
+
+
+@_parent_loop_cases
+def test_train_model_matches_parent_loop(small_ds, monkeypatch, dropout,
+                                         terms, feat_metric):
+    # With a float64 step the loop is the parent's, bit for bit.
+    monkeypatch.setattr(pipeline, "STEP_DTYPE", np.float64)
+    _check_against_parent_loop(small_ds, dropout, terms, feat_metric,
+                               np.float64)
+
+
+@_parent_loop_cases
+def test_float32_step_matches_cast_parent_loop(small_ds, dropout, terms,
+                                               feat_metric):
+    # The default float32 step is the parent loop with its casts, bit for
+    # bit, and still returns a float64 model.
+    assert pipeline.STEP_DTYPE is np.float32
+    model = _check_against_parent_loop(small_ds, dropout, terms,
+                                       feat_metric, np.float32)
+    assert model.flat.dtype == np.float64
+
+
+def _check_against_parent_loop(small_ds, dropout, terms, feat_metric, dtype):
     # 3 epochs of batches 1024, 1024 and a short 752.
     alpha, beta, lam = terms
     cfg = small_cfg(alpha=alpha, beta=beta, lam=lam, dropout=dropout,
@@ -163,10 +193,11 @@ def test_train_model_matches_parent_loop(small_ds, dropout, terms,
                                          teacher=teacher,
                                          teacher_x=teacher_x)
     ref_model, ref_trace = parent_train_model(x_tr, y_tr, x_va, y_va, cfg,
-                                              teacher, teacher_x)
+                                              teacher, teacher_x, dtype)
     assert model_bytes(model) == model_bytes(ref_model)
     assert trace == ref_trace
     assert len(trace.epochs) == 3
+    return model
 
 
 class TestModeTable:
