@@ -182,6 +182,32 @@ def _room(ws: Workspace | None, name: str, shape: tuple[int, ...],
     return buf[:size].reshape(shape)
 
 
+# Dropout keeps a unit when its 16-bit flag is >= k, so rates act as k/65536.
+DROPOUT_LEVELS = 1 << 16
+FLAG_CHUNK = 1 << 16  # flags per raw draw; a multiple of 4
+
+
+def _dropout_k(rate: float) -> int:
+    return int(rate * DROPOUT_LEVELS)  # floor, exact; rate < 1: k <= 65535
+
+
+def _dropout_scale(rate: float) -> float:
+    return DROPOUT_LEVELS / (DROPOUT_LEVELS - _dropout_k(rate))  # 1/keep
+
+
+def _keep_flags(rng, k: int, shape, ws: Workspace | None) -> np.ndarray:
+    """Bool `shape` array, True where a unit's flag is >= k. The flags are
+    the little-endian 16-bit lanes of raw 64-bit draws, FLAG_CHUNK at a
+    time: whole draws, so the chunking leaves the stream as it is."""
+    flat = _room(ws or Workspace(), "bool", shape, bool).reshape(-1)
+    for start in range(0, flat.size, FLAG_CHUNK):
+        n = min(FLAG_CHUNK, flat.size - start)
+        raw = rng.bit_generator.random_raw(-(-n // 4))
+        lanes = raw.astype("<u8", copy=False).view(np.uint16)
+        np.greater_equal(lanes[:n], k, out=flat[start:start + n])
+    return flat.reshape(shape)
+
+
 @dataclass
 class ForwardCache:
     """Everything the backward pass needs from one forward pass.
@@ -229,16 +255,15 @@ def forward(model: MlpModel, x, mode: str = "eval",
         a += layer.bias
         np.maximum(a, 0.0, out=a)
         if use_dropout:
-            # Inverted dropout: the same draw and products as multiplying
-            # by the float mask (draw >= rate) / keep.
-            draw = rng.random(shape, out=_room(ws, "draw", shape))
-            a *= 1.0 / (1.0 - model.dropout_rate)
-            a *= np.greater_equal(draw, model.dropout_rate,
-                                  out=_room(ws, "bool", shape, dtype=bool))
+            # Inverted dropout, as if multiplied by (flag >= k) * scale.
+            a *= _dropout_scale(model.dropout_rate)
+            a *= _keep_flags(rng, _dropout_k(model.dropout_rate), shape, ws)
         post_acts.append(a)
 
     h = a
-    z = (h @ model.classifier.weights).ravel() + model.classifier.bias[0]
+    # Row by row: unlike BLAS's h @ w, a row's logit ignores its place.
+    z = np.einsum("ij,j->i", h, model.classifier.weights[:, 0]) \
+        + model.classifier.bias[0]
     p = sigmoid(z)
     if not (np.isfinite(h, out=_room(ws, "bool", h.shape, dtype=bool)).all()
             and np.all(np.isfinite(z))):
@@ -293,7 +318,7 @@ def backward(model: MlpModel, cache: ForwardCache, grad_logit,
     for i in range(len(model.encoder) - 1, -1, -1):
         a_prev = cache.post_acts[i - 1] if i > 0 else cache.x
         if dropped:
-            da *= 1.0 / (1.0 - model.dropout_rate)
+            da *= _dropout_scale(model.dropout_rate)
         da *= np.greater(cache.post_acts[i], 0.0,
                          out=_room(ws, "bool", da.shape, dtype=bool))
         np.matmul(a_prev.T, da, out=grads.encoder[i].weights)

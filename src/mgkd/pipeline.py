@@ -13,7 +13,7 @@ student point against it.
 
 Each training step runs in STEP_DTYPE on a working copy of the model, and
 Adam updates the float64 master, which validation scores and training
-returns. The rng draws the same float64 numbers in either precision.
+returns. The rng draws the same dropout flags in either precision.
 """
 
 from __future__ import annotations
@@ -284,10 +284,10 @@ PREDICT_ROWS = 8192
 def predict(model: numcore.MlpModel, x) -> np.ndarray:
     """Eval-mode probabilities, PREDICT_ROWS rows at a time in one workspace.
 
-    A row's BLAS bits depend on its place in its block, and a 1-row product
-    runs another kernel; so tiles start at multiples of PREDICT_ROWS and a
-    lone last row joins the tile before it. With one BLAS thread `p` then
-    equals one whole-array pass bit for bit.
+    A row's encoder bits depend on its place in its block, and a 1-row
+    product runs another kernel; so tiles start at multiples of
+    PREDICT_ROWS and a lone last row joins the tile before it. `p` then
+    equals one whole-array pass bit for bit, with one BLAS thread or two.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:

@@ -43,7 +43,7 @@ class TestForward:
         # p must be exactly sigmoid(classifier(H)) for the cached H.
         model = small_model()
         cache = forward(model, rng.standard_normal((9, 6)))
-        z = (cache.h @ model.classifier.weights).ravel() \
+        z = np.einsum("ij,j->i", cache.h, model.classifier.weights[:, 0]) \
             + model.classifier.bias[0]
         assert np.array_equal(cache.p, numcore.sigmoid(z))
         assert cache.h.shape[1] == model.repr_dim
@@ -54,25 +54,92 @@ class TestForward:
             forward(model, np.ones((2, 6)), "train")
 
 
+def _one_shot_flags(rng, shape):
+    """The 16-bit keep flags of `shape` units from one `random_raw` draw."""
+    n = math.prod(shape)
+    raw = rng.bit_generator.random_raw(-(-n // 4))
+    return raw.astype("<u8").view(np.uint16)[:n].reshape(shape)
+
+
 class TestDropout:
     def test_mask_fraction_and_rescale(self, rng):
-        rate, keep = 0.3, 0.7
+        rate, k = 0.3, 19660  # k = floor(0.3 * 65536)
+        scale = 65536 / (65536 - k)
         model = small_model(input_dim=4, hidden=(400,), dropout=rate)
         x = np.abs(rng.standard_normal((50, 4))) + 0.5
         cache = forward(model, x, "train", np.random.default_rng(5))
-        # Replay the draw: the mask is (draw >= rate) / keep.
-        kept = np.random.default_rng(5).random((50, 400)) >= rate
-        mask = kept / keep
+        # Replay the flags: the mask is (flag >= k) * scale.
+        kept = _one_shot_flags(np.random.default_rng(5), (50, 400)) >= k
+        mask = kept * scale
         n = mask.size
         zero_frac = np.mean(mask == 0.0)
         sigma = math.sqrt(rate * (1 - rate) / n)
         assert abs(zero_frac - rate) < 3 * sigma
-        # Survivors rescaled by 1/(1-rate): mask expectation is 1.
+        # Survivors rescaled by 1/keep: mask expectation is 1.
         assert np.mean(mask) == pytest.approx(1.0, abs=3 * sigma / (1 - rate))
         layer = model.encoder[0]
         pre = x @ layer.weights + layer.bias
-        expected = np.maximum(pre, 0.0) * (1.0 / keep) * kept
+        expected = np.maximum(pre, 0.0) * scale * kept
         assert cache.post_acts[0].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (17, 9), (1000, 67),
+                                       (65537, 1), (3, 65539)])
+    @pytest.mark.parametrize("use_ws", [True, False])
+    def test_chunked_flags_equal_one_draw(self, shape, use_ws):
+        # Sizes that are not multiples of 4 or of FLAG_CHUNK; the rng must
+        # also end in the same state.
+        ws = numcore.Workspace() if use_ws else None
+        chunked, one = np.random.default_rng(2), np.random.default_rng(2)
+        got = numcore._keep_flags(chunked, 13107, shape, ws)
+        assert got.dtype == bool and got.shape == shape
+        assert np.array_equal(got, _one_shot_flags(one, shape) >= 13107)
+        assert chunked.bit_generator.state == one.bit_generator.state
+
+    @pytest.mark.parametrize("rate, k, scale", [
+        (0.2, 13107, 65536 / 52429), (0.4, 26214, 65536 / 39322),
+        (1e-6, 0, 1.0), (1 - 2.0 ** -53, 65535, 65536.0)])
+    def test_quantised_rate(self, rate, k, scale):
+        assert numcore._dropout_k(rate) == k
+        assert numcore._dropout_scale(rate) == scale
+
+    def test_zero_rate_draws_nothing(self, rng):
+        model = small_model(dropout=0.0)
+        x = rng.standard_normal((9, 6))
+        draws = np.random.default_rng(4)
+        before = draws.bit_generator.state
+        cache = forward(model, x, "train", draws)
+        assert draws.bit_generator.state == before
+        assert cache.h.tobytes() == forward(model, x, "eval").h.tobytes()
+
+    def test_rate_below_one_level_keeps_every_unit(self, rng):
+        # k = 0: the flags are drawn, every unit is kept, the scale is 1.
+        model = small_model(dropout=1e-6)
+        x = rng.standard_normal((9, 6))
+        grad_logit = rng.standard_normal(9)
+        draws = np.random.default_rng(4)
+        before = draws.bit_generator.state
+        train = forward(model, x, "train", draws)
+        assert draws.bit_generator.state != before
+        ev = forward(model, x, "eval")
+        for name in ("h", "z"):
+            assert getattr(train, name).tobytes() == \
+                getattr(ev, name).tobytes()
+        assert backward(model, train, grad_logit).flat.tobytes() == \
+            backward(model, ev, grad_logit).flat.tobytes()
+
+    def test_rate_just_below_one_is_finite(self, rng):
+        # k = 65535: a unit is kept only when its flag is 65535, and then
+        # scaled by 65536.
+        model = small_model(hidden=(4096,), dropout=1 - 2.0 ** -53)
+        x = rng.standard_normal((64, 6))
+        cache = forward(model, x, "train", np.random.default_rng(4))
+        kept = _one_shot_flags(np.random.default_rng(4), (64, 4096)) == 65535
+        layer = model.encoder[0]
+        pre = x @ layer.weights + layer.bias
+        expected = np.maximum(pre, 0.0) * 65536.0 * kept
+        assert kept.any()
+        assert cache.post_acts[0].tobytes() == expected.tobytes()
+        assert np.all(np.isfinite(backward(model, cache, np.ones(64)).flat))
 
 
 class TestBackward:
@@ -292,19 +359,20 @@ def _old_forward(model, x, mode, rng):
     """The forward pass that kept pre-activations and all-ones eval masks."""
     a = x
     pre_acts, post_acts, masks = [], [], []
-    keep = 1.0 - model.dropout_rate
+    k = int(model.dropout_rate * 65536)  # keep a unit when its flag >= k
     for layer in model.encoder:
         s = a @ layer.weights + layer.bias
         r = np.maximum(s, 0.0)
         if mode == "train" and model.dropout_rate > 0.0:
-            mask = (rng.random(r.shape) >= model.dropout_rate) / keep
+            mask = (_one_shot_flags(rng, r.shape) >= k) * (65536 / (65536 - k))
         else:
             mask = np.ones_like(r)
         a = r * mask
         pre_acts.append(s)
         post_acts.append(a)
         masks.append(mask)
-    z = (a @ model.classifier.weights).ravel() + model.classifier.bias[0]
+    z = np.einsum("ij,j->i", a, model.classifier.weights[:, 0]) \
+        + model.classifier.bias[0]
     return numcore.ForwardCache(x, pre_acts, post_acts, masks, a, z,
                                 numcore.sigmoid(z), mode)
 
@@ -403,7 +471,6 @@ class TestWorkspace:
                      if before.get(name) is not buf}
             assert grown == [set(ws.buffers), set(ws.buffers) - {"grads"},
                              set(), set()][step], step
-        assert ("draw" in ws.buffers) == (dropout > 0.0)
         assert ws.buffers["bool"].dtype == bool
 
     def test_backward_without_workspace_returns_fresh_grads(self, rng):
@@ -505,9 +572,8 @@ class TestFloat32:
         if use_ws:
             assert np.shares_memory(grads.flat, ws.buffers["grads"])
             for name, buf in ws.buffers.items():
-                expected = {"bool": bool, "draw": np.float64}.get(
-                    name, np.float32)
-                assert buf.dtype == expected, name
+                assert buf.dtype == (bool if name == "bool" else np.float32), \
+                    name
 
     def test_dtype_change_reallocates_buffers(self, rng):
         model, x, grad_logit, _ = self._model_and_batch(rng, dropout=0.0)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import mgkd
-from mgkd import data, losses, metrics, numcore, pipeline
+from mgkd import data, losses, metrics, modelio, numcore, pipeline
 from mgkd.errors import ConfigError, DataError, DimensionError
 from mgkd.pipeline import (PREDICT_ROWS, DistillConfig, evaluate_split,
                            predict, run_ablation, train_student,
@@ -262,6 +262,13 @@ class TestTeacher:
         with pytest.raises(DataError):
             train_teacher(ds, small_cfg())
 
+    def test_model_file_keeps_requested_rate(self, small_ds, tmp_path):
+        # Training uses 13107/65536, but the file stores the rate asked for.
+        model, _ = train_teacher(small_ds, small_cfg(dropout=0.2,
+                                                     max_epochs=1))
+        modelio.save_model(model, tmp_path / "t.mgkd", "in")
+        assert modelio.load_model(tmp_path / "t.mgkd")[0].dropout_rate == 0.2
+
 
 class TestStudent:
     def test_inert_distillation_bitwise(self, small_ds):
@@ -386,8 +393,20 @@ class TestPredict:
         assert (a.auc, a.ks, a.recall_at_k) == (b.auc, b.ks, b.recall_at_k)
 
 
-# Run with one BLAS thread: with more, how many threads split a product
-# changes the whole-array pass's own bits.
+def _child_json(script: str, blas_threads: str):
+    """The JSON that `script` prints, run in a child with that many BLAS
+    threads."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
+           "OMP_NUM_THREADS": blas_threads,
+           "PYTHONPATH": os.pathsep.join(
+               [str(Path(mgkd.__file__).parents[1]),
+                os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 WHOLE_PASS_SCRIPT = """
 import json
 import numpy as np
@@ -407,14 +426,32 @@ print(json.dumps(bad))
 
 
 def test_tiled_predict_matches_whole_pass():
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(
-               [str(Path(mgkd.__file__).parents[1]),
-                os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", WHOLE_PASS_SCRIPT], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []  # (dropout, rows) that differ
+    for blas_threads in ("1", "2"):
+        # (dropout, rows) that differ
+        assert _child_json(WHOLE_PASS_SCRIPT, blas_threads) == [], \
+            blas_threads
+
+
+# Prints, for each row count, the sha256 of an eval pass's z and p bytes.
+EVAL_PASS_SCRIPT = """
+import hashlib, json
+import numpy as np
+from mgkd import numcore
+x = np.random.default_rng(0).standard_normal((22317, 20))
+model = numcore.init_mlp(20, [64, 64], 0.2, np.random.default_rng(1))
+digests = {}
+for n in (9969, 22317):
+    cache = numcore.forward(model, x[:n], "eval")
+    zp = cache.z.tobytes() + cache.p.tobytes()
+    digests[n] = hashlib.sha256(zp).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def test_eval_pass_does_not_depend_on_blas_threads():
+    # Training's weight-gradient reductions still do (see ROADMAP item 2).
+    assert _child_json(EVAL_PASS_SCRIPT, "1") == \
+        _child_json(EVAL_PASS_SCRIPT, "2")
 
 
 class TestAblation:
