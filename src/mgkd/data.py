@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NoReturn
 
 import numpy as np
@@ -58,11 +58,6 @@ class TwoPhaseDataset:
         if split not in SPLIT_TAGS:
             raise ConfigError(f"unknown split {split!r}")
         return self.split == split
-
-    def copy(self) -> "TwoPhaseDataset":
-        return TwoPhaseDataset(self.x_pre.copy(), self.x_in.copy(),
-                               self.y.copy(), self.timestamp.copy(),
-                               self.split.copy())
 
 
 def check_finite(cfg) -> None:
@@ -318,7 +313,7 @@ def temporal_split(ds: TwoPhaseDataset, frac_valid: float,
     """Tag rows chronologically: oldest train, then valid, newest test.
 
     Rows whose timestamp ties the boundary go to the earlier split, so no
-    timestamp ever straddles two splits.
+    timestamp ever straddles two splits. Only `split` is a new array.
     """
     if not (min(frac_valid, frac_test) > 0.0 and frac_valid + frac_test < 1.0):
         raise ConfigError("split fractions must be positive and sum below 1")
@@ -339,9 +334,7 @@ def temporal_split(ds: TwoPhaseDataset, frac_valid: float,
     split[order[:v_start]] = "train"
     split[order[v_start:t_start]] = "valid"
     split[order[t_start:]] = "test"
-    out = ds.copy()
-    out.split = split
-    return out
+    return replace(ds, split=split)
 
 
 @dataclass
@@ -372,8 +365,7 @@ def fit_standardize(ds: TwoPhaseDataset) -> Scaler:
 
 
 def apply_standardize(ds: TwoPhaseDataset, scaler: Scaler) -> TwoPhaseDataset:
-    out = ds.copy()
-    out.x_pre = (ds.x_pre - scaler.mean_pre) / scaler.std_pre
-    if ds.d_in:
-        out.x_in = (ds.x_in - scaler.mean_in) / scaler.std_in
-    return out
+    """`ds` with standardized feature blocks; it shares the other arrays."""
+    x_in = (ds.x_in - scaler.mean_in) / scaler.std_in if ds.d_in else ds.x_in
+    return replace(ds, x_pre=(ds.x_pre - scaler.mean_pre) / scaler.std_pre,
+                   x_in=x_in)

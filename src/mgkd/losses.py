@@ -210,6 +210,12 @@ HARD_TERMS = {"ce": (False, False), "reweighted": (True, False),
               "focal": (False, True), "reweighted_focal": (True, True)}
 
 
+def hard_loss(cfg, y, p, weights=None) -> LossValue:
+    """The hard term that `cfg.hard_term` names, on probabilities `p`."""
+    _, focal = HARD_TERMS[cfg.hard_term]
+    return focal_loss(y, p, cfg.gamma if focal else 0.0, weights)  # 0: CE
+
+
 def objective(cfg, cache, y, weights=None, teacher_h=None, teacher_z=None,
               snapshot=None, ws: Workspace | None = None,
               ) -> tuple[LossValue, dict[str, float]]:
@@ -224,9 +230,7 @@ def objective(cfg, cache, y, weights=None, teacher_h=None, teacher_z=None,
     alpha = cfg.alpha
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must be in [0,1], got {alpha}")
-    _, focal = HARD_TERMS[cfg.hard_term]
-    hard = label = (focal_loss(y, cache.p, cfg.gamma, weights) if focal
-                    else kl_hard(y, cache.p, weights))
+    hard = label = hard_loss(cfg, y, cache.p, weights)
     soft = feat = self_part = None
     if alpha > 0.0:
         soft = kl_soft(teacher_z, cache.z, cfg.tau)

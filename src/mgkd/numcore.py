@@ -142,7 +142,7 @@ def init_mlp(input_dim: int, hidden_dims: list[int], dropout_rate: float,
 
 
 class Workspace:
-    """Scratch buffers reused by every step of a run or `predict` call.
+    """Scratch buffers reused by a run's steps, or by tiled eval passes.
 
     A buffer is allocated on its first request and again only when a later
     request for that name is larger or of another dtype, so one workspace

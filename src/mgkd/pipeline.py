@@ -126,6 +126,30 @@ class TrainTrace:
     stop_reason: str = ""
 
 
+PREDICT_ROWS = 8192
+
+
+def _eval_pass(model: numcore.MlpModel, x, ws, keep_h: bool = False):
+    """`(h, z, p)` of a float64 eval-mode pass, PREDICT_ROWS rows at a time.
+
+    A row's encoder bits depend on its place in its block, and a 1-row
+    product runs another kernel; so tiles start at multiples of
+    PREDICT_ROWS, a lone last row joins the tile before it, and the result
+    equals one whole-array pass bit for bit. `h` is kept only with `keep_h`,
+    as STEP_DTYPE.
+    """
+    x = numcore._as_matrix(np.asarray(x, dtype=np.float64), "x")
+    h = np.empty((len(x), model.repr_dim), STEP_DTYPE) if keep_h else None
+    z, p = np.empty(len(x)), np.empty(len(x))
+    starts = list(range(0, max(len(x) - 1, 1), PREDICT_ROWS))
+    for a, b in zip(starts, [*starts[1:], len(x)]):
+        cache = numcore.forward(model, x[a:b], "eval", ws=ws)
+        z[a:b], p[a:b] = cache.z, cache.p
+        if keep_h:
+            h[a:b] = cache.h
+    return h, z, p
+
+
 def _train_model(x_tr, y_tr, x_va, y_va, cfg: DistillConfig, *,
                  teacher: numcore.MlpModel | None = None,
                  teacher_x=None,
@@ -152,19 +176,16 @@ def _train_model(x_tr, y_tr, x_va, y_va, cfg: DistillConfig, *,
     w_tr, w_va = (losses.reweight(y, priors) if reweighted else None
                   for y in (y_tr, y_va))
 
-    # Teacher pass once over the full train set, eval mode (frozen, rng-free).
+    # Teacher pass once, eval mode, in a workspace freed before training.
     teacher_h = teacher_z = None
     if teacher is not None and (cfg.alpha > 0.0 or cfg.beta > 0.0):
-        t_cache = numcore.forward(teacher, teacher_x, "eval")
-        teacher_h = t_cache.h.astype(STEP_DTYPE, copy=False) \
-            if cfg.beta > 0.0 else None
-        teacher_z = t_cache.z if cfg.alpha > 0.0 else None
-        del t_cache  # frees every other layer's train-set activations
+        teacher_h, z, _ = _eval_pass(teacher, teacher_x, numcore.Workspace(),
+                                     keep_h=cfg.beta > 0.0)
+        teacher_z = z if cfg.alpha > 0.0 else None
+    ws, eval_ws = numcore.Workspace(), numcore.Workspace()  # by dtype
 
-    hard_only = replace(cfg, alpha=0.0, beta=0.0, lam=0.0)
     work = numcore.MlpModel(model.flat.astype(STEP_DTYPE), model.shapes,
                             model.dropout_rate)
-    ws, va_ws = numcore.Workspace(), numcore.Workspace()
     snapshot = None
     trace = TrainTrace(stop_reason="max_epochs")
     best_val = np.inf
@@ -200,12 +221,11 @@ def _train_model(x_tr, y_tr, x_va, y_va, cfg: DistillConfig, *,
                 new_snapshot[idx] = cache.z
         snapshot = new_snapshot
 
-        va_cache = numcore.forward(model, x_va, "eval", ws=va_ws)
-        val_loss = losses.objective(hard_only, va_cache, y_va,
-                                    w_va)[0].value
+        p_va = _eval_pass(model, x_va, eval_ws)[2]
+        val_loss = losses.hard_loss(cfg, y_va, p_va, w_va).value
         if not np.isfinite(val_loss):
             raise TrainingError(f"non-finite validation loss at epoch {epoch}")
-        report = metrics.evaluate(va_cache.p, y_va, split="valid",
+        report = metrics.evaluate(p_va, y_va, split="valid",
                                   seed=cfg.seed, mode=cfg.mode)
         trace.epochs.append({
             "epoch": epoch,
@@ -278,26 +298,9 @@ def train_student(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
                         teacher_x=teacher_x, init_from=init_from)
 
 
-PREDICT_ROWS = 8192
-
-
 def predict(model: numcore.MlpModel, x) -> np.ndarray:
-    """Eval-mode probabilities, PREDICT_ROWS rows at a time in one workspace.
-
-    A row's encoder bits depend on its place in its block, and a 1-row
-    product runs another kernel; so tiles start at multiples of
-    PREDICT_ROWS and a lone last row joins the tile before it. `p` then
-    equals one whole-array pass bit for bit, with one BLAS thread or two.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        return numcore.forward(model, x, "eval").p  # raises DimensionError
-    starts = list(range(0, max(len(x) - 1, 1), PREDICT_ROWS))
-    ws = numcore.Workspace()
-    p = np.empty(len(x))
-    for a, b in zip(starts, [*starts[1:], len(x)]):
-        p[a:b] = numcore.forward(model, x[a:b], "eval", ws=ws).p
-    return p
+    """Eval-mode probabilities, tiled in one workspace by `_eval_pass`."""
+    return _eval_pass(model, x, numcore.Workspace())[2]
 
 
 def evaluate_split(model: numcore.MlpModel, ds: TwoPhaseDataset, split: str,
@@ -337,10 +340,11 @@ def run_grid(ds: TwoPhaseDataset, base_cfg: DistillConfig, seeds: list[int],
     with `overrides` applied, and its report carries `label` as the mode.
     The per-seed teacher is trained from `teacher_cfg` (default
     `base_cfg`). With `jobs > 1` the seeds run in that many worker
-    processes.
+    processes, at most one per seed.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, len(seeds))
     run = partial(_run_seed, ds, base_cfg, teacher_cfg or base_cfg, points)
     if jobs > 1:
         # Fork is unsafe once BLAS has started threads.

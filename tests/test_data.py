@@ -1,5 +1,6 @@
 import hashlib
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -276,6 +277,13 @@ class TestTemporalSplit:
         with pytest.raises(ConfigError):
             temporal_split(self._dataset(np.arange(10)), 0.6, 0.5)
 
+    def test_only_split_is_new(self):
+        ds = self._dataset(np.arange(20))
+        out = temporal_split(ds, 0.1, 0.1)
+        assert all(getattr(out, name) is getattr(ds, name)
+                   for name in ("x_pre", "x_in", "y", "timestamp"))
+        assert (ds.split == "").all()
+
     def test_deterministic(self):
         ts = np.random.default_rng(1).integers(0, 1000, 300)
         a = temporal_split(self._dataset(ts), 0.1, 0.1)
@@ -327,11 +335,22 @@ class TestStandardize:
         ds = generate_synthetic(small_config(n=3000))
         ds = temporal_split(ds, 0.1, 0.1)
         scaler = fit_standardize(ds)
-        shifted = ds.copy()
+        shifted = replace(ds, x_pre=ds.x_pre.copy())
         shifted.x_pre[~ds.mask("train")] += 100.0
         scaler2 = fit_standardize(shifted)
         assert np.array_equal(scaler.mean_pre, scaler2.mean_pre)
         assert np.array_equal(scaler.std_pre, scaler2.std_pre)
+
+    def test_new_feature_blocks_only(self):
+        ds = temporal_split(generate_synthetic(small_config(n=300)), 0.1, 0.1)
+        x_pre, x_in = ds.x_pre.copy(), ds.x_in.copy()
+        out = apply_standardize(ds, fit_standardize(ds))
+        assert not np.shares_memory(out.x_pre, ds.x_pre)
+        assert not np.shares_memory(out.x_in, ds.x_in)
+        assert np.array_equal(ds.x_pre, x_pre)
+        assert np.array_equal(ds.x_in, x_in)
+        assert all(getattr(out, name) is getattr(ds, name)
+                   for name in ("y", "timestamp", "split"))
 
     def test_requires_train_rows(self):
         ds = self._split_ds([[1.0], [2.0]])

@@ -257,8 +257,7 @@ class TestTeacher:
         assert np.mean(diffs) > 0
 
     def test_requires_in_block(self, small_ds):
-        ds = small_ds.copy()
-        ds.x_in = np.zeros((ds.n, 0))
+        ds = replace(small_ds, x_in=np.zeros((small_ds.n, 0)))
         with pytest.raises(DataError):
             train_teacher(ds, small_cfg())
 
@@ -385,9 +384,8 @@ class TestPredict:
     def test_student_ignores_in_service(self, small_ds):
         teacher, _ = train_teacher(small_ds, small_cfg())
         model, _ = train_student(small_ds, teacher, small_cfg(mode="full"))
-        garbage = small_ds.copy()
-        garbage.x_in = np.random.default_rng(9).standard_normal(
-            garbage.x_in.shape) * 1e6
+        garbage = replace(small_ds, x_in=np.random.default_rng(9)
+                          .standard_normal(small_ds.x_in.shape) * 1e6)
         a = evaluate_split(model, small_ds, "test", "pre")
         b = evaluate_split(model, garbage, "test", "pre")
         assert (a.auc, a.ks, a.recall_at_k) == (b.auc, b.ks, b.recall_at_k)
@@ -407,27 +405,35 @@ def _child_json(script: str, blas_threads: str):
     return json.loads(proc.stdout)
 
 
+# The tiled pass against one whole-array pass: `predict`'s p, and the
+# kept h (as STEP_DTYPE) and z, over one workspace per model.
 WHOLE_PASS_SCRIPT = """
 import json
 import numpy as np
-from mgkd import numcore
-from mgkd.pipeline import PREDICT_ROWS, predict
-R = PREDICT_ROWS
-x = np.random.default_rng(0).standard_normal((3 * R + 7, 20))
+from mgkd import numcore, pipeline
+R = pipeline.PREDICT_ROWS
+x = np.random.default_rng(0).standard_normal((40000, 20))
 bad = []
 for rate in (0.0, 0.3):
-    model = numcore.init_mlp(20, [64, 64], rate, np.random.default_rng(1))
-    for n in (0, 1, 2, R - 1, R, R + 1, R + 2, 3 * R + 7):
-        p = predict(model, x[:n])
-        if p.tobytes() != numcore.forward(model, x[:n], "eval").p.tobytes():
-            bad.append([rate, n])
+    for width, sizes in ((64, (0, 1, 2, R - 1, R, R + 1, R + 2, 3 * R + 7,
+                               12000)), (256, (40000,))):
+        model = numcore.init_mlp(20, [width, width], rate,
+                                 np.random.default_rng(1))
+        ws = numcore.Workspace()
+        for n in sizes:
+            whole = numcore.forward(model, x[:n], "eval")
+            h, z, _ = pipeline._eval_pass(model, x[:n], ws, keep_h=True)
+            pairs = ((pipeline.predict(model, x[:n]), whole.p), (z, whole.z),
+                     (h, whole.h.astype(pipeline.STEP_DTYPE)))
+            if any(a.tobytes() != b.tobytes() for a, b in pairs):
+                bad.append([rate, width, n])
 print(json.dumps(bad))
 """
 
 
 def test_tiled_predict_matches_whole_pass():
     for blas_threads in ("1", "2"):
-        # (dropout, rows) that differ
+        # (dropout, width, rows) that differ
         assert _child_json(WHOLE_PASS_SCRIPT, blas_threads) == [], \
             blas_threads
 
@@ -452,6 +458,39 @@ def test_eval_pass_does_not_depend_on_blas_threads():
     # Training's weight-gradient reductions still do (see ROADMAP item 2).
     assert _child_json(EVAL_PASS_SCRIPT, "1") == \
         _child_json(EVAL_PASS_SCRIPT, "2")
+
+
+def test_training_eval_passes_are_tiled(monkeypatch):
+    # The teacher pass covers every train row and validation every valid
+    # row; whole-array passes would run forwards over 9,000 rows each.
+    ds = data.temporal_split(data.generate_synthetic(data.SyntheticConfig(
+        n=20_000, d_pre=5, d_in=5, seed=2)), 0.45, 0.1)
+    assert min(ds.mask("train").sum(), ds.mask("valid").sum()) \
+        > PREDICT_ROWS + 1
+    teacher, _ = train_teacher(ds, small_cfg(max_epochs=1))
+    eval_rows, forward = [], numcore.forward
+
+    def recording_forward(model, x, mode="eval", *args, **kwargs):
+        if mode == "eval":
+            eval_rows.append(len(x))
+        return forward(model, x, mode, *args, **kwargs)
+
+    monkeypatch.setattr(numcore, "forward", recording_forward)
+    train_student(ds, teacher, small_cfg(mode="full", max_epochs=2))
+    assert sum(eval_rows) == ds.mask("train").sum() \
+        + 2 * ds.mask("valid").sum()
+    assert max(eval_rows) <= PREDICT_ROWS + 1
+
+
+def test_one_seed_grid_starts_no_workers(small_ds, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
+    reports = pipeline.run_grid(small_ds, small_cfg(max_epochs=1), [0],
+                                [("baseline_pre", {"mode": "baseline_pre"})],
+                                jobs=2)
+    assert [[r.mode for r in seed] for seed in reports] == [["baseline_pre"]]
 
 
 class TestAblation:
