@@ -23,9 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, modelio, pipeline
-from .errors import (ConfigError, DataError, DimensionError,
-                     GenerationError, MetricError, NumericError, ParseError,
-                     SplitError, StateError, TrainingError)
+from .errors import ConfigError, DataError, TrainingError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -117,14 +115,6 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _config_snapshot(cfg) -> dict:
-    snap = dataclasses.asdict(cfg)
-    for key, value in snap.items():
-        if isinstance(value, tuple):
-            snap[key] = list(value)
-    return snap
-
-
 def _write_manifest(out_dir: Path, command: str, config_snapshot: dict,
                     dataset_path: Path | None, seeds: list[int],
                     artifacts: list[str], timings: dict,
@@ -151,7 +141,7 @@ def _write_manifest(out_dir: Path, command: str, config_snapshot: dict,
 
 
 def _echo_config(cfg) -> None:
-    print("CONFIG " + json.dumps(_config_snapshot(cfg), sort_keys=True))
+    print("CONFIG " + json.dumps(dataclasses.asdict(cfg), sort_keys=True))
 
 
 def _write_records(path: Path, records: list[dict]) -> None:
@@ -203,7 +193,7 @@ def cmd_generate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     data.save_delimited(ds, dataset_path)
     timings = {"generate_s": time.time() - t0}
-    manifest = _write_manifest(out_dir, "generate", _config_snapshot(cfg),
+    manifest = _write_manifest(out_dir, "generate", dataclasses.asdict(cfg),
                                dataset_path, [cfg.seed],
                                [str(dataset_path)], timings)
     rate = float(np.mean(ds.y))
@@ -217,34 +207,30 @@ def cmd_train(args) -> int:
     parser = _parse_config(Path(args.config))
     mode = args.mode
     teacher_run = mode == "teacher"
+    spec = pipeline.MODE_TABLE[mode]
     cfg = _config(pipeline.DistillConfig, parser,
                   "teacher" if teacher_run else "student", seed=args.seed,
-                  mode=None if teacher_run else mode)
+                  mode=mode).normalized()
     out_dir = _out_dir(args)
     dataset_path = _dataset_path(parser, args, out_dir)
     ds = _load_split_dataset(parser, dataset_path)
     _echo_config(cfg)
 
     t0 = time.time()
-    if teacher_run:
-        model, trace = pipeline.train_teacher(ds, cfg)
-        feature_mode = "in"
-        model_path = out_dir / "teacher.mgkd"
-    else:
-        spec = pipeline.MODE_TABLE[mode]
-        teacher = None
-        if spec.needs_teacher:
-            teacher_path = Path(args.teacher or out_dir / "teacher.mgkd")
-            if not teacher_path.exists():
-                raise FileNotFoundError(
-                    f"mode {mode!r} needs a teacher model: {teacher_path}")
-            teacher, teacher_feat = modelio.load_model(teacher_path)
-            if teacher_feat != "in":
-                raise DataError(f"{teacher_path} is not an in-service model")
-        model, trace = pipeline.train_student(ds, teacher, cfg)
-        feature_mode = spec.features
-        model_path = out_dir / f"student_{mode}.mgkd"
+    teacher = None
+    if spec.needs_teacher:
+        teacher_path = Path(args.teacher or out_dir / "teacher.mgkd")
+        if not teacher_path.exists():
+            raise FileNotFoundError(
+                f"mode {mode!r} needs a teacher model: {teacher_path}")
+        teacher, teacher_feat = modelio.load_model(teacher_path)
+        if teacher_feat != pipeline.MODE_TABLE["teacher"].features:
+            raise DataError(f"{teacher_path} is not an in-service model")
+    model, trace = pipeline.train_teacher(ds, cfg) if teacher_run \
+        else pipeline.train_student(ds, teacher, cfg)
     train_s = time.time() - t0
+    model_path = out_dir / ("teacher.mgkd" if teacher_run
+                            else f"student_{mode}.mgkd")
 
     trace_path = out_dir / f"trace_{mode}.jsonl"
     records = [{"record": "epoch", "mode": mode, "seed": cfg.seed, **row}
@@ -254,10 +240,10 @@ def cmd_train(args) -> int:
                     "stop_reason": trace.stop_reason,
                     "epochs_run": len(trace.epochs)})
     _write_records(trace_path, records)  # the first write: makes out_dir
-    modelio.save_model(model, model_path, feature_mode)
+    modelio.save_model(model, model_path, spec.features)
 
     manifest = _write_manifest(out_dir, f"train_{mode}",
-                               _config_snapshot(cfg), dataset_path,
+                               dataclasses.asdict(cfg), dataset_path,
                                [cfg.seed], [str(model_path), str(trace_path)],
                                {"train_s": train_s})
     print(f"mode={mode} best_epoch={trace.best_epoch} "
@@ -311,7 +297,8 @@ def _parse_list(text: str, cast, what: str) -> list:
 def cmd_ablate(args) -> int:
     parser = _parse_config(Path(args.config))
     cfg = _config(pipeline.DistillConfig, parser, "student")
-    teacher_cfg = _config(pipeline.DistillConfig, parser, "teacher")
+    teacher_cfg = _config(pipeline.DistillConfig, parser, "teacher",
+                          mode="teacher").normalized()
     seeds = _parse_list(args.seeds or "0,1,2,3,4", int, "seed list")
     out_dir = _out_dir(args)
     dataset_path = _dataset_path(parser, args, out_dir)
@@ -338,9 +325,9 @@ def cmd_ablate(args) -> int:
                     "passed": bool(ordering_ok)})
     results_path = out_dir / "ablation_results.jsonl"
     _write_records(results_path, records)
-    _write_manifest(out_dir, "ablate", _config_snapshot(cfg), dataset_path,
+    _write_manifest(out_dir, "ablate", dataclasses.asdict(cfg), dataset_path,
                     seeds, [str(results_path)], {"ablate_s": elapsed},
-                    _config_snapshot(teacher_cfg))
+                    dataclasses.asdict(teacher_cfg))
 
     print(f"{'mode':>14} {'AUC':>8} {'±':>7} {'KS':>8} {'Recall@10':>10}")
     for mode in sorted(modes, key=lambda m: -agg[m]["auc_mean"]):
@@ -363,7 +350,8 @@ def cmd_sweep(args) -> int:
     grid = _parse_list(args.grid or section.get("grid", ""), float,
                        "sweep grid (--grid or [sweep] grid)")
     cfg = _config(pipeline.DistillConfig, parser, "student", mode="full")
-    teacher_cfg = _config(pipeline.DistillConfig, parser, "teacher")
+    teacher_cfg = _config(pipeline.DistillConfig, parser, "teacher",
+                          mode="teacher").normalized()
     points = [(f"{param}={value}", {_field(param): value}) for value in grid]
     for _, overrides in points:
         replace(cfg, **overrides)  # validates the grid value
@@ -387,9 +375,9 @@ def cmd_sweep(args) -> int:
 
     results_path = out_dir / f"sweep_{param}_results.jsonl"
     _write_records(results_path, records)
-    _write_manifest(out_dir, "sweep", _config_snapshot(cfg), dataset_path,
+    _write_manifest(out_dir, "sweep", dataclasses.asdict(cfg), dataset_path,
                     seeds, [str(results_path)], {"sweep_s": elapsed},
-                    _config_snapshot(teacher_cfg))
+                    dataclasses.asdict(teacher_cfg))
 
     print(f"{param:>8} {'seed':>5} {'AUC':>8} {'KS':>8} {'Recall@10':>10}")
     for record in records:
@@ -407,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", required=False)
+        p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--data", default=None)
 
@@ -419,8 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train teacher or student")
     common(p)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--mode", required=True,
-                   choices=("teacher", *pipeline.MODES))
+    p.add_argument("--mode", required=True, choices=pipeline.MODES)
     p.add_argument("--teacher", default=None,
                    help="path to the teacher model file")
     p.set_defaults(func=cmd_train)
@@ -456,22 +443,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command != "eval" and not args.config:
-        print("error: --config is required", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         return args.func(args)
-    except (ConfigError, GenerationError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"missing or unusable path: {exc}", file=sys.stderr)
         return EXIT_MISSING_ARTIFACT
-    except (DimensionError, ParseError, DataError, SplitError,
-            MetricError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (TrainingError, NumericError, StateError) as exc:
+    except TrainingError as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
 

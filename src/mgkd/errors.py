@@ -1,45 +1,45 @@
-"""Exception hierarchy shared across the package."""
+"""Package errors in three families: ConfigError, DataError, TrainingError."""
 
 
 class MgkdError(Exception):
     """Base class for all package errors."""
 
 
-class DimensionError(MgkdError):
-    """Array shapes do not line up."""
-
-
 class ConfigError(MgkdError):
     """A hyperparameter or config value is out of its legal range."""
 
 
-class StateError(MgkdError):
-    """An operation was called with inconsistent or missing state."""
-
-
-class NumericError(MgkdError):
-    """A computation produced or received non-finite values."""
-
-
-class MetricError(MgkdError):
-    """A metric cannot be computed on the given scored set."""
-
-
-class ParseError(MgkdError):
-    """A delimited data file failed to parse."""
-
-
-class SplitError(MgkdError):
-    """A chronological split left one of the partitions empty."""
-
-
-class GenerationError(MgkdError):
+class GenerationError(ConfigError):
     """Synthetic data generation could not satisfy its calibration target."""
 
 
 class DataError(MgkdError):
-    """A dataset is missing a feature block required by the requested run."""
+    """Input data cannot serve the requested run, such as a missing block."""
+
+
+class DimensionError(DataError):
+    """Array shapes do not line up."""
+
+
+class ParseError(DataError):
+    """A delimited data file failed to parse."""
+
+
+class SplitError(DataError):
+    """A chronological split left one of the partitions empty."""
+
+
+class MetricError(DataError):
+    """A metric cannot be computed on the given scored set."""
 
 
 class TrainingError(MgkdError):
     """Training diverged (non-finite loss)."""
+
+
+class NumericError(TrainingError):
+    """A computation produced or received non-finite values."""
+
+
+class StateError(TrainingError):
+    """An operation was called with inconsistent or missing state."""

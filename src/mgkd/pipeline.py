@@ -7,7 +7,7 @@ teacher, and a self-term against the student's own previous-epoch logits
 (inactive during epoch 1). Early stopping watches the hard loss on the
 validation split.
 
-`MODE_TABLE` is the one definition of what each student mode implies.
+`MODE_TABLE` is the one definition of what each mode implies.
 Ablations and sweeps share `run_grid`: one teacher per seed, then every
 student point against it.
 
@@ -33,9 +33,9 @@ from .errors import ConfigError, DataError, TrainingError
 
 @dataclass(frozen=True)
 class ModeSpec:
-    """What one student mode implies for features, teacher and loss terms."""
+    """What one mode implies for features, teacher and loss terms."""
 
-    features: str                 # feature block the student reads
+    features: str                 # feature block the model reads
     needs_teacher: bool
     init_from_teacher: bool       # start from the teacher's weights
     zeroed: tuple[str, ...] = ()  # DistillConfig weights forced to 0
@@ -44,9 +44,10 @@ class ModeSpec:
 
 _ALL_TERMS = ("alpha", "beta", "lam")
 
-# Rows in ablation-table order, weakest to strongest. Columns: features,
-# needs_teacher, init_from_teacher, zeroed.
+# The teacher, then the students in ablation-table order, weakest to
+# strongest. Columns: features, needs_teacher, init_from_teacher, zeroed.
 MODE_TABLE = {
+    "teacher": ModeSpec("in", False, False, _ALL_TERMS, ablated=False),
     "baseline_pre": ModeSpec("pre", False, False, _ALL_TERMS),
     "pretrain_only": ModeSpec("pre", True, True, _ALL_TERMS),
     "no_fine": ModeSpec("pre", True, False, ("alpha",)),
@@ -263,16 +264,19 @@ def _split_xy(ds: TwoPhaseDataset, block: str):
 
 def train_teacher(ds: TwoPhaseDataset,
                   cfg: DistillConfig) -> tuple[numcore.MlpModel, TrainTrace]:
-    """Fit the in-service model with the hard loss only."""
-    if ds.d_in == 0:
-        raise DataError("teacher training requires the in-service block")
-    cfg = replace(cfg, alpha=0.0, beta=0.0, lam=0.0, mode="full")
-    return _train_model(*_split_xy(ds, "in"), cfg)
+    """Fit the in-service model: `cfg` in mode "teacher"."""
+    return _train_mode(ds, None, replace(cfg, mode="teacher"))
 
 
 def train_student(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
                   cfg: DistillConfig) -> tuple[numcore.MlpModel, TrainTrace]:
     """Fit the pre-service model under the mode-resolved objective."""
+    return _train_mode(ds, teacher, cfg)
+
+
+def _train_mode(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
+                cfg: DistillConfig) -> tuple[numcore.MlpModel, TrainTrace]:
+    """Fit the model of `cfg.mode` as its `MODE_TABLE` row says."""
     cfg = cfg.normalized()
     spec = MODE_TABLE[cfg.mode]
     if spec.needs_teacher and teacher is None:
@@ -282,17 +286,20 @@ def train_student(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
 
     init_from = None
     if spec.init_from_teacher:
+        hidden = tuple(shape[1] for shape in teacher.shapes[:-1])
+        if hidden != cfg.hidden_dims:
+            raise ConfigError(f"hidden widths differ: teacher {hidden}, "
+                              f"student {cfg.hidden_dims}")
         layers = teacher.layers()
         if teacher.input_dim != ds.d_pre:
             # Feature widths differ: the first layer cannot be transferred.
             rng = np.random.default_rng(cfg.seed)
             layers[0] = numcore.init_mlp(ds.d_pre, list(cfg.hidden_dims),
                                          cfg.dropout, rng).layers()[0]
-        init_from = numcore.MlpModel.from_layers(layers,
-                                                 teacher.dropout_rate)
+        init_from = numcore.MlpModel.from_layers(layers, cfg.dropout)
 
-    teacher_x = _features(ds, "in", ds.mask("train")) \
-        if spec.needs_teacher else None
+    teacher_x = _features(ds, MODE_TABLE["teacher"].features,
+                          ds.mask("train")) if spec.needs_teacher else None
     return _train_model(*_split_xy(ds, spec.features), cfg,
                         teacher=teacher if spec.needs_teacher else None,
                         teacher_x=teacher_x, init_from=init_from)

@@ -285,6 +285,19 @@ def test_grid_teacher_reads_teacher_section(tmp_path, monkeypatch, command):
     assert trained[0].flat.tobytes() == saved.flat.tobytes()
 
 
+TEACHER_TERMS = {"mode": "teacher", "alpha": 0.0, "beta": 0.0, "lam": 0.0}
+
+
+def _terms(config: dict) -> dict:
+    return {key: config[key] for key in TEACHER_TERMS}
+
+
+def test_teacher_manifest_records_the_trained_config(workdir):
+    out, _ = workdir
+    manifest = json.loads((out / "train_teacher_manifest.json").read_text())
+    assert _terms(manifest["config"]) == TEACHER_TERMS
+
+
 @pytest.mark.parametrize("command", GRID_COMMANDS)
 def test_grid_manifest_records_teacher_config(tmp_path, command):
     config = _grid_config(tmp_path)
@@ -294,6 +307,7 @@ def test_grid_manifest_records_teacher_config(tmp_path, command):
     manifest = json.loads(
         (tmp_path / "grid" / f"{command[0]}_manifest.json").read_text())
     teacher, student = manifest["teacher_config"], manifest["config"]
+    assert _terms(teacher) == TEACHER_TERMS
     assert (teacher["lr"], teacher["max_epochs"]) == (0.02, 3)
     assert (student["lr"], student["max_epochs"]) == (0.005, 4)
 
@@ -324,8 +338,13 @@ EXIT_FOR_ERROR = {
 }
 
 
+def _subclasses(cls) -> set:
+    return {sub for child in cls.__subclasses__()
+            for sub in (child, *_subclasses(child))}
+
+
 def test_every_package_error_has_an_exit_code():
-    assert set(EXIT_FOR_ERROR) == set(errors.MgkdError.__subclasses__())
+    assert set(EXIT_FOR_ERROR) == _subclasses(errors.MgkdError)
 
 
 @pytest.mark.parametrize("error", list(EXIT_FOR_ERROR),
@@ -372,6 +391,15 @@ def test_int64_overflow_cell_exit_4(workdir, tmp_path, capsys):
     assert rc == 4
     assert "bad.csv:6: bad cell (integer 99999999999999999999 outside " \
         "the int64 range)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["train", "--mode", "teacher"],
+                                     ["ablate"]])
+def test_missing_config_exit_2(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_config_value_exit_2(tmp_path, capsys):

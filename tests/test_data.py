@@ -48,7 +48,7 @@ class TestGenerator:
         assert cfg.snr_in(90) > cfg.snr_in(60) > cfg.snr_in(30) > cfg.snr_pre
 
     def test_gap_invariant_enforced(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="in-service SNR"):
             small_config(snr_pre=5.0, snr_in_base=0.1, window_gain=0.0)
 
     def test_label_noise_keeps_rate(self):
@@ -274,7 +274,7 @@ class TestTemporalSplit:
             <= ds.timestamp[ds.split == "test"].min()
 
     def test_bad_fractions(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="split fractions"):
             temporal_split(self._dataset(np.arange(10)), 0.6, 0.5)
 
     def test_only_split_is_new(self):

@@ -26,6 +26,16 @@ def small_ds():
     return data.apply_standardize(ds, data.fit_standardize(ds))
 
 
+@pytest.fixture(scope="module")
+def uneven_ds():
+    """A dataset whose pre-service block is narrower than its in block."""
+    cfg = data.SyntheticConfig(n=1500, d_pre=3, d_in=6, positive_rate=0.12,
+                               snr_pre=0.08, snr_in_base=0.6,
+                               window_days=30, window_gain=0.5, seed=5)
+    ds = data.temporal_split(data.generate_synthetic(cfg), 0.15, 0.15)
+    return data.apply_standardize(ds, data.fit_standardize(ds))
+
+
 def small_cfg(**kw):
     base = dict(hidden_dims=(16, 16), dropout=0.1, lr=0.005,
                 weight_decay=1e-7, batch_size=1024, max_epochs=6,
@@ -205,8 +215,9 @@ class TestModeTable:
         assert list(pipeline.MODE_TABLE) == list(pipeline.MODES)
         assert len(set(pipeline.MODES)) == len(pipeline.MODES)
         assert set(pipeline.ABLATION_MODES) <= set(pipeline.MODES)
-        for spec in pipeline.MODE_TABLE.values():
-            assert spec.features in ("pre", "both")
+        for mode, spec in pipeline.MODE_TABLE.items():
+            assert spec.features in (("in",) if mode == "teacher"
+                                     else ("pre", "both"))
             assert set(spec.zeroed) <= {"alpha", "beta", "lam"}
             assert spec.needs_teacher or not spec.init_from_teacher
 
@@ -227,9 +238,10 @@ class TestModeTable:
                 train_student(small_ds, None, cfg)
         else:
             model, _ = train_student(small_ds, None, cfg)
-            width = small_ds.d_pre + (small_ds.d_in if mode == "oracle"
-                                      else 0)
-            assert model.input_dim == width
+            width = {"pre": small_ds.d_pre, "in": small_ds.d_in,
+                     "both": small_ds.d_pre + small_ds.d_in}
+            assert model.input_dim \
+                == width[pipeline.MODE_TABLE[mode].features]
 
 
 class TestTeacher:
@@ -258,8 +270,16 @@ class TestTeacher:
 
     def test_requires_in_block(self, small_ds):
         ds = replace(small_ds, x_in=np.zeros((small_ds.n, 0)))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="in-service block"):
             train_teacher(ds, small_cfg())
+
+    def test_is_the_teacher_mode(self, small_ds):
+        cfg = small_cfg(max_epochs=2)
+        model, trace = train_teacher(small_ds, cfg)
+        ref_model, ref_trace = train_student(small_ds, None,
+                                             replace(cfg, mode="teacher"))
+        assert model_bytes(model) == model_bytes(ref_model)
+        assert trace == ref_trace
 
     def test_model_file_keeps_requested_rate(self, small_ds, tmp_path):
         # Training uses 13107/65536, but the file stores the rate asked for.
@@ -323,15 +343,25 @@ class TestStudent:
         model, _ = train_student(small_ds, teacher, cfg)
         assert model_bytes(model) == model_bytes(teacher)
 
-    def test_pretrain_only_reinits_mismatched_first_layer(self):
-        cfg_ds = data.SyntheticConfig(n=1500, d_pre=3, d_in=6,
-                                      positive_rate=0.12, snr_pre=0.08,
-                                      snr_in_base=0.6, window_days=30,
-                                      window_gain=0.5, seed=5)
-        ds = data.temporal_split(data.generate_synthetic(cfg_ds), 0.15, 0.15)
-        ds = data.apply_standardize(ds, data.fit_standardize(ds))
-        teacher, _ = train_teacher(ds, small_cfg())
-        model, _ = train_student(ds, teacher,
+    def test_pretrain_only_uses_student_dropout(self, small_ds):
+        teacher, _ = train_teacher(small_ds, small_cfg(dropout=0.1))
+        model, _ = train_student(small_ds, teacher,
+                                 small_cfg(mode="pretrain_only", dropout=0.3,
+                                           max_epochs=1))
+        assert model.dropout_rate == 0.3
+
+    @pytest.mark.parametrize("dataset", ["small_ds", "uneven_ds"])
+    def test_pretrain_only_needs_teacher_hidden_dims(self, request, dataset):
+        ds = request.getfixturevalue(dataset)
+        teacher, _ = train_teacher(ds, small_cfg(max_epochs=1))
+        with pytest.raises(ConfigError, match=r"teacher \(16, 16\), "
+                           r"student \(8, 8\)"):
+            train_student(ds, teacher, small_cfg(mode="pretrain_only",
+                                                 hidden_dims=(8, 8)))
+
+    def test_pretrain_only_reinits_mismatched_first_layer(self, uneven_ds):
+        teacher, _ = train_teacher(uneven_ds, small_cfg())
+        model, _ = train_student(uneven_ds, teacher,
                                  small_cfg(mode="pretrain_only",
                                            max_epochs=0))
         assert model.input_dim == 3
