@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -107,23 +106,16 @@ def _out_dir(args) -> Path:
     return Path(args.out or os.environ.get("MGKD_OUT_DIR") or ".")
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _write_manifest(out_dir: Path, command: str, config_snapshot: dict,
-                    dataset_path: Path | None, seeds: list[int],
-                    artifacts: list[str], timings: dict,
+                    dataset_path: Path, dataset_sha256: str,
+                    seeds: list[int], artifacts: list[str], timings: dict,
                     teacher_config: dict | None = None) -> Path:
+    """`dataset_sha256` is the digest of the bytes written or loaded."""
     manifest = {
         "command": command,
         "config": config_snapshot,
-        "dataset_path": str(dataset_path) if dataset_path else None,
-        "dataset_sha256": _sha256(dataset_path) if dataset_path else None,
+        "dataset_path": str(dataset_path),
+        "dataset_sha256": dataset_sha256,
         "seeds": seeds,
         "artifacts": artifacts,
         "timings": timings,
@@ -191,11 +183,12 @@ def cmd_generate(args) -> int:
     ds = data.generate_synthetic(cfg)
     dataset_path = _dataset_path(parser, args, out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    data.save_delimited(ds, dataset_path)
+    digest = data.save_delimited(ds, dataset_path)
     timings = {"generate_s": time.time() - t0}
-    manifest = _write_manifest(out_dir, "generate", dataclasses.asdict(cfg),
-                               dataset_path, [cfg.seed],
-                               [str(dataset_path)], timings)
+    manifest = _write_manifest(
+        out_dir, "generate", dataclasses.asdict(cfg), dataset_path, digest,
+        [cfg.seed], [str(dataset_path), str(data.sidecar_path(dataset_path))],
+        timings)
     rate = float(np.mean(ds.y))
     print(f"wrote {ds.n} rows to {dataset_path} "
           f"(positive rate {rate:.4f})")
@@ -244,7 +237,8 @@ def cmd_train(args) -> int:
 
     manifest = _write_manifest(out_dir, f"train_{mode}",
                                dataclasses.asdict(cfg), dataset_path,
-                               [cfg.seed], [str(model_path), str(trace_path)],
+                               ds.sha256, [cfg.seed],
+                               [str(model_path), str(trace_path)],
                                {"train_s": train_s})
     print(f"mode={mode} best_epoch={trace.best_epoch} "
           f"stop={trace.stop_reason} epochs={len(trace.epochs)}")
@@ -274,7 +268,7 @@ def cmd_eval(args) -> int:
     _write_records(results_path, [record])
     _write_manifest(out_dir, "eval", {"split": args.split,
                                       "model": str(model_path)},
-                    dataset_path, [], [str(results_path)], {})
+                    dataset_path, ds.sha256, [], [str(results_path)], {})
     print(f"{'split':>10} {'AUC':>8} {'KS':>8} {'Recall@10':>10}")
     print(f"{report.split:>10} {report.auc:8.4f} {report.ks:8.4f} "
           f"{report.recall_at_k:10.4f}")
@@ -326,7 +320,8 @@ def cmd_ablate(args) -> int:
     results_path = out_dir / "ablation_results.jsonl"
     _write_records(results_path, records)
     _write_manifest(out_dir, "ablate", dataclasses.asdict(cfg), dataset_path,
-                    seeds, [str(results_path)], {"ablate_s": elapsed},
+                    ds.sha256, seeds, [str(results_path)],
+                    {"ablate_s": elapsed},
                     dataclasses.asdict(teacher_cfg))
 
     print(f"{'mode':>14} {'AUC':>8} {'±':>7} {'KS':>8} {'Recall@10':>10}")
@@ -376,7 +371,8 @@ def cmd_sweep(args) -> int:
     results_path = out_dir / f"sweep_{param}_results.jsonl"
     _write_records(results_path, records)
     _write_manifest(out_dir, "sweep", dataclasses.asdict(cfg), dataset_path,
-                    seeds, [str(results_path)], {"sweep_s": elapsed},
+                    ds.sha256, seeds, [str(results_path)],
+                    {"sweep_s": elapsed},
                     dataclasses.asdict(teacher_cfg))
 
     print(f"{param:>8} {'seed':>5} {'AUC':>8} {'KS':>8} {'Recall@10':>10}")

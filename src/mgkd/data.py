@@ -10,9 +10,12 @@ information advantage.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
@@ -33,6 +36,7 @@ class TwoPhaseDataset:
     y: np.ndarray          # (n,) ints in {0,1}
     timestamp: np.ndarray  # (n,) ints
     split: np.ndarray      # (n,) strings in {"", "train", "valid", "test"}
+    sha256: str | None = None  # hex digest of the file it was loaded from
 
     def __post_init__(self):
         n = self.x_pre.shape[0]
@@ -82,9 +86,11 @@ class SyntheticConfig:
 
     def __post_init__(self):
         check_finite(self)
-        if min(self.n, self.d_pre, self.d_in, self.seed, self.window_gain) < 0:
-            raise ConfigError("n, d_pre, d_in, seed and window_gain must be "
+        if min(self.n, self.d_in, self.seed, self.window_gain) < 0:
+            raise ConfigError("n, d_in, seed and window_gain must be "
                               "nonnegative")
+        if self.d_pre < 1:
+            raise ConfigError(f"d_pre must be at least 1, got {self.d_pre}")
         if self.window_days not in (30, 60, 90):
             raise ConfigError(f"window_days must be 30/60/90, "
                               f"got {self.window_days}")
@@ -164,6 +170,16 @@ def _header(d_pre: int, d_in: int) -> list[str]:
             + [f"in_{j}" for j in range(d_in)])
 
 
+def sidecar_path(path) -> Path:
+    """The binary copy of a CSV's rows that `save_delimited` writes."""
+    path = Path(path)
+    return path.with_name(path.name + ".sidecar")
+
+
+def _row_dtype(width: int) -> np.dtype:
+    return np.dtype([("ts", "<i8"), ("y", "<i8"), ("x", "<f8", (width,))])
+
+
 # Rows per formatted block: one `write` call each, and a small, bounded
 # amount of row text alive at a time.
 WRITE_BLOCK_ROWS = 2048
@@ -171,37 +187,81 @@ WRITE_BLOCK_ROWS = 2048
 _INT64 = np.iinfo(np.int64)
 
 
-def save_delimited(ds: TwoPhaseDataset, path) -> None:
-    """Write the dataset as CSV with exact round-trip float text.
+def save_delimited(ds: TwoPhaseDataset, path) -> str:
+    """Write the dataset as CSV with exact round-trip float text, and its
+    sidecar; return the sha256 of the CSV's bytes.
 
     Rows are formatted a block at a time: comma-separated cells,
-    shortest-`repr` floats and CRLF line ends.
+    shortest-`repr` floats and CRLF line ends. The sidecar holds the same
+    rows as little-endian records, then the sha256 of those record bytes
+    followed by the CSV's digest: it vouches for itself and for one CSV.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(_header(ds.d_pre, ds.d_in)) + "\r\n")
+    csv_hash, side_hash = hashlib.sha256(), hashlib.sha256()
+    dtype = _row_dtype(ds.d_pre + ds.d_in)
+    with open(path, "wb") as fh, open(sidecar_path(path), "wb") as side:
+        def write(out, digest, data) -> None:
+            digest.update(data)
+            out.write(data)
+
+        write(fh, csv_hash,
+              (",".join(_header(ds.d_pre, ds.d_in)) + "\r\n").encode())
         for start in range(0, ds.n, WRITE_BLOCK_ROWS):
             stop = min(start + WRITE_BLOCK_ROWS, ds.n)
-            ts = ds.timestamp[start:stop].astype(np.int64).tolist()
-            y = ds.y[start:stop].astype(np.int64).tolist()
-            x = np.hstack([ds.x_pre[start:stop], ds.x_in[start:stop]],
-                          dtype=np.float64).tolist()
-            fh.write("".join(
+            rec = np.empty(stop - start, dtype)
+            rec["ts"], rec["y"] = ds.timestamp[start:stop], ds.y[start:stop]
+            rec["x"] = np.hstack([ds.x_pre[start:stop], ds.x_in[start:stop]])
+            write(side, side_hash, rec)
+            write(fh, csv_hash, "".join(
                 ",".join(map(repr, [uid, t, label, *row])) + "\r\n"
-                for uid, t, label, row in zip(range(start, stop), ts, y, x)))
+                for uid, t, label, row in zip(
+                    range(start, stop), rec["ts"].tolist(),
+                    rec["y"].tolist(), rec["x"].tolist())).encode())
+        side_hash.update(csv_hash.digest())
+        side.write(side_hash.digest())
+    return csv_hash.hexdigest()
+
+
+def _read_sidecar(path, csv_digest: bytes, dtype: np.dtype,
+                  n: int) -> np.ndarray | None:
+    """The sidecar's n rows if it vouches for itself and for `csv_digest`."""
+    try:
+        with open(sidecar_path(path), "rb") as fh:
+            if os.fstat(fh.fileno()).st_size != n * dtype.itemsize + 32:
+                return None
+            rec = np.empty(n, dtype)
+            fh.readinto(rec)
+            trailer = fh.read(33)
+    except OSError:
+        return None
+    side_hash = hashlib.sha256(rec)
+    side_hash.update(csv_digest)
+    return rec if trailer == side_hash.digest() else None
 
 
 def load_delimited(path) -> TwoPhaseDataset:
     """Parse a delimited dataset; the in-service block may be absent.
 
-    numpy's streaming reader parses the rows into one record array. When
-    it rejects the file, skips a blank line, ignores extra fields, or the
-    parsed labels or features are out of range, `_raise_first_bad_line`
+    One streaming pass hashes the file and counts its lines and commas.
+    If the file's sidecar holds rows for exactly these bytes, they stand
+    in for the parse. Otherwise numpy's streaming reader parses the rows
+    into one record array. Either way, when a line is blank or has extra
+    fields, or a label or feature is out of range, `_raise_first_bad_line`
     rescans the file and names the first line that breaks a rule.
     """
     with open(path, "rb") as fh:
         first = fh.readline()
         if not first:
             raise ParseError(f"{path}: empty file, header required")
+        csv_hash = hashlib.sha256(first)
+        lines = commas = 0
+        last = b"\n"
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            csv_hash.update(chunk)
+            lines += chunk.count(b"\n")
+            commas += chunk.count(b",")
+            last = chunk[-1:]
+        lines += last != b"\n"  # a last line with no line end
+
         header = [h.strip() for h in _decode_line(path, 1, first).split(",")]
         for col in ("user_id", "ts", "y"):
             if col not in header:
@@ -211,41 +271,37 @@ def load_delimited(path) -> TwoPhaseDataset:
         if header != _header(d_pre, d_in):
             raise ParseError(f"{path}: header does not match schema "
                              f"user_id, ts, y, pre_*, in_*")
+        if d_pre == 0:
+            raise ParseError(f"{path}: header has no pre_* column")
 
-        # What the reader cannot report: blank lines it skips, and extra
-        # fields past the last used column.
-        seen = {"lines": 0, "commas": 0}
+        def clean(rec) -> bool:
+            return (rec is not None and rec.shape[0] == lines
+                    and commas == lines * (len(header) - 1)
+                    and np.isin(rec["y"], (0, 1)).all()
+                    and np.isfinite(rec["x"]).all())
 
-        def counted(lines):
-            for line in lines:
-                seen["lines"] += 1
-                seen["commas"] += line.count(b",")
-                yield line
-
-        dtype = np.dtype([("ts", np.int64), ("y", np.int64),
-                          ("x", np.float64, (d_pre + d_in,))])
-        try:
-            with warnings.catch_warnings():
-                # A header-only file is a valid empty dataset.
-                warnings.filterwarnings("ignore", "loadtxt: input contained "
-                                        "no data", UserWarning)
-                rec = np.loadtxt(counted(fh), dtype=dtype, delimiter=",",
-                                 usecols=range(1, len(header)),
-                                 comments=None, ndmin=1, encoding="utf-8")
-        except ValueError:
-            rec = None
-
-    n = seen["lines"]
-    if (rec is None or rec.shape[0] != n
-            or seen["commas"] != n * (len(header) - 1)
-            or not np.isin(rec["y"], (0, 1)).all()
-            or not np.isfinite(rec["x"]).all()):
-        _raise_first_bad_line(path, header)
-    timestamp, y = rec["ts"].copy(), rec["y"].copy()
-    x_pre = rec["x"][:, :d_pre].copy()
-    x_in = rec["x"][:, d_pre:].copy()
-    return TwoPhaseDataset(x_pre=x_pre, x_in=x_in, y=y, timestamp=timestamp,
-                           split=np.full(n, "", dtype="<U5"))
+        dtype = _row_dtype(d_pre + d_in)
+        rec = _read_sidecar(path, csv_hash.digest(), dtype, lines)
+        if not clean(rec):
+            fh.seek(len(first))
+            try:
+                with warnings.catch_warnings():
+                    # A header-only file is a valid empty dataset.
+                    warnings.filterwarnings("ignore", "loadtxt: input "
+                                            "contained no data", UserWarning)
+                    rec = np.loadtxt(fh, dtype=dtype, delimiter=",",
+                                     usecols=range(1, len(header)),
+                                     comments=None, ndmin=1,
+                                     encoding="utf-8")
+            except ValueError:
+                rec = None
+            if not clean(rec):
+                _raise_first_bad_line(path, header)
+    return TwoPhaseDataset(x_pre=rec["x"][:, :d_pre].copy(),
+                           x_in=rec["x"][:, d_pre:].copy(),
+                           y=rec["y"].copy(), timestamp=rec["ts"].copy(),
+                           split=np.full(lines, "", dtype="<U5"),
+                           sha256=csv_hash.hexdigest())
 
 
 def _decode_line(path, lineno: int, line: bytes) -> str:

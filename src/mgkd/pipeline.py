@@ -171,6 +171,10 @@ def _train_model(x_tr, y_tr, x_va, y_va, cfg: DistillConfig, *,
             f"representation widths differ: teacher {teacher.repr_dim}, "
             f"student {model.repr_dim}")
 
+    n_pos = int(np.count_nonzero(y_tr))
+    if n_pos in (0, n_tr):
+        raise DataError(f"the train split has {n_pos} positive and "
+                        f"{n_tr - n_pos} negative rows; training needs both")
     state = numcore.init_adam(model)
     priors = losses.ClassPriors.from_labels(y_tr)
     reweighted, _ = losses.HARD_TERMS[cfg.hard_term]

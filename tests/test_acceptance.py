@@ -280,10 +280,11 @@ def test_criterion_8_manifest_determinism(tmp_path):
             "student_trace": (out / "trace_full.jsonl").read_bytes(),
             "eval": json.dumps(eval_record, sort_keys=True),
             "model": (out / "student_full.mgkd").read_bytes(),
+            "sidecar": (out / "dataset.csv.sidecar").read_bytes(),
         }
 
     a = run_all(tmp_path / "a")
     b = run_all(tmp_path / "b")
     assert a == b
-    print("\n[PASS] criterion 8: re-run reproduces dataset hash, traces, "
-          "model bytes and metrics bit-exactly")
+    print("\n[PASS] criterion 8: re-run reproduces dataset hash, sidecar, "
+          "traces, model bytes and metrics bit-exactly")

@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import hashlib
 import json
 import math
 import struct
@@ -393,6 +394,52 @@ def test_int64_overflow_cell_exit_4(workdir, tmp_path, capsys):
         "the int64 range)" in capsys.readouterr().err
 
 
+def test_no_pre_service_column_exit_4(workdir, tmp_path, capsys):
+    _, config = workdir
+    bad = tmp_path / "in_only.csv"
+    bad.write_text("user_id,ts,y,in_0\n0,5,1,0.25\n")
+    rc = cli.main(["train", "--config", str(config), "--out", str(tmp_path),
+                   "--mode", "teacher", "--data", str(bad)])
+    assert rc == 4
+    assert f"{bad}: header has no pre_* column" in capsys.readouterr().err
+
+
+def test_train_split_without_positives_exit_4(tmp_path, capsys):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(CONFIG)
+    parser["dataset"].update(n="600", positive_rate="0.001", seed="0")
+    config = tmp_path / "run.ini"
+    with open(config, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    common = ["--config", str(config), "--out", str(tmp_path)]
+    assert cli.main(["generate", *common]) == 0
+    assert cli.main(["train", *common, "--mode", "teacher"]) == 4
+    assert "data error: the train split has 0 positive and 420 negative " \
+        "rows" in capsys.readouterr().err
+
+
+def test_commands_after_generate_read_the_sidecar(workdir, tmp_path,
+                                                  monkeypatch):
+    _, config = workdir
+    common = ["--config", str(config), "--out", str(tmp_path)]
+    assert cli.main(["generate", *common]) == 0
+    dataset = tmp_path / "dataset.csv"
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: pytest.fail(
+        "the CSV was parsed although its sidecar is current"))
+    assert cli.main(["train", *common, "--mode", "teacher"]) == 0
+    assert cli.main(["train", *common, "--mode", "full"]) == 0
+    assert cli.main(["eval", *common, "--data", str(dataset),
+                     "--model", str(tmp_path / "student_full.mgkd")]) == 0
+    digest = hashlib.sha256(dataset.read_bytes()).hexdigest()
+    for command in ("generate", "train_teacher", "train_full", "eval"):
+        manifest = json.loads(
+            (tmp_path / f"{command}_manifest.json").read_text())
+        assert manifest["dataset_sha256"] == digest
+    generated = json.loads((tmp_path / "generate_manifest.json").read_text())
+    assert generated["artifacts"] == [str(dataset),
+                                      str(data.sidecar_path(dataset))]
+
+
 @pytest.mark.parametrize("command", [["train", "--mode", "teacher"],
                                      ["ablate"]])
 def test_missing_config_exit_2(tmp_path, command):
@@ -562,7 +609,8 @@ def test_bad_student_value_exit_2(workdir, tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("key,value", [
     ("snr_pre", "nan"), ("snr_in_base", "inf"), ("window_gain", "nan"),
-    ("n", "-5"), ("d_pre", "-1"), ("d_in", "-2"), ("seed", "-1")])
+    ("n", "-5"), ("d_pre", "-1"), ("d_pre", "0"), ("d_in", "-2"),
+    ("seed", "-1")])
 def test_bad_dataset_value_exit_2(tmp_path, capsys, key, value):
     config = _config_with(tmp_path, "dataset", key, value)
     assert cli.main(["generate", "--config", str(config),

@@ -1,6 +1,8 @@
 import hashlib
+import shutil
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from hypothesis.extra import numpy as hnp
 from mgkd import data
 from mgkd.data import (Scaler, SyntheticConfig, TwoPhaseDataset,
                        apply_standardize, fit_standardize, generate_synthetic,
-                       load_delimited, save_delimited, temporal_split)
+                       load_delimited, save_delimited, sidecar_path,
+                       temporal_split)
 from mgkd.errors import ConfigError, ParseError, SplitError
 
 
@@ -58,6 +61,10 @@ class TestGenerator:
     def test_unequal_widths(self):
         ds = generate_synthetic(small_config(d_pre=3, d_in=6))
         assert ds.d_pre == 3 and ds.d_in == 6
+
+    def test_no_pre_service_block_rejected(self):
+        with pytest.raises(ConfigError, match="d_pre must be at least 1"):
+            small_config(d_pre=0)
 
 
 class TestDelimitedIO:
@@ -116,6 +123,26 @@ class TestDelimitedIO:
         path.write_text("user_id,ts,y,pre_0,pre_1\n0,5,1,0.25,-1.5\n")
         ds = load_delimited(path)
         assert ds.d_in == 0 and ds.d_pre == 2 and ds.n == 1
+
+    def test_missing_pre_service_block(self, tmp_path):
+        path = tmp_path / "in_only.csv"
+        path.write_text("user_id,ts,y,in_0\n0,5,1,0.25\n")
+        with pytest.raises(ParseError) as info:
+            load_delimited(path)
+        assert str(info.value) == f"{path}: header has no pre_* column"
+
+    def test_last_line_without_line_end(self, tmp_path):
+        path = tmp_path / "open.csv"
+        path.write_text("user_id,ts,y,pre_0\r\n0,1,0,0.5\r\n1,2,1,1.5",
+                        newline="")
+        ds = load_delimited(path)
+        assert ds.timestamp.tolist() == [1, 2] and ds.y.tolist() == [0, 1]
+        assert ds.x_pre[:, 0].tolist() == [0.5, 1.5]
+        path.write_text("user_id,ts,y,pre_0\r\n0,1,0,0.5\r\n1,2,1,1.5,7",
+                        newline="")
+        with pytest.raises(ParseError) as info:
+            load_delimited(path)
+        assert str(info.value) == f"{path}:3: expected 4 fields, got 5"
 
 
 # The loader's accept/reject table. Every file has the header
@@ -230,6 +257,142 @@ def test_save_bytes_match_golden_digest(tmp_path):
                    path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         "7562fa10f9462aae008cb531406a8181cfe11a6a78f50467a958edaf2a7f63ae"
+
+
+# The sidecar: `save_delimited` writes the parsed rows next to the CSV, and
+# `load_delimited` uses them only for the exact CSV bytes they were
+# written with.
+
+def _fields(ds: TwoPhaseDataset) -> dict:
+    return {name: (getattr(ds, name).dtype, getattr(ds, name).shape,
+                   getattr(ds, name).tobytes())
+            for name in ("x_pre", "x_in", "y", "timestamp", "split")}
+
+
+def _parsed(path) -> TwoPhaseDataset:
+    """`path` loaded with its sidecar moved away."""
+    side = sidecar_path(path)
+    hidden = side.with_name(side.name + ".hidden")
+    side.rename(hidden)
+    try:
+        return load_delimited(path)
+    finally:
+        hidden.rename(side)
+
+
+def _from_sidecar(path) -> TwoPhaseDataset:
+    with mock.patch.object(np, "loadtxt",
+                           side_effect=AssertionError("CSV was parsed")):
+        return load_delimited(path)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(0, 300), d_pre=st.integers(1, 4),
+       d_in=st.integers(0, 4), seed=st.integers(0, 2**16))
+def test_sidecar_load_is_bit_identical_to_parse(tmp_path_factory, n, d_pre,
+                                                d_in, seed):
+    path = tmp_path_factory.mktemp("side") / "ds.csv"
+    digest = save_delimited(generate_synthetic(
+        small_config(n=n, d_pre=d_pre, d_in=d_in, seed=seed)), path)
+    fast, slow = _from_sidecar(path), _parsed(path)
+    assert _fields(fast) == _fields(slow)
+    assert fast.sha256 == slow.sha256 == digest \
+        == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture
+def saved(tmp_path):
+    path = tmp_path / "ds.csv"
+    ds = generate_synthetic(small_config(n=300))
+    save_delimited(ds, path)
+    return path, ds
+
+
+def test_stale_sidecar_is_not_used(saved):
+    path, ds = saved
+    lines = path.read_bytes().split(b"\r\n")
+    cells = lines[5].split(b",")
+    cells[3] = b"0.125"
+    lines[5] = b",".join(cells)
+    path.write_bytes(b"\r\n".join(lines))
+    back = load_delimited(path)
+    assert back.x_pre[4, 0] == 0.125
+    assert _fields(back) == _fields(_parsed(path))
+    assert np.array_equal(back.x_pre[5:], ds.x_pre[5:])
+
+    cells[3] = b"zzz"
+    lines[5] = b",".join(cells)
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(ParseError) as with_sidecar:
+        load_delimited(path)
+    sidecar_path(path).unlink()
+    with pytest.raises(ParseError) as without_sidecar:
+        load_delimited(path)
+    assert str(with_sidecar.value) == str(without_sidecar.value) == \
+        f"{path}:6: bad cell (could not convert string to float: 'zzz')"
+
+
+def test_foreign_sidecar_is_not_used(saved, tmp_path):
+    path, ds = saved
+    other = tmp_path / "other.csv"
+    save_delimited(generate_synthetic(small_config(n=300, seed=4)), other)
+    shutil.copyfile(sidecar_path(other), sidecar_path(path))
+    back = load_delimited(path)
+    assert np.array_equal(back.x_pre, ds.x_pre)
+    assert np.array_equal(back.x_in, ds.x_in)
+
+
+def _flip(position: int):
+    def edit(raw: bytes) -> bytes:
+        return raw[:position] + bytes([raw[position] ^ 1]) + raw[position + 1:]
+    return edit
+
+
+SIDECAR_DAMAGE = {
+    "empty": lambda raw: b"",
+    "truncated_by_one": lambda raw: raw[:-1],
+    "truncated_to_half": lambda raw: raw[:len(raw) // 2],
+    "one_extra_byte": lambda raw: raw + b"\0",
+    "garbage_of_same_length": lambda raw: bytes(
+        np.random.default_rng(0).integers(0, 256, len(raw), dtype=np.uint8)),
+    "flipped_bit_in_rows": _flip(1000),
+    "flipped_bit_in_trailer": _flip(-1),
+    "npz_archive": lambda raw: b"PK\x03\x04" + raw[4:],
+}
+
+
+@pytest.mark.parametrize("damage", SIDECAR_DAMAGE.values(),
+                         ids=SIDECAR_DAMAGE.keys())
+def test_damaged_sidecar_is_not_used(saved, damage):
+    path, ds = saved
+    side = sidecar_path(path)
+    side.write_bytes(damage(side.read_bytes()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = load_delimited(path)
+    assert _fields(back) == _fields(_parsed(path))
+    assert np.array_equal(back.x_pre, ds.x_pre)
+
+
+def test_sidecar_that_is_a_directory_is_not_used(saved):
+    path, ds = saved
+    side = sidecar_path(path)
+    side.unlink()
+    side.mkdir()
+    assert np.array_equal(load_delimited(path).x_in, ds.x_in)
+
+
+def test_sidecar_with_non_finite_rows_falls_back_to_the_line_error(
+        tmp_path):
+    # A sidecar is checked like a parse: its rows never carry a value the
+    # CSV's cell rules reject.
+    path = tmp_path / "nan.csv"
+    ds = generate_synthetic(small_config(n=20))
+    ds.x_in[3, 1] = np.nan
+    save_delimited(ds, path)
+    with pytest.raises(ParseError) as info:
+        load_delimited(path)
+    assert str(info.value) == f"{path}:5: non-finite value in column in_1"
 
 
 class TestTemporalSplit:
