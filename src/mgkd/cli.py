@@ -266,8 +266,10 @@ def cmd_eval(args) -> int:
                                      "model": str(model_path)})
     results_path = out_dir / "eval_results.jsonl"
     _write_records(results_path, [record])
+    fractions = dict(zip(("frac_valid", "frac_test"),
+                         _split_fractions(parser)))
     _write_manifest(out_dir, "eval", {"split": args.split,
-                                      "model": str(model_path)},
+                                      "model": str(model_path), **fractions},
                     dataset_path, ds.sha256, [], [str(results_path)], {})
     print(f"{'split':>10} {'AUC':>8} {'KS':>8} {'Recall@10':>10}")
     print(f"{report.split:>10} {report.auc:8.4f} {report.ks:8.4f} "

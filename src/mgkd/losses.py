@@ -2,9 +2,9 @@
 
 Every loss returns a LossValue carrying the scalar plus its gradient w.r.t.
 the student logits and (where relevant) the student representation.
-`objective` composes the terms linearly into the training loss, and the
-trainer feeds both channels to backprop. The teacher/snapshot side of every
-distillation term is treated as a constant.
+`objective` is the one place that mixes the terms into the training loss,
+and the trainer feeds both channels to backprop. The teacher/snapshot side
+of every distillation term is treated as a constant.
 
 Temperature acts on logits: both sides of a softened KL term are
 sigmoid(z / tau), and the softened losses carry the conventional tau^2
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, StateError
+from .errors import ConfigError, DimensionError
 from .numcore import Workspace, _as_matrix, _room, sigmoid
 
 PROB_CLAMP = 1e-7
@@ -143,40 +143,6 @@ def feat_loss(h_teacher, h_student, metric: str = "mse",
     raise ConfigError(f"unknown feature metric {metric!r}")
 
 
-def self_loss(student_logits, snapshot_logits, tau: float) -> LossValue:
-    """Softened KL from the previous-epoch snapshot to current predictions.
-
-    The snapshot is stored as logits so the temperature is re-applied on
-    both sides; it carries no gradient.
-    """
-    if snapshot_logits is None:
-        raise StateError("self-distillation requires a snapshot from a "
-                         "previous epoch")
-    return kl_soft(snapshot_logits, student_logits, tau)
-
-
-def distill_total(label: LossValue, feat: LossValue | None,
-                  self_part: LossValue | None,
-                  beta: float, lam: float) -> LossValue:
-    """label + beta * feat + lam * self, gradients summed channel-wise.
-
-    feat's `grad_repr` is scaled by beta in place and becomes the total's.
-    """
-    if beta < 0.0 or lam < 0.0:
-        raise ConfigError("beta and lambda must be nonnegative")
-    value = label.value
-    grad_logit = label.grad_logit
-    grad_repr = None
-    if beta > 0.0 and feat is not None:
-        value += beta * feat.value
-        grad_repr = feat.grad_repr
-        grad_repr *= beta
-    if lam > 0.0 and self_part is not None:
-        value += lam * self_part.value
-        grad_logit = grad_logit + lam * self_part.grad_logit
-    return LossValue(value, grad_logit, grad_repr)
-
-
 def reweight(y, priors: ClassPriors) -> np.ndarray:
     """Per-sample weights 1/pi_c, inversely proportional to class priors."""
     y = np.asarray(y)
@@ -225,22 +191,33 @@ def objective(cfg, cache, y, weights=None, teacher_h=None, teacher_z=None,
     out: soft at alpha = 0, feat at beta = 0, self at lam = 0 or with no
     snapshot. `cfg` holds the settings (a DistillConfig), `cache` is the
     student's ForwardCache and the rest are the batch's rows. `ws` is
-    passed on to `feat_loss`.
+    passed on to `feat_loss`, and feat's `grad_repr` is scaled by beta in
+    place and becomes the total's. The self term is the softened KL from
+    the previous epoch's logits to the current ones.
     """
-    alpha = cfg.alpha
+    alpha, beta, lam = cfg.alpha, cfg.beta, cfg.lam
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must be in [0,1], got {alpha}")
-    hard = label = hard_loss(cfg, y, cache.p, weights)
-    soft = feat = self_part = None
+    if beta < 0.0 or lam < 0.0:
+        raise ConfigError("beta and lambda must be nonnegative")
+    hard = hard_loss(cfg, y, cache.p, weights)
+    terms = {"hard": hard.value, "soft": 0.0, "feat": 0.0, "self": 0.0}
+    value, grad_logit, grad_repr = hard.value, hard.grad_logit, None
     if alpha > 0.0:
         soft = kl_soft(teacher_z, cache.z, cfg.tau)
-        label = LossValue((1.0 - alpha) * hard.value + alpha * soft.value,
-                          (1.0 - alpha) * hard.grad_logit
-                          + alpha * soft.grad_logit)
-    if cfg.beta > 0.0:
+        terms["soft"] = soft.value
+        value = (1.0 - alpha) * hard.value + alpha * soft.value
+        grad_logit = (1.0 - alpha) * hard.grad_logit \
+            + alpha * soft.grad_logit
+    if beta > 0.0:
         feat = feat_loss(teacher_h, cache.h, cfg.feat_metric, ws)
-    if cfg.lam > 0.0 and snapshot is not None:
-        self_part = self_loss(cache.z, snapshot, cfg.tau)
-    terms = {name: 0.0 if part is None else part.value for name, part in (
-        ("hard", hard), ("soft", soft), ("feat", feat), ("self", self_part))}
-    return distill_total(label, feat, self_part, cfg.beta, cfg.lam), terms
+        terms["feat"] = feat.value
+        value += beta * feat.value
+        grad_repr = feat.grad_repr
+        grad_repr *= beta
+    if lam > 0.0 and snapshot is not None:
+        self_part = kl_soft(snapshot, cache.z, cfg.tau)
+        terms["self"] = self_part.value
+        value += lam * self_part.value
+        grad_logit = grad_logit + lam * self_part.grad_logit
+    return LossValue(value, grad_logit, grad_repr), terms

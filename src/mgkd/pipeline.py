@@ -151,21 +151,36 @@ def _eval_pass(model: numcore.MlpModel, x, ws, keep_h: bool = False):
     return h, z, p
 
 
-def _train_model(x_tr, y_tr, x_va, y_va, cfg: DistillConfig, *,
-                 teacher: numcore.MlpModel | None = None,
-                 teacher_x=None,
-                 init_from: numcore.MlpModel | None = None,
-                 ) -> tuple[numcore.MlpModel, TrainTrace]:
-    """Core loop shared by teacher, student, and baseline training."""
-    n_tr = x_tr.shape[0]
-    x_tr = x_tr.astype(STEP_DTYPE, copy=False)
+def _train_model(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
+                 cfg: DistillConfig) -> tuple[numcore.MlpModel, TrainTrace]:
+    """Fit the model of `cfg.mode` as its `MODE_TABLE` row says."""
+    cfg = cfg.normalized()
+    spec = MODE_TABLE[cfg.mode]
+    if spec.needs_teacher and teacher is None:
+        raise ConfigError(f"mode {cfg.mode!r} requires a trained teacher")
+    if (spec.needs_teacher or spec.features != "pre") and ds.d_in == 0:
+        raise DataError(f"mode {cfg.mode!r} requires the in-service block")
+    tr, va = ds.mask("train"), ds.mask("valid")
+    x_tr = _features(ds, spec.features, tr).astype(STEP_DTYPE, copy=False)
+    y_tr, x_va, y_va = ds.y[tr], _features(ds, spec.features, va), ds.y[va]
+    n_tr = len(y_tr)
+
     rng = np.random.default_rng(cfg.seed)
-    if init_from is not None:
-        model = init_from
-    else:
-        model = numcore.init_mlp(x_tr.shape[1], list(cfg.hidden_dims),
-                                 cfg.dropout, rng)
-    if cfg.beta > 0.0 and teacher is not None \
+    # pretrain_only draws a fresh first layer from a generator of its own,
+    # leaving the training rng unused until the first epoch.
+    model = numcore.init_mlp(
+        x_tr.shape[1], list(cfg.hidden_dims), cfg.dropout,
+        np.random.default_rng(cfg.seed) if spec.init_from_teacher else rng)
+    if spec.init_from_teacher:
+        hidden = tuple(shape[1] for shape in teacher.shapes[:-1])
+        if hidden != cfg.hidden_dims:
+            raise ConfigError(f"hidden widths differ: teacher {hidden}, "
+                              f"student {cfg.hidden_dims}")
+        layers = teacher.layers()
+        if teacher.input_dim != model.input_dim:
+            layers[0] = model.layers()[0]  # widths differ: not transferred
+        model = numcore.MlpModel.from_layers(layers, cfg.dropout)
+    if cfg.beta > 0.0 and spec.needs_teacher \
             and teacher.repr_dim != model.repr_dim:
         raise ConfigError(
             f"representation widths differ: teacher {teacher.repr_dim}, "
@@ -183,9 +198,10 @@ def _train_model(x_tr, y_tr, x_va, y_va, cfg: DistillConfig, *,
 
     # Teacher pass once, eval mode, in a workspace freed before training.
     teacher_h = teacher_z = None
-    if teacher is not None and (cfg.alpha > 0.0 or cfg.beta > 0.0):
-        teacher_h, z, _ = _eval_pass(teacher, teacher_x, numcore.Workspace(),
-                                     keep_h=cfg.beta > 0.0)
+    if spec.needs_teacher and (cfg.alpha > 0.0 or cfg.beta > 0.0):
+        teacher_h, z, _ = _eval_pass(
+            teacher, _features(ds, MODE_TABLE["teacher"].features, tr),
+            numcore.Workspace(), keep_h=cfg.beta > 0.0)
         teacher_z = z if cfg.alpha > 0.0 else None
     ws, eval_ws = numcore.Workspace(), numcore.Workspace()  # by dtype
 
@@ -260,53 +276,16 @@ def _features(ds: TwoPhaseDataset, block: str, rows) -> np.ndarray:
     raise ConfigError(f"unknown feature block {block!r}")
 
 
-def _split_xy(ds: TwoPhaseDataset, block: str):
-    tr, va = ds.mask("train"), ds.mask("valid")
-    return (_features(ds, block, tr), ds.y[tr],
-            _features(ds, block, va), ds.y[va])
-
-
 def train_teacher(ds: TwoPhaseDataset,
                   cfg: DistillConfig) -> tuple[numcore.MlpModel, TrainTrace]:
     """Fit the in-service model: `cfg` in mode "teacher"."""
-    return _train_mode(ds, None, replace(cfg, mode="teacher"))
+    return _train_model(ds, None, replace(cfg, mode="teacher"))
 
 
 def train_student(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
                   cfg: DistillConfig) -> tuple[numcore.MlpModel, TrainTrace]:
     """Fit the pre-service model under the mode-resolved objective."""
-    return _train_mode(ds, teacher, cfg)
-
-
-def _train_mode(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
-                cfg: DistillConfig) -> tuple[numcore.MlpModel, TrainTrace]:
-    """Fit the model of `cfg.mode` as its `MODE_TABLE` row says."""
-    cfg = cfg.normalized()
-    spec = MODE_TABLE[cfg.mode]
-    if spec.needs_teacher and teacher is None:
-        raise ConfigError(f"mode {cfg.mode!r} requires a trained teacher")
-    if (spec.needs_teacher or spec.features != "pre") and ds.d_in == 0:
-        raise DataError(f"mode {cfg.mode!r} requires the in-service block")
-
-    init_from = None
-    if spec.init_from_teacher:
-        hidden = tuple(shape[1] for shape in teacher.shapes[:-1])
-        if hidden != cfg.hidden_dims:
-            raise ConfigError(f"hidden widths differ: teacher {hidden}, "
-                              f"student {cfg.hidden_dims}")
-        layers = teacher.layers()
-        if teacher.input_dim != ds.d_pre:
-            # Feature widths differ: the first layer cannot be transferred.
-            rng = np.random.default_rng(cfg.seed)
-            layers[0] = numcore.init_mlp(ds.d_pre, list(cfg.hidden_dims),
-                                         cfg.dropout, rng).layers()[0]
-        init_from = numcore.MlpModel.from_layers(layers, cfg.dropout)
-
-    teacher_x = _features(ds, MODE_TABLE["teacher"].features,
-                          ds.mask("train")) if spec.needs_teacher else None
-    return _train_model(*_split_xy(ds, spec.features), cfg,
-                        teacher=teacher if spec.needs_teacher else None,
-                        teacher_x=teacher_x, init_from=init_from)
+    return _train_model(ds, teacher, cfg)
 
 
 def predict(model: numcore.MlpModel, x) -> np.ndarray:

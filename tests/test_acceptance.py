@@ -16,7 +16,7 @@ import pytest
 
 from mgkd import cli, data, numcore, pipeline
 from mgkd.losses import (ClassPriors, feat_loss, focal_loss, kl_hard,
-                         kl_soft, objective, reweight, self_loss)
+                         kl_soft, objective, reweight)
 from mgkd.metrics import auc, ks, recall_at_k
 
 from test_metrics import naive_recall, pairwise_auc, scan_ks
@@ -75,10 +75,10 @@ def test_criterion_1_gradient_suite(rng):
         "kl_soft_tau2.5": lambda c: kl_soft(zt, c.z, 2.5),
         "feat_mse": lambda c: feat_loss(ht, c.h, "mse"),
         "feat_cosine": lambda c: feat_loss(ht, c.h, "cosine"),
-        "self": lambda c: self_loss(c.z, snap, 2.5),
+        "self": lambda c: kl_soft(snap, c.z, 2.5),
         "focal_gamma0": lambda c: focal_loss(y, c.p, 0.0),
         "focal_gamma2": lambda c: focal_loss(y, c.p, 2.0),
-        "distill_total": total("ce", None),
+        "objective_ce": total("ce", None),
         "objective_reweighted_focal": total("reweighted_focal", w),
     }
     from conftest import loss_fn_over_model

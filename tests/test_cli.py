@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mgkd import cli, data, errors, modelio, numcore, pipeline
+from mgkd import cli, data, errors, losses, modelio, numcore, pipeline
 
 CONFIG = """\
 [dataset]
@@ -183,6 +183,20 @@ class TestEval:
                        "--config", str(config),
                        "--split", "test", "--out", str(tmp_path)])
         assert rc == 4
+
+    def test_manifest_records_split_fractions(self, workdir, tmp_path):
+        # Without --config, eval splits with the default fractions, and the
+        # manifest says so.
+        out, config = workdir
+        for extra, frac in ((["--config", str(config)], 0.15), ([], 0.1)):
+            dest = tmp_path / str(frac)
+            rc = cli.main(["eval", "--model", str(out / "teacher.mgkd"),
+                           "--data", str(out / "dataset.csv"), *extra,
+                           "--out", str(dest)])
+            assert rc == 0
+            manifest = json.loads((dest / "eval_manifest.json").read_text())
+            assert manifest["config"]["frac_valid"] == frac
+            assert manifest["config"]["frac_test"] == frac
 
     def test_missing_model_exit_3(self, workdir, tmp_path):
         out, _ = workdir
@@ -852,3 +866,62 @@ def test_config_text_raises_only_config_error(fuzz_dir, lines):
             cli._config(cls, parser, section)
         except errors.ConfigError:
             pass
+
+
+WIDTHS = st.lists(st.sampled_from([1, 3, 0]), max_size=2).map(
+    lambda dims: ",".join(map(str, dims)))  # "" is a linear model
+
+
+@st.composite
+def tiny_runs(draw):
+    """INI text of a small dataset, teacher and student, and a mode. Each
+    value is drawn from a usual one, listed twice, and its edge cases."""
+    def pick(usual, *edges):
+        return draw(st.sampled_from([usual, usual, *edges]))
+
+    def training():
+        return {"hidden_dims": draw(WIDTHS), "dropout": pick(0.0, 0.5, 0.999),
+                "lr": pick(0.005, 1e-300, 1e300),
+                "weight_decay": pick(1e-7, 0.0, 1e300),
+                "batch_size": pick(1024, 1, 7),
+                "max_epochs": pick(2, 0, 1), "patience": pick(1, 0)}
+
+    sections = {
+        "dataset": {"n": draw(st.integers(0, 80)), "d_pre": pick(2, 0, 1),
+                    "d_in": pick(2, 0, 1),
+                    "positive_rate": pick(0.3, 1e-6, 0.999999),
+                    "seed": pick(0, 1), "frac_valid": pick(0.1, 0.3, 0.5),
+                    "frac_test": pick(0.1, 0.3)},
+        "teacher": training(),
+        "student": {**training(), "alpha": pick(0.5, 0.0, 1.0),
+                    "beta": pick(0.25, 0.0, 1e300), "lambda": pick(0.1, 0.0),
+                    "tau": pick(2.5, 1.0),
+                    "feat_metric": pick("mse", "cosine"),
+                    "hard_term": pick(*sorted(losses.HARD_TERMS)),
+                    "gamma": pick(2.0, 0.0)},
+    }
+    text = "".join(f"[{name}]\n" + "".join(f"{key} = {value}\n"
+                                           for key, value in keys.items())
+                   for name, keys in sections.items())
+    return text, draw(st.sampled_from(pipeline.MODES))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # huge rates
+@settings(max_examples=150, deadline=None)
+@given(run=tiny_runs())
+def test_tiny_configs_end_in_a_documented_exit_code(tmp_path_factory, run):
+    # generate, teacher, one mode and eval: every command ends in an exit
+    # code, never in a traceback.
+    text, mode = run
+    out = tmp_path_factory.mktemp("tiny")
+    config = out / "run.ini"
+    config.write_text(text)
+    common = ["--config", str(config), "--out", str(out)]
+    model = out / ("teacher.mgkd" if mode == "teacher"
+                   else f"student_{mode}.mgkd")
+    for argv in (["generate", *common],
+                 ["train", *common, "--mode", "teacher"],
+                 ["train", *common, "--mode", mode],
+                 ["eval", "--model", str(model),
+                  "--data", str(out / "dataset.csv"), *common]):
+        assert cli.main(argv) in (0, 2, 3, 4, 5), argv

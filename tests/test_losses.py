@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from mgkd import losses, numcore
-from mgkd.errors import ConfigError, DimensionError, StateError
-from mgkd.losses import (ClassPriors, distill_total, feat_loss, focal_loss,
-                         kl_hard, kl_soft, objective, reweight, self_loss)
+from mgkd.errors import ConfigError, DimensionError
+from mgkd.losses import (ClassPriors, feat_loss, focal_loss, kl_hard,
+                         kl_soft, objective, reweight)
 from mgkd.numcore import grad_check
 from mgkd.pipeline import DistillConfig
 
@@ -127,7 +127,8 @@ class TestLabelLoss:
 
 
 def parent_assembly(cfg, cache, y, weights, teacher_h, teacher_z, snapshot):
-    """The trainer's inline per-batch loss from before `objective`.
+    """The trainer's inline per-batch loss from before `objective`, with the
+    former `self_loss` and `distill_total` written out.
 
     A frozen reference: `objective` must match it bit for bit.
     """
@@ -146,8 +147,19 @@ def parent_assembly(cfg, cache, y, weights, teacher_h, teacher_z, snapshot):
     if cfg.beta > 0.0:
         feat = losses.feat_loss(teacher_h, cache.h, cfg.feat_metric)
     if cfg.lam > 0.0 and snapshot is not None:
-        self_part = losses.self_loss(cache.z, snapshot, cfg.tau)
-    total = losses.distill_total(label, feat, self_part, cfg.beta, cfg.lam)
+        # self_loss: the softened KL from the snapshot to the student.
+        self_part = losses.kl_soft(snapshot, cache.z, cfg.tau)
+    # distill_total: label + beta * feat + lam * self, channel-wise, with
+    # feat's gradient scaled in place.
+    value, grad_logit, grad_repr = label.value, label.grad_logit, None
+    if cfg.beta > 0.0 and feat is not None:
+        value += cfg.beta * feat.value
+        grad_repr = feat.grad_repr
+        grad_repr *= cfg.beta
+    if cfg.lam > 0.0 and self_part is not None:
+        value += cfg.lam * self_part.value
+        grad_logit = grad_logit + cfg.lam * self_part.grad_logit
+    total = losses.LossValue(value, grad_logit, grad_repr)
     terms = {"hard": hard.value,
              "soft": soft.value if soft else 0.0,
              "feat": feat.value if feat else 0.0,
@@ -247,55 +259,70 @@ class TestFeatLoss:
 
 
 class TestSelfLoss:
+    """The self term, `kl_soft(snapshot, z, tau)`: the softened KL from the
+    previous epoch's logits to the current ones."""
+
     def test_matching_snapshot_is_zero(self):
         z = np.array([0.7, -0.3])
-        assert self_loss(z, z, 2.0).value == 0.0
+        assert kl_soft(z, z, 2.0).value == 0.0
 
     def test_closed_form(self):
-        lv = self_loss([0.0], [logit(0.9)], tau=1.0)
+        lv = kl_soft([logit(0.9)], [0.0], tau=1.0)
         assert lv.value == pytest.approx(0.36806, abs=1e-5)
 
     def test_softened_divergence_shrinks_with_tau(self):
         # The un-scaled divergence between the softened distributions
         # decreases as tau grows (the tau^2 factor offsets it by design).
         zs, zsnap = np.array([0.0]), np.array([logit(0.9)])
-        kl1 = self_loss(zs, zsnap, 1.0).value / 1.0
-        kl2 = self_loss(zs, zsnap, 2.0).value / 4.0
+        kl1 = kl_soft(zsnap, zs, 1.0).value / 1.0
+        kl2 = kl_soft(zsnap, zs, 2.0).value / 4.0
         assert kl2 < kl1
-
-    def test_missing_snapshot(self):
-        with pytest.raises(StateError):
-            self_loss(np.array([0.0]), None, 2.0)
 
 
 class TestDistillTotal:
-    def test_zero_weights_is_label(self):
+    """How `objective` adds beta * feat and lam * self to the label part,
+    with the label, feat and self values fixed."""
+
+    @pytest.fixture
+    def total(self, monkeypatch):
+        def total(label, feat, self_part, beta, lam):
+            for name, part in (("hard_loss", label), ("feat_loss", feat),
+                               ("kl_soft", self_part)):
+                monkeypatch.setattr(losses, name, lambda *_, v=part: v)
+            cfg = DistillConfig(alpha=0.0, beta=0.0, lam=0.0)
+            cfg.beta, cfg.lam = beta, lam  # past DistillConfig's own check
+            cache = SimpleNamespace(p=None, z=None, h=None)
+            return objective(cfg, cache, None, snapshot=np.zeros(1))[0]
+        return total
+
+    def test_zero_weights_is_label(self, total):
         label = losses.LossValue(0.3, np.array([0.1, -0.2]))
         feat = losses.LossValue(0.2, None, np.ones((2, 2)))
-        out = distill_total(label, feat, None, 0.0, 0.0)
+        out = total(label, feat, None, 0.0, 0.0)
         assert out.value == label.value
         assert np.array_equal(out.grad_logit, label.grad_logit)
         assert out.grad_repr is None
 
-    def test_arithmetic(self):
+    def test_arithmetic(self, total):
         label = losses.LossValue(0.3, np.zeros(1))
         feat = losses.LossValue(0.2, None, np.zeros((1, 1)))
         self_part = losses.LossValue(0.1, np.zeros(1))
-        out = distill_total(label, feat, self_part, 0.25, 0.1)
+        out = total(label, feat, self_part, 0.25, 0.1)
         assert out.value == pytest.approx(0.36)
 
-    def test_linearity_in_weights(self):
+    def test_linearity_in_weights(self, total):
         label = losses.LossValue(0.5, np.array([1.0]))
         feat = losses.LossValue(0.4, None, np.array([[2.0]]))
         self_part = losses.LossValue(0.3, np.array([-1.0]))
-        v = lambda b, l: distill_total(label, feat, self_part, b, l).value
+        v = lambda b, l: total(label, feat, self_part, b, l).value
         assert v(0.2, 0.3) - v(0.0, 0.3) == pytest.approx(0.2 * 0.4)
         assert v(0.2, 0.3) - v(0.2, 0.0) == pytest.approx(0.3 * 0.3)
 
-    def test_negative_weights(self):
+    def test_negative_weights(self, total):
         label = losses.LossValue(0.5, np.zeros(1))
-        with pytest.raises(ConfigError):
-            distill_total(label, None, None, -0.1, 0.0)
+        for beta, lam in ((-0.1, 0.0), (0.0, -0.1)):
+            with pytest.raises(ConfigError, match="nonnegative"):
+                total(label, None, None, beta, lam)
 
 
 class TestReweight:
@@ -360,7 +387,6 @@ class TestNonNegativity:
             tau = float(rng.uniform(1.0, 4.0))
             assert kl_hard(y, numcore.sigmoid(zs)).value >= 0.0
             assert kl_soft(zt, zs, tau).value >= 0.0
-            assert self_loss(zs, zt, tau).value >= 0.0
             assert focal_loss(y, numcore.sigmoid(zs), 2.0).value >= 0.0
 
 

@@ -85,21 +85,22 @@ def test_validation_loss_is_the_named_hard_term(small_ds, hard_term):
 
 
 def parent_train_model(x_tr, y_tr, x_va, y_va, cfg, teacher=None,
-                       teacher_x=None, dtype=np.float64):
+                       teacher_x=None, dtype=np.float64, init=None):
     """The training loop from before the workspace: allocating passes,
     `x_tr[idx]` gathers, a zeros `grad_repr` and a snapshot every epoch.
 
-    A frozen reference: `_train_model` must match it bit for bit. `dtype`
+    A frozen reference: training must match it bit for bit. `dtype`
     is the step's precision. Its casts are no-ops at float64: the train
     rows and the teacher representation are cast once, each step runs on
     a `dtype` copy of the model, and the gradients are cast back for Adam.
+    An `init` model is trained instead of one drawn from the rng.
     """
     from collections import defaultdict
     from mgkd import numcore
     n_tr = x_tr.shape[0]
     rng = np.random.default_rng(cfg.seed)
-    model = numcore.init_mlp(x_tr.shape[1], list(cfg.hidden_dims),
-                             cfg.dropout, rng)
+    model = init or numcore.init_mlp(x_tr.shape[1], list(cfg.hidden_dims),
+                                     cfg.dropout, rng)
     state = numcore.init_adam(model)
     priors = losses.ClassPriors.from_labels(y_tr)
     reweighted, _ = losses.HARD_TERMS[cfg.hard_term]
@@ -196,12 +197,12 @@ def _check_against_parent_loop(small_ds, dropout, terms, feat_metric, dtype):
                     feat_metric=feat_metric, hard_term="reweighted_focal",
                     max_epochs=3)
     teacher, _ = train_teacher(small_ds, small_cfg(max_epochs=2))
-    x_tr, y_tr, x_va, y_va = pipeline._split_xy(small_ds, "pre")
+    tr, va = small_ds.mask("train"), small_ds.mask("valid")
+    x_tr, y_tr = small_ds.x_pre[tr], small_ds.y[tr]
+    x_va, y_va = small_ds.x_pre[va], small_ds.y[va]
     assert x_tr.shape[0] % cfg.batch_size > 0
-    teacher_x = pipeline._features(small_ds, "in", small_ds.mask("train"))
-    model, trace = pipeline._train_model(x_tr, y_tr, x_va, y_va, cfg,
-                                         teacher=teacher,
-                                         teacher_x=teacher_x)
+    teacher_x = small_ds.x_in[tr]
+    model, trace = train_student(small_ds, teacher, cfg)
     ref_model, ref_trace = parent_train_model(x_tr, y_tr, x_va, y_va, cfg,
                                               teacher, teacher_x, dtype)
     assert model_bytes(model) == model_bytes(ref_model)
@@ -367,6 +368,28 @@ class TestStudent:
         assert model.input_dim == 3
         assert np.array_equal(model.encoder[1].weights,
                               teacher.encoder[1].weights)
+
+    @pytest.mark.parametrize("dataset", ["small_ds", "uneven_ds"])
+    def test_pretrain_only_matches_parent_loop(self, request, dataset):
+        # The parent loop from the teacher's layers, with a first layer of
+        # its own seed where the blocks differ in width: the
+        # re-initialisation leaves the training rng untouched.
+        ds = request.getfixturevalue(dataset)
+        teacher, _ = train_teacher(ds, small_cfg(max_epochs=2))
+        cfg = small_cfg(mode="pretrain_only", dropout=0.2, max_epochs=3)
+        model, trace = train_student(ds, teacher, cfg)
+        layers = teacher.layers()
+        if ds.d_pre != ds.d_in:
+            layers[0] = numcore.init_mlp(
+                ds.d_pre, list(cfg.hidden_dims), cfg.dropout,
+                np.random.default_rng(cfg.seed)).layers()[0]
+        tr, va = ds.mask("train"), ds.mask("valid")
+        ref_model, ref_trace = parent_train_model(
+            ds.x_pre[tr], ds.y[tr], ds.x_pre[va], ds.y[va], cfg.normalized(),
+            dtype=np.float32,
+            init=numcore.MlpModel.from_layers(layers, cfg.dropout))
+        assert model_bytes(model) == model_bytes(ref_model)
+        assert trace == ref_trace
 
 
 class TestPredict:
