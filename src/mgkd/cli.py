@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, modelio, pipeline
-from .errors import ConfigError, DataError, TrainingError
+from .errors import ConfigError, DataError, DimensionError, TrainingError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -125,6 +125,7 @@ def _write_manifest(out_dir: Path, command: str, config_snapshot: dict,
     }
     if teacher_config is not None:
         manifest["teacher_config"] = teacher_config
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{command}_manifest.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -144,15 +145,9 @@ def _write_records(path: Path, records: list[dict]) -> None:
 
 
 def _report_record(report, extra: dict | None = None) -> dict:
-    record = {
-        "auc": report.auc, "ks": report.ks,
-        "recall_at_10": report.recall_at_k, "k_percent": report.k_percent,
-        "n_pos": report.n_pos, "n_neg": report.n_neg,
-        "split": report.split, "seed": report.seed, "mode": report.mode,
-    }
-    if extra:
-        record.update(extra)
-    return record
+    record = dataclasses.asdict(report)
+    record["recall_at_10"] = record.pop("recall_at_k")
+    return {**record, **(extra or {})}
 
 
 def _load_split_dataset(parser, dataset_path: Path):
@@ -182,7 +177,7 @@ def cmd_generate(args) -> int:
     t0 = time.time()
     ds = data.generate_synthetic(cfg)
     dataset_path = _dataset_path(parser, args, out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    dataset_path.parent.mkdir(parents=True, exist_ok=True)
     digest = data.save_delimited(ds, dataset_path)
     timings = {"generate_s": time.time() - t0}
     manifest = _write_manifest(
@@ -260,7 +255,11 @@ def cmd_eval(args) -> int:
     model, feature_mode = modelio.load_model(model_path)
 
     # A model file records its feature block, not its student mode.
-    report = pipeline.evaluate_split(model, ds, args.split, feature_mode)
+    try:
+        report = pipeline.evaluate_split(model, ds, args.split, feature_mode)
+    except DimensionError as exc:
+        raise DataError(f"{dataset_path}: block {feature_mode!r} does not "
+                        f"fit {model_path}: {exc}") from None
     record = _report_record(report, {"record": "eval",
                                      "features": feature_mode,
                                      "model": str(model_path)})

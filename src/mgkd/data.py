@@ -63,6 +63,24 @@ class TwoPhaseDataset:
             raise ConfigError(f"unknown split {split!r}")
         return self.split == split
 
+    def labels(self, split: str) -> np.ndarray:
+        """The split's labels; SplitError unless it holds both classes."""
+        y = self.y[self.mask(split)]
+        n_pos = np.count_nonzero(y)
+        if n_pos in (0, len(y)):
+            raise SplitError(f"the {split} split has {n_pos} positive and "
+                             f"{len(y) - n_pos} negative rows; it needs both")
+        return y
+
+    def features(self, block: str, split: str) -> np.ndarray:
+        """The split's rows of block "pre", "in" or "both" (pre then in)."""
+        rows = self.mask(split)
+        if block == "both":
+            return np.hstack([self.x_pre[rows], self.x_in[rows]])
+        if block in ("pre", "in"):
+            return getattr(self, f"x_{block}")[rows]
+        raise ConfigError(f"unknown feature block {block!r}")
+
 
 def check_finite(cfg) -> None:
     """Raise ConfigError if any float field of dataclass `cfg` is nan/inf."""
@@ -404,8 +422,7 @@ class Scaler:
 
 
 def _fit_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = x.mean(axis=0) if x.size else np.zeros(x.shape[1])
-    std = x.std(axis=0) if x.size else np.ones(x.shape[1])
+    mean, std = x.mean(axis=0), x.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
     return mean, std
 

@@ -26,7 +26,7 @@ class ParseError(DataError):
 
 
 class SplitError(DataError):
-    """A chronological split left one of the partitions empty."""
+    """A split is empty, or lacks positive or negative rows."""
 
 
 class MetricError(DataError):

@@ -30,26 +30,6 @@ class LossValue:
     grad_repr: np.ndarray | None = None   # (n, d); None means zero
 
 
-@dataclass
-class ClassPriors:
-    """Training-split class proportions, pi0 + pi1 = 1."""
-
-    pi0: float
-    pi1: float
-
-    def __post_init__(self):
-        if not (self.pi0 > 0.0 and self.pi1 > 0.0):
-            raise ConfigError("class priors must be strictly positive")
-        if abs(self.pi0 + self.pi1 - 1.0) > 1e-12:
-            raise ConfigError("class priors must sum to 1")
-
-    @classmethod
-    def from_labels(cls, y) -> "ClassPriors":
-        y = np.asarray(y)
-        pi1 = float(np.mean(y == 1))
-        return cls(1.0 - pi1, pi1)
-
-
 def _check_lengths(*vecs):
     n = len(vecs[0])
     for v in vecs[1:]:
@@ -143,10 +123,11 @@ def feat_loss(h_teacher, h_student, metric: str = "mse",
     raise ConfigError(f"unknown feature metric {metric!r}")
 
 
-def reweight(y, priors: ClassPriors) -> np.ndarray:
-    """Per-sample weights 1/pi_c, inversely proportional to class priors."""
+def reweight(y, pi1: float) -> np.ndarray:
+    """Per-sample weights 1/pi_c, where pi1 is the train positive share and
+    pi0 = 1 - pi1."""
     y = np.asarray(y)
-    return np.where(y == 1, 1.0 / priors.pi1, 1.0 / priors.pi0)
+    return np.where(y == 1, 1.0 / pi1, 1.0 / (1.0 - pi1))
 
 
 def focal_loss(y, p, gamma: float = 2.0, weights=None) -> LossValue:

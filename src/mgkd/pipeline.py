@@ -160,9 +160,9 @@ def _train_model(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
         raise ConfigError(f"mode {cfg.mode!r} requires a trained teacher")
     if (spec.needs_teacher or spec.features != "pre") and ds.d_in == 0:
         raise DataError(f"mode {cfg.mode!r} requires the in-service block")
-    tr, va = ds.mask("train"), ds.mask("valid")
-    x_tr = _features(ds, spec.features, tr).astype(STEP_DTYPE, copy=False)
-    y_tr, x_va, y_va = ds.y[tr], _features(ds, spec.features, va), ds.y[va]
+    y_tr, y_va = ds.labels("train"), ds.labels("valid")
+    x_tr = ds.features(spec.features, "train").astype(STEP_DTYPE, copy=False)
+    x_va = ds.features(spec.features, "valid")
     n_tr = len(y_tr)
 
     rng = np.random.default_rng(cfg.seed)
@@ -186,21 +186,17 @@ def _train_model(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
             f"representation widths differ: teacher {teacher.repr_dim}, "
             f"student {model.repr_dim}")
 
-    n_pos = int(np.count_nonzero(y_tr))
-    if n_pos in (0, n_tr):
-        raise DataError(f"the train split has {n_pos} positive and "
-                        f"{n_tr - n_pos} negative rows; training needs both")
     state = numcore.init_adam(model)
-    priors = losses.ClassPriors.from_labels(y_tr)
+    pi1 = np.count_nonzero(y_tr) / n_tr  # the train positive share
     reweighted, _ = losses.HARD_TERMS[cfg.hard_term]
-    w_tr, w_va = (losses.reweight(y, priors) if reweighted else None
+    w_tr, w_va = (losses.reweight(y, pi1) if reweighted else None
                   for y in (y_tr, y_va))
 
     # Teacher pass once, eval mode, in a workspace freed before training.
     teacher_h = teacher_z = None
     if spec.needs_teacher and (cfg.alpha > 0.0 or cfg.beta > 0.0):
         teacher_h, z, _ = _eval_pass(
-            teacher, _features(ds, MODE_TABLE["teacher"].features, tr),
+            teacher, ds.features(MODE_TABLE["teacher"].features, "train"),
             numcore.Workspace(), keep_h=cfg.beta > 0.0)
         teacher_z = z if cfg.alpha > 0.0 else None
     ws, eval_ws = numcore.Workspace(), numcore.Workspace()  # by dtype
@@ -267,15 +263,6 @@ def _train_model(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
     return best_model, trace
 
 
-def _features(ds: TwoPhaseDataset, block: str, rows) -> np.ndarray:
-    """The given rows of feature block "pre", "in" or "both" (pre then in)."""
-    if block == "both":
-        return np.hstack([ds.x_pre[rows], ds.x_in[rows]])
-    if block in ("pre", "in"):
-        return getattr(ds, f"x_{block}")[rows]
-    raise ConfigError(f"unknown feature block {block!r}")
-
-
 def train_teacher(ds: TwoPhaseDataset,
                   cfg: DistillConfig) -> tuple[numcore.MlpModel, TrainTrace]:
     """Fit the in-service model: `cfg` in mode "teacher"."""
@@ -296,9 +283,9 @@ def predict(model: numcore.MlpModel, x) -> np.ndarray:
 def evaluate_split(model: numcore.MlpModel, ds: TwoPhaseDataset, split: str,
                    features: str = "pre", seed: int | None = None,
                    mode: str = "") -> metrics.EvalReport:
-    mask = ds.mask(split)
-    return metrics.evaluate(predict(model, _features(ds, features, mask)),
-                            ds.y[mask], split=split, seed=seed, mode=mode)
+    y = ds.labels(split)
+    return metrics.evaluate(predict(model, ds.features(features, split)), y,
+                            split=split, seed=seed, mode=mode)
 
 
 def _run_seed(ds: TwoPhaseDataset, base_cfg: DistillConfig,
@@ -335,6 +322,7 @@ def run_grid(ds: TwoPhaseDataset, base_cfg: DistillConfig, seeds: list[int],
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, len(seeds))
+    ds.labels("test")  # a one-class test split fails before any training
     run = partial(_run_seed, ds, base_cfg, teacher_cfg or base_cfg, points)
     if jobs > 1:
         # Fork is unsafe once BLAS has started threads.

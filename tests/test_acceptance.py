@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from mgkd import cli, data, numcore, pipeline
-from mgkd.losses import (ClassPriors, feat_loss, focal_loss, kl_hard,
-                         kl_soft, objective, reweight)
+from mgkd.losses import (feat_loss, focal_loss, kl_hard, kl_soft, objective,
+                         reweight)
 from mgkd.metrics import auc, ks, recall_at_k
 
 from test_metrics import naive_recall, pairwise_auc, scan_ks
@@ -60,8 +60,7 @@ def test_criterion_1_gradient_suite(rng):
     zt = rng.standard_normal(32)
     ht = rng.standard_normal((32, 256))
     snap = rng.standard_normal(32)
-    priors = ClassPriors.from_labels(np.concatenate([y, np.zeros(8)]))
-    w = reweight(y, priors)
+    w = reweight(y, np.count_nonzero(y) / (len(y) + 8))  # y and 8 negatives
 
     def total(hard_term, weights):
         cfg = pipeline.DistillConfig(alpha=0.2, beta=0.25, lam=0.1, tau=2.5,
@@ -203,8 +202,7 @@ def test_criterion_6_ablation_direction(ablation_agg):
 
 @pytest.mark.slow
 def test_criterion_7_imbalance_handling():
-    priors = ClassPriors(1.0 - 0.072, 0.072)
-    w = reweight(np.array([1, 0]), priors)
+    w = reweight(np.array([1, 0]), 0.072)
     assert w[0] == pytest.approx(13.8889, abs=1e-3)
 
     ds = prepared(replace(DATA_CFG, positive_rate=0.05, seed=200))

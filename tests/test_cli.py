@@ -1,6 +1,8 @@
 import configparser
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import struct
@@ -172,7 +174,7 @@ class TestEval:
             results.append((d / "eval_results.jsonl").read_text())
         assert results[0] == results[1]
 
-    def test_width_mismatch_exit_4(self, workdir, tmp_path):
+    def test_width_mismatch_exit_4(self, workdir, tmp_path, capsys):
         out, config = workdir
         # A model expecting a different input width than the dataset.
         model = numcore.init_mlp(9, [4], 0.0, np.random.default_rng(0))
@@ -183,6 +185,10 @@ class TestEval:
                        "--config", str(config),
                        "--split", "test", "--out", str(tmp_path)])
         assert rc == 4
+        err = capsys.readouterr().err
+        assert f"{out / 'dataset.csv'}: block 'pre' does not fit {bad}" \
+            in err
+        assert "input has 4 columns, model expects 9" in err
 
     def test_manifest_records_split_fractions(self, workdir, tmp_path):
         # Without --config, eval splits with the default fractions, and the
@@ -430,6 +436,45 @@ def test_train_split_without_positives_exit_4(tmp_path, capsys):
     assert cli.main(["train", *common, "--mode", "teacher"]) == 4
     assert "data error: the train split has 0 positive and 420 negative " \
         "rows" in capsys.readouterr().err
+
+
+def _one_class_csv(path: Path, split: str) -> Path:
+    """100 rows in time order. CONFIG's fractions make rows 70-84 the valid
+    split and 85-99 the test split; `split` gets only negatives, and every
+    other split both classes."""
+    n = 100
+    y = (np.arange(n) % 4 == 0).astype(np.int64)
+    start = {"valid": 70, "test": 85}[split]
+    y[start:start + 15] = 0
+    rng = np.random.default_rng(0)
+    data.save_delimited(data.TwoPhaseDataset(
+        rng.standard_normal((n, 4)), rng.standard_normal((n, 4)), y,
+        np.arange(n), np.full(n, "", dtype="<U5")), path)
+    return path
+
+
+@pytest.mark.parametrize("argv, split", [
+    (["train", "--mode", "teacher"], "valid"),
+    (["train", "--mode", "full", "--teacher", "TEACHER"], "valid"),
+    (["eval", "--model", "TEACHER"], "test"),
+    (["ablate", "--seeds", "0"], "test"),
+    (["ablate", "--seeds", "0"], "valid"),
+    (["sweep", "--param", "alpha", "--grid", "0.2", "--seeds", "0"], "test"),
+], ids=["train_teacher", "train_full", "eval", "ablate_test", "ablate_valid",
+        "sweep"])
+def test_one_class_split_exit_4_before_training(workdir, tmp_path, capsys,
+                                                monkeypatch, argv, split):
+    out, config = workdir
+    monkeypatch.setattr(numcore, "backward",
+                        lambda *a, **k: pytest.fail("a training step ran"))
+    argv = [str(out / "teacher.mgkd") if arg == "TEACHER" else arg
+            for arg in argv]
+    dataset = _one_class_csv(tmp_path / "one_class.csv", split)
+    assert cli.main([*argv, "--config", str(config), "--data", str(dataset),
+                     "--out", str(tmp_path / "out")]) == 4
+    assert f"data error: the {split} split has 0 positive and 15 negative " \
+        "rows; it needs both" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_commands_after_generate_read_the_sidecar(workdir, tmp_path,
@@ -703,6 +748,11 @@ def test_out_is_a_file_exit_3(workdir, tmp_path, capsys):
 
 def test_failed_command_leaves_no_out_dir(workdir, tmp_path):
     out, config = workdir
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    assert cli.main(["generate", "--config", str(config),
+                     "--data", str(regular / "d.csv"),
+                     "--out", str(tmp_path / "fo" / "out0")]) == 3
     model = tmp_path / "teacher.mgkd"
     model.mkdir()
     assert cli.main(["eval", "--model", str(model),
@@ -924,4 +974,8 @@ def test_tiny_configs_end_in_a_documented_exit_code(tmp_path_factory, run):
                  ["train", *common, "--mode", mode],
                  ["eval", "--model", str(model),
                   "--data", str(out / "dataset.csv"), *common]):
-        assert cli.main(argv) in (0, 2, 3, 4, 5), argv
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main(argv) in (0, 2, 3, 4, 5), argv
+        # A split with one class is named, not left to the metrics.
+        assert "need at least one positive" not in err.getvalue(), argv

@@ -520,3 +520,43 @@ class TestStandardize:
         ds.split[:] = ""
         with pytest.raises(SplitError):
             fit_standardize(ds)
+
+
+class TestSplitsByName:
+    def _dataset(self, y):
+        n = len(y)
+        return TwoPhaseDataset(
+            x_pre=np.arange(2.0 * n).reshape(n, 2),
+            x_in=-np.arange(1.0 * n).reshape(n, 1),
+            y=np.asarray(y, dtype=np.int64), timestamp=np.arange(n),
+            split=np.array(["train", "valid", "train", "test", "valid"]))
+
+    def test_labels_of_a_split(self):
+        ds = self._dataset([1, 0, 0, 1, 1])
+        assert ds.labels("train").tolist() == [1, 0]
+        assert ds.labels("valid").tolist() == [0, 1]
+
+    @pytest.mark.parametrize("split, message", [
+        ("test", "the test split has 1 positive and 0 negative rows; "
+                 "it needs both"),
+        ("train", "the train split has 0 positive and 2 negative rows"),
+    ])
+    def test_one_class_split_names_itself(self, split, message):
+        ds = self._dataset([0, 0, 0, 1, 1])
+        with pytest.raises(SplitError, match=message):
+            ds.labels(split)
+
+    def test_features_of_a_split(self):
+        ds = self._dataset([1, 0, 0, 1, 1])
+        assert ds.features("pre", "valid").tolist() == [[2.0, 3.0],
+                                                        [8.0, 9.0]]
+        assert ds.features("in", "valid").tolist() == [[-1.0], [-4.0]]
+        assert ds.features("both", "train").tolist() == [[0.0, 1.0, -0.0],
+                                                         [4.0, 5.0, -2.0]]
+
+    def test_unknown_block_or_split(self):
+        ds = self._dataset([1, 0, 0, 1, 1])
+        with pytest.raises(ConfigError, match="unknown feature block"):
+            ds.features("post", "train")
+        with pytest.raises(ConfigError, match="unknown split"):
+            ds.labels("holdout")

@@ -6,8 +6,8 @@ import pytest
 
 from mgkd import losses, numcore
 from mgkd.errors import ConfigError, DimensionError
-from mgkd.losses import (ClassPriors, feat_loss, focal_loss, kl_hard,
-                         kl_soft, objective, reweight)
+from mgkd.losses import (feat_loss, focal_loss, kl_hard, kl_soft, objective,
+                         reweight)
 from mgkd.numcore import grad_check
 from mgkd.pipeline import DistillConfig
 
@@ -187,7 +187,7 @@ class TestObjectiveMatchesParentAssembly:
         y = rng.integers(0, 2, 40).astype(float)
         weights = None
         if hard_term in ("reweighted", "reweighted_focal"):
-            weights = reweight(y, ClassPriors.from_labels(y))
+            weights = reweight(y, float(np.mean(y == 1)))
         teacher_h = rng.standard_normal((40, 8))
         teacher_z = rng.standard_normal(40)
         snapshot = rng.standard_normal(40) if with_snapshot else None
@@ -327,30 +327,21 @@ class TestDistillTotal:
 
 class TestReweight:
     def test_inverse_priors(self):
-        priors = ClassPriors(0.9, 0.1)
-        w = reweight(np.array([1, 0]), priors)
+        w = reweight(np.array([1, 0]), 0.1)
         assert w[0] == pytest.approx(10.0)
         assert w[1] == pytest.approx(10.0 / 9.0)
 
     def test_balanced_doubles(self):
-        priors = ClassPriors(0.5, 0.5)
         y = np.array([1.0, 0.0, 1.0])
         p = np.array([0.7, 0.4, 0.9])
-        weighted = kl_hard(y, p, reweight(y, priors))
+        weighted = kl_hard(y, p, reweight(y, 0.5))
         plain = kl_hard(y, p)
         assert weighted.value == pytest.approx(2.0 * plain.value)
 
     def test_paper_rate(self):
         # Train-split positive rate 7.2% gives minority weight ~13.89.
-        priors = ClassPriors(1.0 - 0.072, 0.072)
-        w = reweight(np.array([1]), priors)
+        w = reweight(np.array([1]), 0.072)
         assert w[0] == pytest.approx(13.888888, abs=1e-4)
-
-    def test_prior_validation(self):
-        with pytest.raises(ConfigError):
-            ClassPriors(0.9, 0.2)
-        with pytest.raises(ConfigError):
-            ClassPriors(1.0, 0.0)
 
 
 class TestFocalLoss:

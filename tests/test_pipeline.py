@@ -78,7 +78,7 @@ def test_validation_loss_is_the_named_hard_term(small_ds, hard_term):
     weights = None
     if hard_term.startswith("reweighted"):
         y_tr = small_ds.y[small_ds.mask("train")]
-        weights = losses.reweight(y_va, losses.ClassPriors.from_labels(y_tr))
+        weights = losses.reweight(y_va, float(np.mean(y_tr == 1)))
     ref = losses.focal_loss(y_va, p, cfg.gamma, weights) \
         if hard_term.endswith("focal") else losses.kl_hard(y_va, p, weights)
     assert trace.epochs[0]["val_loss"] == ref.value
@@ -102,9 +102,9 @@ def parent_train_model(x_tr, y_tr, x_va, y_va, cfg, teacher=None,
     model = init or numcore.init_mlp(x_tr.shape[1], list(cfg.hidden_dims),
                                      cfg.dropout, rng)
     state = numcore.init_adam(model)
-    priors = losses.ClassPriors.from_labels(y_tr)
+    pi1 = float(np.mean(y_tr == 1))
     reweighted, _ = losses.HARD_TERMS[cfg.hard_term]
-    w_tr, w_va = (losses.reweight(y, priors) if reweighted else None
+    w_tr, w_va = (losses.reweight(y, pi1) if reweighted else None
                   for y in (y_tr, y_va))
     teacher_h = teacher_z = None
     if teacher is not None and (cfg.alpha > 0.0 or cfg.beta > 0.0):
