@@ -109,8 +109,9 @@ def _out_dir(args) -> Path:
 def _write_manifest(out_dir: Path, command: str, config_snapshot: dict,
                     dataset_path: Path, dataset_sha256: str,
                     seeds: list[int], artifacts: list[str], timings: dict,
-                    teacher_config: dict | None = None) -> Path:
-    """`dataset_sha256` is the digest of the bytes written or loaded."""
+                    **extra) -> Path:
+    """`dataset_sha256` is the digest of the bytes written or loaded;
+    `extra` holds further top-level entries."""
     manifest = {
         "command": command,
         "config": config_snapshot,
@@ -120,11 +121,9 @@ def _write_manifest(out_dir: Path, command: str, config_snapshot: dict,
         "artifacts": artifacts,
         "timings": timings,
         "step_dtype": np.dtype(pipeline.STEP_DTYPE).name,
-        **{var: os.environ.get(var) for var in (
-            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        **pipeline.thread_env(),
+        **extra,
     }
-    if teacher_config is not None:
-        manifest["teacher_config"] = teacher_config
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{command}_manifest.json"
     with open(path, "w", encoding="utf-8") as fh:
@@ -214,6 +213,10 @@ def cmd_train(args) -> int:
         teacher, teacher_feat = modelio.load_model(teacher_path)
         if teacher_feat != pipeline.MODE_TABLE["teacher"].features:
             raise DataError(f"{teacher_path} is not an in-service model")
+        if teacher.input_dim != ds.d_in:
+            raise DataError(
+                f"teacher {teacher_path} reads {teacher.input_dim} "
+                f"in-service columns, {dataset_path} has {ds.d_in}")
     model, trace = pipeline.train_teacher(ds, cfg) if teacher_run \
         else pipeline.train_student(ds, teacher, cfg)
     train_s = time.time() - t0
@@ -302,8 +305,10 @@ def cmd_ablate(args) -> int:
 
     t0 = time.time()
     modes = pipeline.ABLATION_MODES
-    reports = pipeline.run_ablation(ds, cfg, seeds, modes, args.jobs,
-                                    teacher_cfg)
+    per_seed, models = pipeline.run_grid(
+        ds, cfg, seeds, [(mode, {"mode": mode}) for mode in modes],
+        args.jobs, teacher_cfg, out_dir)
+    reports = [report for reports in per_seed for report in reports]
     elapsed = time.time() - t0
 
     agg = pipeline.aggregate_reports(reports)
@@ -323,7 +328,8 @@ def cmd_ablate(args) -> int:
     _write_manifest(out_dir, "ablate", dataclasses.asdict(cfg), dataset_path,
                     ds.sha256, seeds, [str(results_path)],
                     {"ablate_s": elapsed},
-                    dataclasses.asdict(teacher_cfg))
+                    teacher_config=dataclasses.asdict(teacher_cfg),
+                    models=models)
 
     print(f"{'mode':>14} {'AUC':>8} {'±':>7} {'KS':>8} {'Recall@10':>10}")
     for mode in sorted(modes, key=lambda m: -agg[m]["auc_mean"]):
@@ -360,8 +366,8 @@ def cmd_sweep(args) -> int:
     _echo_config(cfg)
 
     t0 = time.time()
-    per_seed = pipeline.run_grid(ds, cfg, seeds, points, args.jobs,
-                                 teacher_cfg)
+    per_seed, models = pipeline.run_grid(ds, cfg, seeds, points, args.jobs,
+                                         teacher_cfg, out_dir)
     # Value-major order: every seed of the first grid value, then the next.
     records = [_report_record(report, {"record": "sweep_point",
                                        "param": param, "value": value})
@@ -374,7 +380,8 @@ def cmd_sweep(args) -> int:
     _write_manifest(out_dir, "sweep", dataclasses.asdict(cfg), dataset_path,
                     ds.sha256, seeds, [str(results_path)],
                     {"sweep_s": elapsed},
-                    dataclasses.asdict(teacher_cfg))
+                    teacher_config=dataclasses.asdict(teacher_cfg),
+                    models=models)
 
     print(f"{param:>8} {'seed':>5} {'AUC':>8} {'KS':>8} {'Recall@10':>10}")
     for record in records:

@@ -9,7 +9,9 @@ validation split.
 
 `MODE_TABLE` is the one definition of what each mode implies.
 Ablations and sweeps share `run_grid`: one teacher per seed, then every
-student point against it.
+student point against it. Given a store directory, `run_grid` keeps each
+model it trains there under a key of everything that decides its bits
+(`model_key`), and loads it instead of training it again.
 
 Each training step runs in STEP_DTYPE on a working copy of the model, and
 Adam updates the float64 master, which validation scores and training
@@ -18,15 +20,20 @@ returns. The rng draws the same dropout flags in either precision.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import multiprocessing
+import os
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
-from . import losses, metrics, numcore
+from . import losses, metrics, modelio, numcore
 from .data import TwoPhaseDataset, check_finite
 from .errors import ConfigError, DataError, TrainingError
 
@@ -288,48 +295,137 @@ def evaluate_split(model: numcore.MlpModel, ds: TwoPhaseDataset, split: str,
                             split=split, seed=seed, mode=mode)
 
 
-def _run_seed(ds: TwoPhaseDataset, base_cfg: DistillConfig,
+def thread_env() -> dict[str, str | None]:
+    """The BLAS thread variables as set, or None."""
+    return {var: os.environ.get(var) for var in (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def data_sha256(ds: TwoPhaseDataset) -> str:
+    """The sha256 of the arrays training reads: x_pre, x_in, y, split."""
+    h = hashlib.sha256()
+    for name in ("x_pre", "x_in", "y", "split"):
+        a = np.ascontiguousarray(getattr(ds, name))
+        h.update(f"{name} {a.dtype.str} {a.shape}".encode())
+        h.update(a)
+    return h.hexdigest()
+
+
+def model_key(data_key: str, cfg: DistillConfig,
+              teacher_key: str | None) -> str:
+    """The store key of the model `cfg` trains on data `data_key`: the
+    sha256 of the package sources, the data, the mode's `MODE_TABLE` row
+    but not its name, the normalized config, the teacher's key and the
+    BLAS thread variables.
+    """
+    cfg = cfg.normalized()
+    spec = MODE_TABLE[cfg.mode]
+    doc = {
+        "sources": {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in Path(__file__).parent.glob("*.py")},
+        "data": data_key, "features": spec.features,
+        "needs_teacher": spec.needs_teacher,
+        "init_from_teacher": spec.init_from_teacher,
+        "config": {k: v for k, v in dataclasses.asdict(cfg).items()
+                   if k != "mode"},
+        "teacher": teacher_key, "threads": thread_env()}
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()) \
+        .hexdigest()
+
+
+def _stored(path: Path | None, features: str,
+            train) -> tuple[numcore.MlpModel, str]:
+    """`(model, "trained" | "reused")`: the model stored at `path`, which
+    `train()` makes first when there is none.
+
+    A new model goes to a temporary file that is renamed into place, so a
+    store file is always whole; then it is read back like a reused one.
+    """
+    if path is None:
+        return train()[0], "trained"
+    status = "reused" if path.exists() else "trained"
+    if status == "trained":
+        model, _ = train()
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            modelio.save_model(model, tmp, features)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    model, block = modelio.load_model(path)
+    if block != features:
+        raise DataError(f"{path}: the stored model reads block {block!r}, "
+                        f"its mode reads {features!r}")
+    return model, status
+
+
+def _run_seed(ds: TwoPhaseDataset, data_key: str, base_cfg: DistillConfig,
               teacher_cfg: DistillConfig, points: list[tuple[str, dict]],
-              seed: int) -> list[metrics.EvalReport]:
+              store: Path | None, seed: int,
+              ) -> tuple[list[metrics.EvalReport], list[dict]]:
+    models = []
+
+    def fetch(label, cfg, teacher_key, train):
+        key = model_key(data_key, cfg, teacher_key)
+        path = Path(store, f"model_{key}.mgkd") if store else None
+        model, status = _stored(path, MODE_TABLE[cfg.mode].features, train)
+        models.append({"seed": seed, "label": label, "key": key,
+                       "path": str(path) if path else None,
+                       "status": status})
+        return model, key
+
     cfgs = [replace(base_cfg, seed=seed, **overrides)
             for _, overrides in points]
-    teacher = None
+    teacher = teacher_key = None
     if any(MODE_TABLE[cfg.mode].needs_teacher for cfg in cfgs):
         # The overrides never reach the teacher, so one teacher per seed
         # serves every point.
-        teacher, _ = train_teacher(ds, replace(teacher_cfg, seed=seed))
+        t_cfg = replace(teacher_cfg, seed=seed, mode="teacher")
+        teacher, teacher_key = fetch("teacher", t_cfg, None,
+                                     lambda: train_teacher(ds, t_cfg))
     reports = []
     for (label, _), cfg in zip(points, cfgs):
-        model, _ = train_student(ds, teacher, cfg)
-        reports.append(evaluate_split(model, ds, "test",
-                                      MODE_TABLE[cfg.mode].features,
+        spec = MODE_TABLE[cfg.mode]
+        model, _ = fetch(label, cfg,
+                         teacher_key if spec.needs_teacher else None,
+                         lambda: train_student(ds, teacher, cfg))
+        reports.append(evaluate_split(model, ds, "test", spec.features,
                                       seed=seed, mode=label))
-    return reports
+    return reports, models
 
 
 def run_grid(ds: TwoPhaseDataset, base_cfg: DistillConfig, seeds: list[int],
              points: list[tuple[str, dict]], jobs: int = 1,
              teacher_cfg: DistillConfig | None = None,
-             ) -> list[list[metrics.EvalReport]]:
-    """Test reports for every (seed, point), one list per seed.
+             store: Path | None = None,
+             ) -> tuple[list[list[metrics.EvalReport]], list[dict]]:
+    """Test reports for every (seed, point), one list per seed, and one
+    `{seed, label, key, path, status}` record per model.
 
     Each point is a `(label, overrides)` pair: its student is `base_cfg`
     with `overrides` applied, and its report carries `label` as the mode.
     The per-seed teacher is trained from `teacher_cfg` (default
-    `base_cfg`). With `jobs > 1` the seeds run in that many worker
-    processes, at most one per seed.
+    `base_cfg`). With a `store` directory, a model whose key has a file
+    there is loaded, not trained, and its status is "reused". With
+    `jobs > 1` the seeds run in that many worker processes, at most one
+    per seed.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, len(seeds))
     ds.labels("test")  # a one-class test split fails before any training
-    run = partial(_run_seed, ds, base_cfg, teacher_cfg or base_cfg, points)
+    run = partial(_run_seed, ds, data_sha256(ds), base_cfg,
+                  teacher_cfg or base_cfg, points, store)
     if jobs > 1:
         # Fork is unsafe once BLAS has started threads.
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(jobs, mp_context=ctx) as pool:
-            return list(pool.map(run, seeds))
-    return [run(seed) for seed in seeds]
+            per_seed = list(pool.map(run, seeds))
+    else:
+        per_seed = [run(seed) for seed in seeds]
+    return ([reports for reports, _ in per_seed],
+            [model for _, models in per_seed for model in models])
 
 
 def run_ablation(ds: TwoPhaseDataset, base_cfg: DistillConfig,
@@ -338,9 +434,9 @@ def run_ablation(ds: TwoPhaseDataset, base_cfg: DistillConfig,
                  jobs: int = 1, teacher_cfg: DistillConfig | None = None,
                  ) -> list[metrics.EvalReport]:
     """Train every ablation mode on a shared seed set; report test metrics."""
-    per_seed = run_grid(ds, base_cfg, seeds,
-                        [(mode, {"mode": mode}) for mode in modes], jobs,
-                        teacher_cfg)
+    per_seed, _ = run_grid(ds, base_cfg, seeds,
+                           [(mode, {"mode": mode}) for mode in modes], jobs,
+                           teacher_cfg)
     return [report for reports in per_seed for report in reports]
 
 

@@ -281,6 +281,8 @@ def test_criterion_8_manifest_determinism(tmp_path):
             "sidecar": (out / "dataset.csv.sidecar").read_bytes(),
         }
 
+    # Each run has its own --out, so b reads none of a's files: it parses
+    # its own dataset and trains its own teacher and student.
     a = run_all(tmp_path / "a")
     b = run_all(tmp_path / "b")
     assert a == b

@@ -126,6 +126,24 @@ class TestTrain:
                        "--teacher", str(tmp_path / "nope.mgkd")])
         assert rc == 3
 
+    def test_teacher_width_mismatch_exit_4(self, workdir, tmp_path, capsys):
+        out, _ = workdir
+        wide = tmp_path / "wide.ini"
+        wide.write_text(CONFIG.replace("d_in = 4", "d_in = 6"))
+        assert cli.main(["generate", "--config", str(wide),
+                         "--out", str(tmp_path)]) == 0
+        teacher = out / "teacher.mgkd"
+        capsys.readouterr()
+        rc = cli.main(["train", "--config", str(wide), "--mode", "full",
+                       "--out", str(tmp_path / "out"),
+                       "--data", str(tmp_path / "dataset.csv"),
+                       "--teacher", str(teacher)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert str(teacher) in err and str(tmp_path / "dataset.csv") in err
+        assert "reads 4 in-service columns" in err and "has 6" in err
+        assert not (tmp_path / "out").exists()
+
     def test_full_zero_coeffs_matches_baseline(self, workdir, tmp_path):
         out, config = workdir
         zero_cfg = tmp_path / "zero.ini"
@@ -341,14 +359,117 @@ def test_jobs_do_not_change_results(workdir, tmp_path, command):
     out, config = workdir
     results = []
     for jobs in ("1", "2"):
+        # Each side has its own --out. In a shared one the second run would
+        # load the first run's models from the store and train none.
         dest = tmp_path / f"jobs{jobs}"
         rc = cli.main([*command, "--config", str(config), "--out", str(dest),
                        "--seeds", "0,1", "--data", str(out / "dataset.csv"),
                        "--jobs", jobs])
         assert rc == 0
+        assert {m["status"] for m in _models(dest, command[0])} \
+            == {"trained"}
         results.append(sorted((p.name, p.read_bytes())
-                              for p in dest.glob("*_results.jsonl")))
+                              for pattern in ("*_results.jsonl", "model_*")
+                              for p in dest.glob(pattern)))
     assert results[0] and results[0] == results[1]
+
+
+def _models(out: Path, command: str) -> list[dict]:
+    return json.loads((out / f"{command}_manifest.json").read_text())["models"]
+
+
+def _statuses(out: Path, command: str) -> dict:
+    """Store status by label, for a grid of one seed."""
+    return {m["label"]: m["status"] for m in _models(out, command)}
+
+
+ABLATION_LABELS = ("teacher", *pipeline.ABLATION_MODES)
+
+
+def test_ablate_reuses_the_sweep_models(tmp_path):
+    config = _grid_config(tmp_path)
+    common = ["--config", str(config), "--seeds", "0",
+              "--data", str(tmp_path / "dataset.csv")]
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    assert cli.main(["sweep", *common, "--out", str(shared),
+                     "--param", "alpha", "--grid", "0.0,0.2"]) == 0
+    assert cli.main(["ablate", *common, "--out", str(shared)]) == 0
+    assert cli.main(["ablate", *common, "--out", str(fresh)]) == 0
+    # alpha = 0 is no_fine, and the [student] alpha, 0.2, is full.
+    reused = {"teacher", "no_fine", "full"}
+    assert _statuses(shared, "ablate") == {
+        label: "reused" if label in reused else "trained"
+        for label in ABLATION_LABELS}
+    assert set(_statuses(fresh, "ablate").values()) == {"trained"}
+    assert (shared / "ablation_results.jsonl").read_bytes() \
+        == (fresh / "ablation_results.jsonl").read_bytes()
+    assert len(list(shared.glob("model_*.mgkd"))) == 7
+
+
+def test_store_retrains_what_a_change_reaches(tmp_path):
+    config = _grid_config(tmp_path)
+    dataset = tmp_path / "dataset.csv"
+    out = tmp_path / "out"
+
+    def ablate(text: str, data: Path = dataset) -> dict:
+        variant = tmp_path / "variant.ini"
+        variant.write_text(text)
+        assert cli.main(["ablate", "--config", str(variant), "--seeds", "0",
+                         "--data", str(data), "--out", str(out)]) == 0
+        return _statuses(out, "ablate")
+
+    text = config.read_text()
+    assert set(ablate(text).values()) == {"trained"}
+    assert set(ablate(text).values()) == {"reused"}
+    # [teacher] lr is 0.02, [student] lr 0.005.
+    assert ablate(text.replace("lr = 0.02", "lr = 0.03")) == {
+        label: "reused" if label in ("baseline_pre", "oracle") else "trained"
+        for label in ABLATION_LABELS}
+    assert set(ablate(text.replace("frac_test = 0.15", "frac_test = 0.2"))
+               .values()) == {"trained"}
+    header, row, *rest = dataset.read_text().splitlines(keepends=True)
+    cells = row.split(",")
+    cells[3] = "0.5" if cells[3] != "0.5" else "0.25"  # pre_0
+    edited = tmp_path / "edited.csv"
+    edited.write_text("".join([header, ",".join(cells), *rest]))
+    assert set(ablate(text, edited).values()) == {"trained"}
+
+
+def test_stored_models_eval_with_their_block(tmp_path):
+    config = _grid_config(tmp_path)
+    dataset, out = tmp_path / "dataset.csv", tmp_path / "out"
+    assert cli.main(["ablate", "--config", str(config), "--seeds", "0",
+                     "--data", str(dataset), "--out", str(out)]) == 0
+    paths = {m["label"]: m["path"] for m in _models(out, "ablate")}
+    runs = {r["mode"]: r for r in read_jsonl(out / "ablation_results.jsonl")
+            if r["record"] == "ablation_run"}
+    for label, block in (("teacher", "in"), ("oracle", "both")):
+        dest = tmp_path / label
+        assert cli.main(["eval", "--model", paths[label], "--config",
+                         str(config), "--data", str(dataset),
+                         "--out", str(dest)]) == 0
+        (record,) = read_jsonl(dest / "eval_results.jsonl")
+        assert record["features"] == block
+    assert record["auc"] == runs["oracle"]["auc"]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "other_block"])
+def test_bad_store_file_exit_4(tmp_path, capsys, damage):
+    config = _grid_config(tmp_path)
+    sweep = ["sweep", "--config", str(config), "--seeds", "0",
+             "--data", str(tmp_path / "dataset.csv"), "--out",
+             str(tmp_path / "out"), "--param", "alpha", "--grid", "0.2"]
+    assert cli.main(sweep) == 0
+    paths = {m["label"]: Path(m["path"])
+             for m in _models(tmp_path / "out", "sweep")}
+    teacher = paths["teacher"]
+    if damage == "truncated":
+        teacher.write_bytes(teacher.read_bytes()[:-8])
+    else:  # a pre-service student where the teacher should be
+        teacher.write_bytes(paths["alpha=0.2"].read_bytes())
+    capsys.readouterr()
+    assert cli.main(sweep) == 4
+    assert str(teacher) in capsys.readouterr().err
 
 
 EXIT_FOR_ERROR = {

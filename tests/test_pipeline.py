@@ -540,9 +540,9 @@ def test_one_seed_grid_starts_no_workers(small_ds, monkeypatch):
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
-    reports = pipeline.run_grid(small_ds, small_cfg(max_epochs=1), [0],
-                                [("baseline_pre", {"mode": "baseline_pre"})],
-                                jobs=2)
+    reports, _ = pipeline.run_grid(
+        small_ds, small_cfg(max_epochs=1), [0],
+        [("baseline_pre", {"mode": "baseline_pre"})], jobs=2)
     assert [[r.mode for r in seed] for seed in reports] == [["baseline_pre"]]
 
 
