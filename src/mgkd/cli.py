@@ -305,10 +305,8 @@ def cmd_ablate(args) -> int:
 
     t0 = time.time()
     modes = pipeline.ABLATION_MODES
-    per_seed, models = pipeline.run_grid(
-        ds, cfg, seeds, [(mode, {"mode": mode}) for mode in modes],
-        args.jobs, teacher_cfg, out_dir)
-    reports = [report for reports in per_seed for report in reports]
+    reports, models = pipeline.run_ablation(ds, cfg, seeds, out_dir, modes,
+                                            args.jobs, teacher_cfg)
     elapsed = time.time() - t0
 
     agg = pipeline.aggregate_reports(reports)
@@ -366,8 +364,8 @@ def cmd_sweep(args) -> int:
     _echo_config(cfg)
 
     t0 = time.time()
-    per_seed, models = pipeline.run_grid(ds, cfg, seeds, points, args.jobs,
-                                         teacher_cfg, out_dir)
+    per_seed, models = pipeline.run_grid(ds, cfg, seeds, points, out_dir,
+                                         args.jobs, teacher_cfg)
     # Value-major order: every seed of the first grid value, then the next.
     records = [_report_record(report, {"record": "sweep_point",
                                        "param": param, "value": value})

@@ -9,9 +9,10 @@ validation split.
 
 `MODE_TABLE` is the one definition of what each mode implies.
 Ablations and sweeps share `run_grid`: one teacher per seed, then every
-student point against it. Given a store directory, `run_grid` keeps each
-model it trains there under a key of everything that decides its bits
-(`model_key`), and loads it instead of training it again.
+student point against it. `run_grid` keeps each model it trains in a
+store directory under a key of the code, data, config and numerical
+environment that decide its bits (`model_key`), and loads it instead of
+training it again.
 
 Each training step runs in STEP_DTYPE on a working copy of the model, and
 Adam updates the float64 master, which validation scores and training
@@ -311,12 +312,21 @@ def data_sha256(ds: TwoPhaseDataset) -> str:
     return h.hexdigest()
 
 
+def _blas_build() -> dict:
+    """numpy's BLAS as built: name, version and OpenBLAS configuration."""
+    blas = (np.show_config(mode="dicts") or {}) \
+        .get("Build Dependencies", {}).get("blas", {})
+    return {k: blas.get(k) for k in ("name", "version",
+                                     "openblas configuration")}
+
+
 def model_key(data_key: str, cfg: DistillConfig,
               teacher_key: str | None) -> str:
     """The store key of the model `cfg` trains on data `data_key`: the
     sha256 of the package sources, the data, the mode's `MODE_TABLE` row
-    but not its name, the normalized config, the teacher's key and the
-    BLAS thread variables.
+    but not its name, the normalized config, the teacher's key, the numpy
+    version, numpy's BLAS build and the BLAS thread variables. The CPU
+    kernel the BLAS picks at run time is not in it.
     """
     cfg = cfg.normalized()
     spec = MODE_TABLE[cfg.mode]
@@ -328,12 +338,13 @@ def model_key(data_key: str, cfg: DistillConfig,
         "init_from_teacher": spec.init_from_teacher,
         "config": {k: v for k, v in dataclasses.asdict(cfg).items()
                    if k != "mode"},
-        "teacher": teacher_key, "threads": thread_env()}
+        "teacher": teacher_key, "numpy": np.__version__,
+        "blas": _blas_build(), "threads": thread_env()}
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()) \
         .hexdigest()
 
 
-def _stored(path: Path | None, features: str,
+def _stored(path: Path, features: str,
             train) -> tuple[numcore.MlpModel, str]:
     """`(model, "trained" | "reused")`: the model stored at `path`, which
     `train()` makes first when there is none.
@@ -341,8 +352,6 @@ def _stored(path: Path | None, features: str,
     A new model goes to a temporary file that is renamed into place, so a
     store file is always whole; then it is read back like a reused one.
     """
-    if path is None:
-        return train()[0], "trained"
     status = "reused" if path.exists() else "trained"
     if status == "trained":
         model, _ = train()
@@ -362,17 +371,16 @@ def _stored(path: Path | None, features: str,
 
 def _run_seed(ds: TwoPhaseDataset, data_key: str, base_cfg: DistillConfig,
               teacher_cfg: DistillConfig, points: list[tuple[str, dict]],
-              store: Path | None, seed: int,
+              store: Path, seed: int,
               ) -> tuple[list[metrics.EvalReport], list[dict]]:
     models = []
 
     def fetch(label, cfg, teacher_key, train):
         key = model_key(data_key, cfg, teacher_key)
-        path = Path(store, f"model_{key}.mgkd") if store else None
+        path = Path(store, f"model_{key}.mgkd")
         model, status = _stored(path, MODE_TABLE[cfg.mode].features, train)
         models.append({"seed": seed, "label": label, "key": key,
-                       "path": str(path) if path else None,
-                       "status": status})
+                       "path": str(path), "status": status})
         return model, key
 
     cfgs = [replace(base_cfg, seed=seed, **overrides)
@@ -396,9 +404,8 @@ def _run_seed(ds: TwoPhaseDataset, data_key: str, base_cfg: DistillConfig,
 
 
 def run_grid(ds: TwoPhaseDataset, base_cfg: DistillConfig, seeds: list[int],
-             points: list[tuple[str, dict]], jobs: int = 1,
+             points: list[tuple[str, dict]], store: Path, jobs: int = 1,
              teacher_cfg: DistillConfig | None = None,
-             store: Path | None = None,
              ) -> tuple[list[list[metrics.EvalReport]], list[dict]]:
     """Test reports for every (seed, point), one list per seed, and one
     `{seed, label, key, path, status}` record per model.
@@ -406,10 +413,10 @@ def run_grid(ds: TwoPhaseDataset, base_cfg: DistillConfig, seeds: list[int],
     Each point is a `(label, overrides)` pair: its student is `base_cfg`
     with `overrides` applied, and its report carries `label` as the mode.
     The per-seed teacher is trained from `teacher_cfg` (default
-    `base_cfg`). With a `store` directory, a model whose key has a file
-    there is loaded, not trained, and its status is "reused". With
-    `jobs > 1` the seeds run in that many worker processes, at most one
-    per seed.
+    `base_cfg`). Each model is kept in the `store` directory as
+    `model_<key>.mgkd`; a model whose key has a file there is loaded, not
+    trained, and its status is "reused". With `jobs > 1` the seeds run in
+    that many worker processes, at most one per seed.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
@@ -429,15 +436,16 @@ def run_grid(ds: TwoPhaseDataset, base_cfg: DistillConfig, seeds: list[int],
 
 
 def run_ablation(ds: TwoPhaseDataset, base_cfg: DistillConfig,
-                 seeds: list[int],
+                 seeds: list[int], store: Path,
                  modes: tuple[str, ...] = ABLATION_MODES,
                  jobs: int = 1, teacher_cfg: DistillConfig | None = None,
-                 ) -> list[metrics.EvalReport]:
-    """Train every ablation mode on a shared seed set; report test metrics."""
-    per_seed, _ = run_grid(ds, base_cfg, seeds,
-                           [(mode, {"mode": mode}) for mode in modes], jobs,
-                           teacher_cfg)
-    return [report for reports in per_seed for report in reports]
+                 ) -> tuple[list[metrics.EvalReport], list[dict]]:
+    """Every ablation mode on a shared seed set: the test reports, seed by
+    seed, and `run_grid`'s model records."""
+    per_seed, models = run_grid(ds, base_cfg, seeds,
+                                [(mode, {"mode": mode}) for mode in modes],
+                                store, jobs, teacher_cfg)
+    return [report for reports in per_seed for report in reports], models
 
 
 def aggregate_reports(reports: list[metrics.EvalReport]) -> dict[str, dict]:

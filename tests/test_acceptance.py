@@ -41,12 +41,13 @@ def prepared(dcfg):
 
 
 @pytest.fixture(scope="module")
-def ablation_agg():
+def ablation_agg(tmp_path_factory):
     """Shared 5-seed run over the modes needed by criteria 4 and 6."""
     ds = prepared(DATA_CFG)
     t0 = time.time()
-    reports = pipeline.run_ablation(
-        ds, TRAIN_CFG, SEEDS,
+    # An empty store: every model is trained, and the time counts it.
+    reports, _ = pipeline.run_ablation(
+        ds, TRAIN_CFG, SEEDS, tmp_path_factory.mktemp("store"),
         modes=("baseline_pre", "pretrain_only", "full", "oracle"))
     elapsed = time.time() - t0
     return pipeline.aggregate_reports(reports), elapsed

@@ -406,7 +406,7 @@ def test_ablate_reuses_the_sweep_models(tmp_path):
     assert len(list(shared.glob("model_*.mgkd"))) == 7
 
 
-def test_store_retrains_what_a_change_reaches(tmp_path):
+def test_store_retrains_what_a_change_reaches(tmp_path, monkeypatch):
     config = _grid_config(tmp_path)
     dataset = tmp_path / "dataset.csv"
     out = tmp_path / "out"
@@ -433,6 +433,12 @@ def test_store_retrains_what_a_change_reaches(tmp_path):
     edited = tmp_path / "edited.csv"
     edited.write_text("".join([header, ",".join(cells), *rest]))
     assert set(ablate(text, edited).values()) == {"trained"}
+    monkeypatch.setattr(pipeline.np, "__version__", "0.0.0")
+    assert set(ablate(text).values()) == {"trained"}
+    blas = pipeline._blas_build()
+    monkeypatch.setattr(pipeline, "_blas_build",
+                        lambda: {**blas, "version": "0.0.0"})
+    assert set(ablate(text).values()) == {"trained"}
 
 
 def test_stored_models_eval_with_their_block(tmp_path):

@@ -535,21 +535,25 @@ def test_training_eval_passes_are_tiled(monkeypatch):
     assert max(eval_rows) <= PREDICT_ROWS + 1
 
 
-def test_one_seed_grid_starts_no_workers(small_ds, monkeypatch):
+def test_one_seed_grid_starts_no_workers(small_ds, monkeypatch, tmp_path):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
     reports, _ = pipeline.run_grid(
         small_ds, small_cfg(max_epochs=1), [0],
-        [("baseline_pre", {"mode": "baseline_pre"})], jobs=2)
+        [("baseline_pre", {"mode": "baseline_pre"})], tmp_path, jobs=2)
     assert [[r.mode for r in seed] for seed in reports] == [["baseline_pre"]]
 
 
 class TestAblation:
-    def test_modes_and_metadata(self, small_ds):
+    def test_modes_and_metadata(self, small_ds, tmp_path):
         cfg = small_cfg(max_epochs=3)
-        reports = run_ablation(small_ds, cfg, seeds=[0, 1])
+        reports, models = run_ablation(small_ds, cfg, [0, 1], tmp_path)
+        assert [(m["seed"], m["label"]) for m in models] == [
+            (seed, label) for seed in (0, 1)
+            for label in ("teacher", *pipeline.ABLATION_MODES)]
+        assert {m["status"] for m in models} == {"trained"}
         assert len(reports) == 12
         assert {r.mode for r in reports} == set(pipeline.ABLATION_MODES)
         assert all(r.split == "test" for r in reports)
