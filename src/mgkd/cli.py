@@ -13,7 +13,6 @@ import argparse
 import configparser
 import dataclasses
 import json
-import os
 import sys
 import time
 from dataclasses import replace
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, modelio, pipeline
-from .errors import ConfigError, DataError, DimensionError, TrainingError
+from .errors import ConfigError, DataError, TrainingError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -101,11 +100,6 @@ def _split_fractions(parser) -> tuple[float, float]:
                  for key in ("frac_valid", "frac_test"))
 
 
-def _out_dir(args) -> Path:
-    """The output directory; it is made only by the first write into it."""
-    return Path(args.out or os.environ.get("MGKD_OUT_DIR") or ".")
-
-
 def _write_manifest(out_dir: Path, command: str, config_snapshot: dict,
                     dataset_path: Path, dataset_sha256: str,
                     seeds: list[int], artifacts: list[str], timings: dict,
@@ -121,7 +115,7 @@ def _write_manifest(out_dir: Path, command: str, config_snapshot: dict,
         "artifacts": artifacts,
         "timings": timings,
         "step_dtype": np.dtype(pipeline.STEP_DTYPE).name,
-        **pipeline.thread_env(),
+        **pipeline.environment(),
         **extra,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -171,7 +165,7 @@ def _dataset_path(parser, args, out_dir: Path) -> Path:
 def cmd_generate(args) -> int:
     parser = _parse_config(Path(args.config))
     cfg = _config(data.SyntheticConfig, parser, "dataset", seed=args.seed)
-    out_dir = _out_dir(args)
+    out_dir = Path(args.out)
     _echo_config(cfg)
     t0 = time.time()
     ds = data.generate_synthetic(cfg)
@@ -198,7 +192,7 @@ def cmd_train(args) -> int:
     cfg = _config(pipeline.DistillConfig, parser,
                   "teacher" if teacher_run else "student", seed=args.seed,
                   mode=mode).normalized()
-    out_dir = _out_dir(args)
+    out_dir = Path(args.out)
     dataset_path = _dataset_path(parser, args, out_dir)
     ds = _load_split_dataset(parser, dataset_path)
     _echo_config(cfg)
@@ -252,17 +246,20 @@ def cmd_eval(args) -> int:
     model_path = Path(args.model)
     if not model_path.exists():
         raise FileNotFoundError(f"model not found: {model_path}")
-    out_dir = _out_dir(args)
+    out_dir = Path(args.out)
     dataset_path = Path(args.data)
     ds = _load_split_dataset(parser, dataset_path)
     model, feature_mode = modelio.load_model(model_path)
 
-    # A model file records its feature block, not its student mode.
-    try:
-        report = pipeline.evaluate_split(model, ds, args.split, feature_mode)
-    except DimensionError as exc:
+    # A model file records its feature block, not its student mode. A
+    # one-class split is reported ahead of a width mismatch.
+    ds.labels(args.split)
+    width = ds.features(feature_mode, args.split).shape[1]
+    if width != model.input_dim:
         raise DataError(f"{dataset_path}: block {feature_mode!r} does not "
-                        f"fit {model_path}: {exc}") from None
+                        f"fit {model_path}: input has {width} columns, "
+                        f"model expects {model.input_dim}")
+    report = pipeline.evaluate_split(model, ds, args.split, feature_mode)
     record = _report_record(report, {"record": "eval",
                                      "features": feature_mode,
                                      "model": str(model_path)})
@@ -298,7 +295,7 @@ def cmd_ablate(args) -> int:
     teacher_cfg = _config(pipeline.DistillConfig, parser, "teacher",
                           mode="teacher").normalized()
     seeds = _parse_list(args.seeds or "0,1,2,3,4", int, "seed list")
-    out_dir = _out_dir(args)
+    out_dir = Path(args.out)
     dataset_path = _dataset_path(parser, args, out_dir)
     ds = _load_split_dataset(parser, dataset_path)
     _echo_config(cfg)
@@ -358,7 +355,7 @@ def cmd_sweep(args) -> int:
 
     seeds = _parse_list(args.seeds or section.get("seeds", "0,1,2,3,4"),
                         int, "seed list")
-    out_dir = _out_dir(args)
+    out_dir = Path(args.out)
     dataset_path = _dataset_path(parser, args, out_dir)
     ds = _load_split_dataset(parser, dataset_path)
     _echo_config(cfg)
@@ -398,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None)
+        p.add_argument("--out", default=".")
         p.add_argument("--data", default=None)
 
     p = sub.add_parser("generate", help="write a synthetic dataset")
@@ -420,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="test",
                    choices=("train", "valid", "test"))
     p.add_argument("--config", default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_eval)
 
     # ablate and sweep take --seeds and no --seed. Without abbreviations

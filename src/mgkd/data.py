@@ -20,7 +20,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .errors import ConfigError, GenerationError, ParseError, SplitError
+from .errors import ConfigError, DataError
 from .numcore import sigmoid
 
 SPLIT_TAGS = ("train", "valid", "test")
@@ -64,12 +64,12 @@ class TwoPhaseDataset:
         return self.split == split
 
     def labels(self, split: str) -> np.ndarray:
-        """The split's labels; SplitError unless it holds both classes."""
+        """The split's labels; DataError unless it holds both classes."""
         y = self.y[self.mask(split)]
         n_pos = np.count_nonzero(y)
         if n_pos in (0, len(y)):
-            raise SplitError(f"the {split} split has {n_pos} positive and "
-                             f"{len(y) - n_pos} negative rows; it needs both")
+            raise DataError(f"the {split} split has {n_pos} positive and "
+                            f"{len(y) - n_pos} negative rows; it needs both")
         return y
 
     def features(self, block: str, split: str) -> np.ndarray:
@@ -147,7 +147,7 @@ def _calibrate_intercept(target: float, max_steps: int = 100) -> float:
             break
     b = 0.5 * (lo + hi)
     if abs(_expected_rate(b, nodes, w) - target) > 0.005 * target + 1e-4:
-        raise GenerationError(
+        raise ConfigError(
             f"could not calibrate positive rate {target} in {max_steps} steps")
     return b
 
@@ -162,7 +162,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> TwoPhaseDataset:
     if cfg.label_noise > 0.0:
         target = (cfg.positive_rate - cfg.label_noise) / (1.0 - 2.0 * cfg.label_noise)
         if not 0.0 < target < 1.0:
-            raise GenerationError(
+            raise ConfigError(
                 "positive_rate unreachable under the requested label_noise")
     b = _calibrate_intercept(target)
     y = (rng.random(cfg.n) < sigmoid(LATENT_SLOPE * z + b)).astype(np.int64)
@@ -269,7 +269,7 @@ def load_delimited(path) -> TwoPhaseDataset:
     with open(path, "rb") as fh:
         first = fh.readline()
         if not first:
-            raise ParseError(f"{path}: empty file, header required")
+            raise DataError(f"{path}: empty file, header required")
         csv_hash = hashlib.sha256(first)
         lines = commas = 0
         last = b"\n"
@@ -283,14 +283,14 @@ def load_delimited(path) -> TwoPhaseDataset:
         header = [h.strip() for h in _decode_line(path, 1, first).split(",")]
         for col in ("user_id", "ts", "y"):
             if col not in header:
-                raise ParseError(f"{path}: missing column {col!r}")
+                raise DataError(f"{path}: missing column {col!r}")
         d_pre = sum(h.startswith("pre_") for h in header)
         d_in = sum(h.startswith("in_") for h in header)
         if header != _header(d_pre, d_in):
-            raise ParseError(f"{path}: header does not match schema "
-                             f"user_id, ts, y, pre_*, in_*")
+            raise DataError(f"{path}: header does not match schema "
+                            f"user_id, ts, y, pre_*, in_*")
         if d_pre == 0:
-            raise ParseError(f"{path}: header has no pre_* column")
+            raise DataError(f"{path}: header has no pre_* column")
 
         def clean(rec) -> bool:
             return (rec is not None and rec.shape[0] == lines
@@ -326,8 +326,8 @@ def _decode_line(path, lineno: int, line: bytes) -> str:
     try:
         text = line.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}:{lineno}: not UTF-8 text "
-                         f"({exc.reason})") from None
+        raise DataError(f"{path}:{lineno}: not UTF-8 text "
+                        f"({exc.reason})") from None
     return text.removesuffix("\n").removesuffix("\r")
 
 
@@ -348,7 +348,7 @@ def _int64_cell(cell: str) -> int:
 
 
 def _raise_first_bad_line(path, header: list[str]) -> NoReturn:
-    """Rescan a rejected file and raise a ParseError naming its first bad line.
+    """Rescan a rejected file and raise a DataError naming its first bad line.
 
     The cell rules are the ones `np.loadtxt` applies (`_number_text`, and
     `ts` and `y` fit in int64). On top of those, every line has exactly
@@ -359,27 +359,27 @@ def _raise_first_bad_line(path, header: list[str]) -> NoReturn:
         for lineno, line in enumerate(fh, start=2):
             text = _decode_line(path, lineno, line)
             if "\r" in text:
-                raise ParseError(f"{path}:{lineno}: carriage return inside "
-                                 "the line")
+                raise DataError(f"{path}:{lineno}: carriage return inside "
+                                "the line")
             row = text.split(",") if text else []
             if len(row) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected "
-                                 f"{len(header)} fields, got {len(row)}")
+                raise DataError(f"{path}:{lineno}: expected "
+                                f"{len(header)} fields, got {len(row)}")
             try:
                 _int64_cell(row[1])
                 label = _int64_cell(row[2])
                 values = [float(_number_text(v)) for v in row[3:]]
             except ValueError as err:
-                raise ParseError(f"{path}:{lineno}: bad cell ({err})") \
+                raise DataError(f"{path}:{lineno}: bad cell ({err})") \
                     from None
             if label not in (0, 1):
-                raise ParseError(f"{path}:{lineno}: label {label} "
-                                 "outside {0, 1}")
+                raise DataError(f"{path}:{lineno}: label {label} "
+                                "outside {0, 1}")
             for name, value in zip(header[3:], values):
                 if not math.isfinite(value):
-                    raise ParseError(f"{path}:{lineno}: non-finite value "
-                                     f"in column {name}")
-    raise ParseError(f"{path}: rows do not parse")
+                    raise DataError(f"{path}:{lineno}: non-finite value "
+                                    f"in column {name}")
+    raise DataError(f"{path}: rows do not parse")
 
 
 def temporal_split(ds: TwoPhaseDataset, frac_valid: float,
@@ -403,7 +403,7 @@ def temporal_split(ds: TwoPhaseDataset, frac_valid: float,
         v_start += 1
 
     if v_start == 0 or v_start >= t_start or t_start >= n:
-        raise SplitError("temporal split left an empty partition")
+        raise DataError("temporal split left an empty partition")
     split = np.full(n, "", dtype="<U5")
     split[order[:v_start]] = "train"
     split[order[v_start:t_start]] = "valid"
@@ -431,7 +431,7 @@ def fit_standardize(ds: TwoPhaseDataset) -> Scaler:
     """Fit column statistics on the train rows only (no leakage)."""
     mask = ds.mask("train")
     if not mask.any():
-        raise SplitError("cannot fit scaler: no train rows tagged")
+        raise DataError("cannot fit scaler: no train rows tagged")
     mean_pre, std_pre = _fit_columns(ds.x_pre[mask])
     mean_in, std_in = _fit_columns(ds.x_in[mask])
     return Scaler(mean_pre, std_pre, mean_in, std_in)

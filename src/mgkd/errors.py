@@ -1,4 +1,4 @@
-"""Package errors in three families: ConfigError, DataError, TrainingError."""
+"""Package errors in three families, one CLI exit code each."""
 
 
 class MgkdError(Exception):
@@ -6,40 +6,12 @@ class MgkdError(Exception):
 
 
 class ConfigError(MgkdError):
-    """A hyperparameter or config value is out of its legal range."""
-
-
-class GenerationError(ConfigError):
-    """Synthetic data generation could not satisfy its calibration target."""
+    """A config value is out of range, or generation cannot meet it."""
 
 
 class DataError(MgkdError):
-    """Input data cannot serve the requested run, such as a missing block."""
-
-
-class DimensionError(DataError):
-    """Array shapes do not line up."""
-
-
-class ParseError(DataError):
-    """A delimited data file failed to parse."""
-
-
-class SplitError(DataError):
-    """A split is empty, or lacks positive or negative rows."""
-
-
-class MetricError(DataError):
-    """A metric cannot be computed on the given scored set."""
+    """Input data, a model file or array shapes cannot serve the run."""
 
 
 class TrainingError(MgkdError):
-    """Training diverged (non-finite loss)."""
-
-
-class NumericError(TrainingError):
-    """A computation produced or received non-finite values."""
-
-
-class StateError(TrainingError):
-    """An operation was called with inconsistent or missing state."""
+    """Training produced non-finite values or reached inconsistent state."""

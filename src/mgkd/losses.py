@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DataError
 from .numcore import Workspace, _as_matrix, _room, sigmoid
 
 PROB_CLAMP = 1e-7
@@ -34,8 +34,7 @@ def _check_lengths(*vecs):
     n = len(vecs[0])
     for v in vecs[1:]:
         if len(v) != n:
-            raise DimensionError(
-                f"length mismatch: {len(v)} != {n}")
+            raise DataError(f"length mismatch: {len(v)} != {n}")
     return n
 
 
@@ -95,7 +94,7 @@ def feat_loss(h_teacher, h_student, metric: str = "mse",
     ht = _as_matrix(h_teacher, "h_teacher")
     hs = _as_matrix(h_student, "h_student")
     if ht.shape != hs.shape:
-        raise DimensionError(
+        raise DataError(
             f"representation shapes differ: {ht.shape} vs {hs.shape}")
     n, d = hs.shape
     if metric == "mse":

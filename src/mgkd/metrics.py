@@ -12,23 +12,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MetricError
+from .errors import DataError
 
 
 def _validate(scores, labels, need_negative=True):
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1 or scores.size == 0:
-        raise MetricError("scores and labels must be equal-length 1-D, "
-                          "nonempty")
+        raise DataError("scores and labels must be equal-length 1-D, "
+                        "nonempty")
     if not np.all(np.isfinite(scores)):
-        raise MetricError("scores must be finite")
+        raise DataError("scores must be finite")
     pos = labels == 1
     n_pos, n_neg = int(np.sum(pos)), int(np.sum(labels == 0))
     if n_pos + n_neg != scores.size:
-        raise MetricError("labels must be 0 or 1")
+        raise DataError("labels must be 0 or 1")
     if n_pos == 0 or (need_negative and n_neg == 0):
-        raise MetricError("need at least one positive and one negative")
+        raise DataError("need at least one positive and one negative")
     return scores, pos, n_pos, n_neg
 
 
@@ -63,7 +63,7 @@ def _ks(ranked, n_pos: int, n_neg: int) -> float:
 
 def _recall(ranked, n_pos: int, k_percent: float) -> float:
     if not 0.0 < k_percent <= 100.0:
-        raise MetricError(f"k_percent must be in (0, 100], got {k_percent}")
+        raise DataError(f"k_percent must be in (0, 100], got {k_percent}")
     _, starts, ends, cpos = ranked
     n = cpos.size - 1
     cut = n - math.ceil(k_percent / 100.0 * n)  # first kept sorted position

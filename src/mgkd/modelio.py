@@ -5,19 +5,20 @@ mode (0=pre, 1=in, 2=both), float64 dropout rate, uint32 encoder layer
 count, then per layer (encoder layers first, classifier last) a shape
 table entry of two uint32 dims followed by the weight matrix and the bias
 vector as float64. The layer order is that of `numcore.FlatParams`; the
-shapes must chain, or the file is rejected with `ParseError`.
+shapes must chain, or the file is rejected with `DataError`.
 """
 
 from __future__ import annotations
 
 import io
+import os
 import struct
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, ParseError
+from .errors import DataError
 from .numcore import Layer, MlpModel
 
 MAGIC = b"MGKD"
@@ -35,7 +36,7 @@ def _write_layer(fh, layer: Layer) -> None:
 def _read(fh, n: int, path, what: str) -> bytes:
     chunk = fh.read(min(n, sys.maxsize))  # a corrupt shape can exceed it
     if len(chunk) != n:
-        raise ParseError(f"{path}: truncated {what}")
+        raise DataError(f"{path}: truncated {what}")
     return chunk
 
 
@@ -47,38 +48,50 @@ def _read_layer(fh, path) -> Layer:
                  np.frombuffer(bias, dtype="<f8"))
 
 
-def save_model(model: MlpModel, path, feature_mode: str = "pre") -> None:
+def save_model(model: MlpModel, path, feature_mode: str) -> None:
+    """Write `model`, which reads block `feature_mode`, to `path`.
+
+    The bytes go to a temporary file that is renamed into place, so the
+    file at `path` is always whole. Missing parent directories are made.
+    """
     if feature_mode not in FEATURE_MODES:
-        raise ParseError(f"unknown feature mode {feature_mode!r}")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IBd", VERSION,
-                             FEATURE_MODES.index(feature_mode),
-                             model.dropout_rate))
-        fh.write(struct.pack("<I", len(model.encoder)))
-        for layer in model.layers():
-            _write_layer(fh, layer)
+        raise DataError(f"unknown feature mode {feature_mode!r}")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<IBd", VERSION,
+                                 FEATURE_MODES.index(feature_mode),
+                                 model.dropout_rate))
+            fh.write(struct.pack("<I", len(model.encoder)))
+            for layer in model.layers():
+                _write_layer(fh, layer)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_model(path) -> tuple[MlpModel, str]:
     # Whole-file read: a corrupt length can then never allocate past it.
     fh = io.BytesIO(Path(path).read_bytes())
     if fh.read(4) != MAGIC:
-        raise ParseError(f"{path}: bad magic, not a model file")
+        raise DataError(f"{path}: bad magic, not a model file")
     version, mode_code, dropout = struct.unpack(
         "<IBd", _read(fh, 13, path, "header"))
     if version != VERSION:
-        raise ParseError(f"{path}: unsupported version {version}")
+        raise DataError(f"{path}: unsupported version {version}")
     if mode_code >= len(FEATURE_MODES):
-        raise ParseError(f"{path}: bad feature mode {mode_code}")
+        raise DataError(f"{path}: bad feature mode {mode_code}")
     if not 0.0 <= dropout < 1.0:  # init_mlp's range; False for nan
-        raise ParseError(f"{path}: dropout rate {dropout} not in [0, 1)")
+        raise DataError(f"{path}: dropout rate {dropout} not in [0, 1)")
     (n_layers,) = struct.unpack("<I", _read(fh, 4, path, "header"))
     layers = [_read_layer(fh, path) for _ in range(n_layers + 1)]
     if fh.read(1):
-        raise ParseError(f"{path}: trailing bytes after the classifier")
+        raise DataError(f"{path}: trailing bytes after the classifier")
     try:
         model = MlpModel.from_layers(layers, dropout)
-    except DimensionError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return model, FEATURE_MODES[mode_code]

@@ -24,14 +24,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, StateError
+from .errors import DataError, TrainingError
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
     a = np.asarray(a)
     a = a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
     if a.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {a.shape}")
+        raise DataError(f"{name} must be 2-D, got shape {a.shape}")
     return a
 
 
@@ -109,7 +109,7 @@ class MlpModel(FlatParams):
             and (i == 0 or s[0] == shapes[i - 1][1])
             for i, (s, (_, b)) in enumerate(zip(shapes, layers)))
         if not chained:
-            raise DimensionError(
+            raise DataError(
                 f"layer shapes do not chain into one logit: weights "
                 f"{list(shapes)}, biases {[b.shape for _, b in layers]}")
         flat = np.concatenate([a.ravel() for layer in layers for a in layer])
@@ -131,7 +131,8 @@ def init_mlp(input_dim: int, hidden_dims: list[int], dropout_rate: float,
              rng: np.random.Generator) -> MlpModel:
     """He-uniform weights for the ReLU stack, zero biases everywhere."""
     if not 0.0 <= dropout_rate < 1.0:
-        raise StateError(f"dropout_rate must be in [0,1), got {dropout_rate}")
+        raise TrainingError(
+            f"dropout_rate must be in [0,1), got {dropout_rate}")
     dims = [input_dim, *hidden_dims, 1]
     layers = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -237,13 +238,13 @@ def forward(model: MlpModel, x, mode: str = "eval",
     """
     x = _as_matrix(x, "x")
     if x.shape[1] != model.input_dim:
-        raise DimensionError(
+        raise DataError(
             f"input has {x.shape[1]} columns, model expects {model.input_dim}")
     if mode not in ("train", "eval"):
-        raise StateError(f"unknown forward mode {mode!r}")
+        raise TrainingError(f"unknown forward mode {mode!r}")
     use_dropout = mode == "train" and model.dropout_rate > 0.0
     if use_dropout and rng is None:
-        raise StateError("train-mode forward with dropout needs an rng")
+        raise TrainingError("train-mode forward with dropout needs an rng")
 
     a = x
     n = x.shape[0]
@@ -267,7 +268,7 @@ def forward(model: MlpModel, x, mode: str = "eval",
     p = sigmoid(z)
     if not (np.isfinite(h, out=_room(ws, "bool", h.shape, dtype=bool)).all()
             and np.all(np.isfinite(z))):
-        raise NumericError("forward pass produced non-finite activations")
+        raise TrainingError("forward pass produced non-finite activations")
     return ForwardCache(x, [], post_acts, [], h, z, p, mode)
 
 
@@ -287,19 +288,18 @@ def backward(model: MlpModel, cache: ForwardCache, grad_logit,
     > 0 exactly when the pre-activation is > 0.
     """
     if len(cache.post_acts) != len(model.encoder):
-        raise StateError("cache does not match model layer count")
+        raise TrainingError("cache does not match model layer count")
     n, dtype = cache.z.shape[0], cache.h.dtype
     grad_logit = np.asarray(grad_logit, dtype=dtype)
     if grad_logit.shape != (n,):
-        raise DimensionError(
-            f"grad_logit shape {grad_logit.shape} != ({n},)")
+        raise DataError(f"grad_logit shape {grad_logit.shape} != ({n},)")
     if grad_repr is not None:
         grad_repr = np.asarray(grad_repr, dtype=dtype)
         if grad_repr.shape != cache.h.shape:
-            raise DimensionError(
+            raise DataError(
                 f"grad_repr shape {grad_repr.shape} != {cache.h.shape}")
     if cache.h.shape[1] != model.repr_dim:
-        raise StateError("cache representation width does not match model")
+        raise TrainingError("cache representation width does not match model")
 
     grads = model.zeros_like() if ws is None else \
         FlatParams(_room(ws, "grads", model.flat.shape, model.flat.dtype),
@@ -354,7 +354,7 @@ def adam_step(model: MlpModel, grads: FlatParams, state: AdamState,
     if not np.all(np.isfinite(grads.flat)):
         name = next(name for name, g in grads.param_arrays()
                     if not np.all(np.isfinite(g)))
-        raise NumericError(f"non-finite gradient for {name}")
+        raise TrainingError(f"non-finite gradient for {name}")
     state.step += 1
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
@@ -383,7 +383,7 @@ def grad_check(loss_fn, model: MlpModel, eps: float = 1e-5,
     checked to bound the runtime.
     """
     if eps <= 0:
-        raise StateError("eps must be positive")
+        raise TrainingError("eps must be positive")
     _, grads = loss_fn(model)
     flat, total = model.flat, model.flat.size
 

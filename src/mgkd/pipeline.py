@@ -289,17 +289,25 @@ def predict(model: numcore.MlpModel, x) -> np.ndarray:
 
 
 def evaluate_split(model: numcore.MlpModel, ds: TwoPhaseDataset, split: str,
-                   features: str = "pre", seed: int | None = None,
+                   features: str, seed: int | None = None,
                    mode: str = "") -> metrics.EvalReport:
     y = ds.labels(split)
     return metrics.evaluate(predict(model, ds.features(features, split)), y,
                             split=split, seed=seed, mode=mode)
 
 
-def thread_env() -> dict[str, str | None]:
-    """The BLAS thread variables as set, or None."""
-    return {var: os.environ.get(var) for var in (
-        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+def environment() -> dict:
+    """The numerical environment: the numpy version, numpy's BLAS build
+    (name, version, OpenBLAS configuration) and the BLAS thread
+    variables as set, or None."""
+    blas = (np.show_config(mode="dicts") or {}) \
+        .get("Build Dependencies", {}).get("blas", {})
+    return {"numpy": np.__version__,
+            "blas": {k: blas.get(k) for k in ("name", "version",
+                                             "openblas configuration")},
+            **{var: os.environ.get(var) for var in (
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                "MKL_NUM_THREADS")}}
 
 
 def data_sha256(ds: TwoPhaseDataset) -> str:
@@ -312,21 +320,13 @@ def data_sha256(ds: TwoPhaseDataset) -> str:
     return h.hexdigest()
 
 
-def _blas_build() -> dict:
-    """numpy's BLAS as built: name, version and OpenBLAS configuration."""
-    blas = (np.show_config(mode="dicts") or {}) \
-        .get("Build Dependencies", {}).get("blas", {})
-    return {k: blas.get(k) for k in ("name", "version",
-                                     "openblas configuration")}
-
-
 def model_key(data_key: str, cfg: DistillConfig,
               teacher_key: str | None) -> str:
     """The store key of the model `cfg` trains on data `data_key`: the
     sha256 of the package sources, the data, the mode's `MODE_TABLE` row
-    but not its name, the normalized config, the teacher's key, the numpy
-    version, numpy's BLAS build and the BLAS thread variables. The CPU
-    kernel the BLAS picks at run time is not in it.
+    but not its name, the normalized config, the teacher's key and the
+    `environment()` record. The CPU kernel the BLAS picks at run time is
+    not in it.
     """
     cfg = cfg.normalized()
     spec = MODE_TABLE[cfg.mode]
@@ -338,8 +338,7 @@ def model_key(data_key: str, cfg: DistillConfig,
         "init_from_teacher": spec.init_from_teacher,
         "config": {k: v for k, v in dataclasses.asdict(cfg).items()
                    if k != "mode"},
-        "teacher": teacher_key, "numpy": np.__version__,
-        "blas": _blas_build(), "threads": thread_env()}
+        "teacher": teacher_key, "environment": environment()}
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()) \
         .hexdigest()
 
@@ -347,21 +346,11 @@ def model_key(data_key: str, cfg: DistillConfig,
 def _stored(path: Path, features: str,
             train) -> tuple[numcore.MlpModel, str]:
     """`(model, "trained" | "reused")`: the model stored at `path`, which
-    `train()` makes first when there is none.
-
-    A new model goes to a temporary file that is renamed into place, so a
-    store file is always whole; then it is read back like a reused one.
-    """
+    `train()` makes first when there is none. A new model is read back
+    like a reused one."""
     status = "reused" if path.exists() else "trained"
     if status == "trained":
-        model, _ = train()
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            modelio.save_model(model, tmp, features)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        modelio.save_model(train()[0], path, features)
     model, block = modelio.load_model(path)
     if block != features:
         raise DataError(f"{path}: the stored model reads block {block!r}, "

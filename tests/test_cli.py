@@ -208,6 +208,20 @@ class TestEval:
             in err
         assert "input has 4 columns, model expects 9" in err
 
+    def test_one_class_split_reported_before_width(self, workdir, tmp_path,
+                                                   capsys):
+        _, config = workdir
+        model = numcore.init_mlp(9, [4], 0.0, np.random.default_rng(0))
+        bad = tmp_path / "bad.mgkd"
+        modelio.save_model(model, bad, "pre")
+        dataset = _one_class_csv(tmp_path / "one_class.csv", "test")
+        assert cli.main(["eval", "--model", str(bad), "--data", str(dataset),
+                         "--config", str(config), "--split", "test",
+                         "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err == "data error: the test split has 0 positive and 15 " \
+            "negative rows; it needs both\n"
+
     def test_manifest_records_split_fractions(self, workdir, tmp_path):
         # Without --config, eval splits with the default fractions, and the
         # manifest says so.
@@ -435,9 +449,9 @@ def test_store_retrains_what_a_change_reaches(tmp_path, monkeypatch):
     assert set(ablate(text, edited).values()) == {"trained"}
     monkeypatch.setattr(pipeline.np, "__version__", "0.0.0")
     assert set(ablate(text).values()) == {"trained"}
-    blas = pipeline._blas_build()
-    monkeypatch.setattr(pipeline, "_blas_build",
-                        lambda: {**blas, "version": "0.0.0"})
+    env = pipeline.environment()
+    monkeypatch.setattr(pipeline, "environment", lambda: {
+        **env, "blas": {**env["blas"], "version": "0.0.0"}})
     assert set(ablate(text).values()) == {"trained"}
 
 
@@ -479,10 +493,7 @@ def test_bad_store_file_exit_4(tmp_path, capsys, damage):
 
 
 EXIT_FOR_ERROR = {
-    errors.ConfigError: 2, errors.GenerationError: 2,
-    errors.DimensionError: 4, errors.ParseError: 4, errors.DataError: 4,
-    errors.SplitError: 4, errors.MetricError: 4,
-    errors.NumericError: 5, errors.StateError: 5, errors.TrainingError: 5,
+    errors.ConfigError: 2, errors.DataError: 4, errors.TrainingError: 5,
 }
 
 
@@ -664,7 +675,7 @@ class TestModelFile:
         out, config = workdir
         path = tmp_path / "short.mgkd"
         path.write_bytes((out / "teacher.mgkd").read_bytes()[:10])
-        with pytest.raises(errors.ParseError, match="truncated"):
+        with pytest.raises(errors.DataError, match="truncated"):
             modelio.load_model(path)
         rc = cli.main(["eval", "--model", str(path),
                        "--data", str(out / "dataset.csv"),
@@ -676,7 +687,7 @@ class TestModelFile:
         path = tmp_path / "m.mgkd"
         modelio.save_model(model, path, "pre")
         path.write_bytes(path.read_bytes() + b"junk")
-        with pytest.raises(errors.ParseError, match="trailing"):
+        with pytest.raises(errors.DataError, match="trailing"):
             modelio.load_model(path)
 
     @pytest.mark.parametrize("classifier", [(6, 1), (4, 2)],
@@ -692,7 +703,7 @@ class TestModelFile:
                                *[0.5] * (rows * cols + cols))
         path = tmp_path / "bad.mgkd"
         path.write_bytes(raw)
-        with pytest.raises(errors.ParseError,
+        with pytest.raises(errors.DataError,
                            match="layer shapes do not chain"):
             modelio.load_model(path)
         capsys.readouterr()
@@ -710,7 +721,7 @@ class TestModelFile:
         raw[9:17] = struct.pack("<d", rate)  # after magic, version, mode
         path = tmp_path / "bad.mgkd"
         path.write_bytes(bytes(raw))
-        with pytest.raises(errors.ParseError, match="dropout rate"):
+        with pytest.raises(errors.DataError, match="dropout rate"):
             modelio.load_model(path)
         capsys.readouterr()
         rc = cli.main(["train", "--config", str(config),
@@ -761,7 +772,7 @@ def test_load_model_fails_only_with_parse_error(tmp_path_factory, raw):
     path.write_bytes(raw)
     try:
         model, feature_mode = modelio.load_model(path)
-    except errors.ParseError as exc:
+    except errors.DataError as exc:
         assert str(path) in str(exc)
         return
     assert 0.0 <= model.dropout_rate < 1.0
@@ -873,6 +884,28 @@ def test_out_is_a_file_exit_3(workdir, tmp_path, capsys):
     assert dest.read_text() == "kept\n"
 
 
+def test_failed_model_write_leaves_no_model_file(workdir, tmp_path, capsys,
+                                                monkeypatch):
+    out, config = workdir
+    write_layer = modelio._write_layer
+    written = []
+
+    def fail_after_first(fh, layer):
+        if written:
+            raise OSError("disk full")
+        written.append(layer)
+        write_layer(fh, layer)
+
+    monkeypatch.setattr(modelio, "_write_layer", fail_after_first)
+    dest = tmp_path / "out"
+    assert cli.main(["train", "--config", str(config), "--mode", "teacher",
+                     "--data", str(out / "dataset.csv"),
+                     "--out", str(dest)]) == 3
+    assert "disk full" in capsys.readouterr().err
+    assert not (dest / "teacher.mgkd").exists()
+    assert not list(dest.glob("*.tmp"))
+
+
 def test_failed_command_leaves_no_out_dir(workdir, tmp_path):
     out, config = workdir
     regular = tmp_path / "regular"
@@ -913,6 +946,8 @@ def test_manifests_record_step_dtype_and_blas_threads(workdir, tmp_path,
         assert manifest["OPENBLAS_NUM_THREADS"] == "1"
         assert manifest["OMP_NUM_THREADS"] is None
         assert manifest["MKL_NUM_THREADS"] == "2"
+        assert manifest["numpy"] == np.__version__
+        assert manifest["blas"] == pipeline.environment()["blas"]
 
 
 @pytest.mark.parametrize("grid", [",", "nan", "0.2,inf"])

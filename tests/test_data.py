@@ -15,7 +15,7 @@ from mgkd.data import (Scaler, SyntheticConfig, TwoPhaseDataset,
                        apply_standardize, fit_standardize, generate_synthetic,
                        load_delimited, save_delimited, sidecar_path,
                        temporal_split)
-from mgkd.errors import ConfigError, ParseError, SplitError
+from mgkd.errors import ConfigError, DataError
 
 
 def small_config(**kw):
@@ -87,13 +87,13 @@ class TestDelimitedIO:
     def test_bad_label_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("user_id,ts,y,pre_0\n0,1,0,0.5\n1,2,2,0.5\n")
-        with pytest.raises(ParseError, match=":3"):
+        with pytest.raises(DataError, match=r"bad.csv:3: label 2 outside"):
             load_delimited(path)
 
     def test_non_numeric_cell_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("user_id,ts,y,pre_0\n0,1,0,zzz\n")
-        with pytest.raises(ParseError, match=":2"):
+        with pytest.raises(DataError, match="bad.csv:2: bad cell"):
             load_delimited(path)
 
     @pytest.mark.parametrize("cell, column", [("nan", "pre_1"),
@@ -109,13 +109,13 @@ class TestDelimitedIO:
         rows[2] = ",".join(cells)
         path.write_text("user_id,ts,y,pre_0,pre_1,in_0\n"
                         + "\n".join(rows) + "\n")
-        with pytest.raises(ParseError, match=f"bad.csv:4: .*{column}"):
+        with pytest.raises(DataError, match=f"bad.csv:4: .*{column}"):
             load_delimited(path)
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("user_id,ts,pre_0\n")
-        with pytest.raises(ParseError, match="y"):
+        with pytest.raises(DataError, match="missing column 'y'"):
             load_delimited(path)
 
     def test_missing_in_service_block(self, tmp_path):
@@ -127,7 +127,7 @@ class TestDelimitedIO:
     def test_missing_pre_service_block(self, tmp_path):
         path = tmp_path / "in_only.csv"
         path.write_text("user_id,ts,y,in_0\n0,5,1,0.25\n")
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(DataError) as info:
             load_delimited(path)
         assert str(info.value) == f"{path}: header has no pre_* column"
 
@@ -140,14 +140,14 @@ class TestDelimitedIO:
         assert ds.x_pre[:, 0].tolist() == [0.5, 1.5]
         path.write_text("user_id,ts,y,pre_0\r\n0,1,0,0.5\r\n1,2,1,1.5,7",
                         newline="")
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(DataError) as info:
             load_delimited(path)
         assert str(info.value) == f"{path}:3: expected 4 fields, got 5"
 
 
 # The loader's accept/reject table. Every file has the header
 # `user_id,ts,y,pre_0,in_0`, a good line 2 and the case's line 3. A
-# rejection is the exact ParseError message after "<path>:"; an acceptance
+# rejection is the exact DataError message after "<path>:"; an acceptance
 # is the parsed (ts, y, pre_0, in_0) of both rows.
 GOOD_LINE = "0,1,0,0.5,0.25"
 LOADER_TABLE = [
@@ -191,7 +191,7 @@ def test_loader_accept_reject_table(tmp_path, body, outcome):
     path.write_text("\r\n".join(lines) + "\r\n", newline="",
                     errors="surrogateescape")
     if isinstance(outcome, str):
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(DataError) as info:
             load_delimited(path)
         assert str(info.value) == f"{path}:{outcome}"
         return
@@ -245,7 +245,7 @@ def test_every_rejection_names_a_line(tmp_path_factory, cell):
                      .encode("utf-8"))
     try:
         load_delimited(path)
-    except ParseError as exc:
+    except DataError as exc:
         assert str(exc).startswith(f"{path}:3: ")
 
 
@@ -323,10 +323,10 @@ def test_stale_sidecar_is_not_used(saved):
     cells[3] = b"zzz"
     lines[5] = b",".join(cells)
     path.write_bytes(b"\r\n".join(lines))
-    with pytest.raises(ParseError) as with_sidecar:
+    with pytest.raises(DataError) as with_sidecar:
         load_delimited(path)
     sidecar_path(path).unlink()
-    with pytest.raises(ParseError) as without_sidecar:
+    with pytest.raises(DataError) as without_sidecar:
         load_delimited(path)
     assert str(with_sidecar.value) == str(without_sidecar.value) == \
         f"{path}:6: bad cell (could not convert string to float: 'zzz')"
@@ -390,7 +390,7 @@ def test_sidecar_with_non_finite_rows_falls_back_to_the_line_error(
     ds = generate_synthetic(small_config(n=20))
     ds.x_in[3, 1] = np.nan
     save_delimited(ds, path)
-    with pytest.raises(ParseError) as info:
+    with pytest.raises(DataError) as info:
         load_delimited(path)
     assert str(info.value) == f"{path}:5: non-finite value in column in_1"
 
@@ -415,7 +415,7 @@ class TestTemporalSplit:
             < ds.timestamp[ds.split == "test"].min()
 
     def test_all_equal_timestamps(self):
-        with pytest.raises(SplitError):
+        with pytest.raises(DataError, match="left an empty partition"):
             temporal_split(self._dataset(np.zeros(50)), 0.1, 0.1)
 
     def test_ties_go_to_earlier_split(self):
@@ -518,7 +518,7 @@ class TestStandardize:
     def test_requires_train_rows(self):
         ds = self._split_ds([[1.0], [2.0]])
         ds.split[:] = ""
-        with pytest.raises(SplitError):
+        with pytest.raises(DataError, match="no train rows tagged"):
             fit_standardize(ds)
 
 
@@ -543,7 +543,7 @@ class TestSplitsByName:
     ])
     def test_one_class_split_names_itself(self, split, message):
         ds = self._dataset([0, 0, 0, 1, 1])
-        with pytest.raises(SplitError, match=message):
+        with pytest.raises(DataError, match=message):
             ds.labels(split)
 
     def test_features_of_a_split(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mgkd import losses, numcore
-from mgkd.errors import ConfigError, DimensionError
+from mgkd.errors import ConfigError, DataError
 from mgkd.losses import (feat_loss, focal_loss, kl_hard, kl_soft, objective,
                          reweight)
 from mgkd.numcore import grad_check
@@ -41,7 +41,7 @@ class TestKlHard:
         assert lv.grad_repr is None
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DataError, match="length mismatch: 1 != 2"):
             kl_hard([1.0, 0.0], [0.5])
 
 
@@ -250,7 +250,7 @@ class TestFeatLoss:
         assert lv.value == pytest.approx((dist[others].sum() + 2.0) / 6)
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DataError, match="representation shapes differ"):
             feat_loss(np.ones((2, 3)), np.ones((2, 4)))
 
     def test_unknown_metric(self):

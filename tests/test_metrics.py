@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgkd.errors import MetricError
+from mgkd.errors import DataError
 from mgkd.metrics import EvalReport, _rank, auc, evaluate, ks, recall_at_k
 
 
@@ -61,7 +61,7 @@ class TestAuc:
         assert auc([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1]) == 0.75
 
     def test_single_class(self):
-        with pytest.raises(MetricError):
+        with pytest.raises(DataError, match="one positive and one negative"):
             auc([0.1, 0.2], [1, 1])
 
     def test_monotone_invariance(self):
@@ -92,7 +92,7 @@ class TestKs:
         assert ks([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1]) == 0.5
 
     def test_single_class(self):
-        with pytest.raises(MetricError):
+        with pytest.raises(DataError, match="one positive and one negative"):
             ks([0.1, 0.2], [0, 0])
 
 
@@ -121,11 +121,12 @@ class TestRecallAtK:
         assert recall_at_k(scores, labels, 10.0) == 1.0
 
     def test_no_positives(self):
-        with pytest.raises(MetricError):
+        with pytest.raises(DataError, match="one positive and one negative"):
             recall_at_k([0.1, 0.2], [0, 0], 10.0)
 
     def test_bad_k(self):
-        with pytest.raises(MetricError):
+        with pytest.raises(DataError,
+                           match=r"k_percent must be in \(0, 100\]"):
             recall_at_k([0.1], [1], 0.0)
 
 
@@ -153,7 +154,7 @@ class TestLabels:
     @pytest.mark.parametrize("bad", [-1, 2, 0.5])
     @pytest.mark.parametrize("metric", [auc, ks, recall_at_k, evaluate])
     def test_only_zero_and_one(self, metric, bad):
-        with pytest.raises(MetricError, match="labels must be 0 or 1"):
+        with pytest.raises(DataError, match="labels must be 0 or 1"):
             metric([0.1, 0.4, 0.35, 0.8, 0.5], [0, 1, 0, 1, bad])
 
     def test_bool_labels(self):
@@ -174,7 +175,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("k", [0.0, -5.0, 100.5, math.nan])
     def test_bad_k(self, k):
-        with pytest.raises(MetricError, match="k_percent"):
+        with pytest.raises(DataError, match="k_percent"):
             evaluate([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1], k_percent=k)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mgkd import modelio, numcore
-from mgkd.errors import DimensionError, NumericError, StateError
+from mgkd.errors import DataError, TrainingError
 from mgkd.numcore import (Layer, MlpModel, adam_step, backward, forward,
                           grad_check, init_adam, init_mlp)
 
@@ -36,7 +36,8 @@ class TestForward:
         assert forward(model, [[math.log(3.0)]]).p[0] == pytest.approx(0.75)
 
     def test_width_mismatch(self, rng):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DataError,
+                           match="input has 7 columns, model expects 6"):
             forward(small_model(), rng.standard_normal((3, 7)))
 
     def test_composition_contract(self, rng):
@@ -50,7 +51,7 @@ class TestForward:
 
     def test_train_dropout_needs_rng(self):
         model = small_model(dropout=0.4)
-        with pytest.raises(StateError):
+        with pytest.raises(TrainingError, match="needs an rng"):
             forward(model, np.ones((2, 6)), "train")
 
 
@@ -174,12 +175,12 @@ class TestBackward:
     def test_shape_errors(self, rng):
         model = small_model()
         cache = forward(model, rng.standard_normal((4, 6)))
-        with pytest.raises(DimensionError):
+        with pytest.raises(DataError, match=r"grad_logit shape \(3,\)"):
             backward(model, cache, np.zeros(3), np.zeros_like(cache.h))
-        with pytest.raises(DimensionError):
+        with pytest.raises(DataError, match=r"grad_repr shape \(4, 99\)"):
             backward(model, cache, np.zeros(4), np.zeros((4, 99)))
         other = small_model(hidden=(8,))
-        with pytest.raises(StateError):
+        with pytest.raises(TrainingError, match="layer count"):
             backward(other, cache, np.zeros(4), np.zeros_like(cache.h))
 
 
@@ -220,7 +221,7 @@ class TestAdam:
         model = small_model()
         grads = model.zeros_like()
         grads.encoder[1].weights[0, 0] = np.nan
-        with pytest.raises(NumericError, match=r"encoder\[1\].weights"):
+        with pytest.raises(TrainingError, match=r"encoder\[1\].weights"):
             adam_step(model, grads, init_adam(model), lr=0.1)
 
     def test_step_counter(self):
@@ -264,7 +265,7 @@ class TestGradCheck:
         assert grad_check(corrupted, model) > 1e-2
 
     def test_eps_validation(self):
-        with pytest.raises(StateError):
+        with pytest.raises(TrainingError, match="eps must be positive"):
             grad_check(lambda m: (0.0, None), small_model(), eps=0.0)
 
 
@@ -312,7 +313,7 @@ class TestFlatLayout:
         layer_arrays = [a for layer in model.layers() for a in layer]
         assert all(a is b for a, b in zip(arrays, layer_arrays))
         path = tmp_path / "m.mgkd"
-        modelio.save_model(model, path)
+        modelio.save_model(model, path, "pre")
         raw, offset = path.read_bytes(), 4 + 13 + 4
         data = b""
         for rows, cols in model.shapes:
@@ -351,7 +352,7 @@ class TestFlatLayout:
     ])
     def test_non_chaining_layers_rejected(self, shapes):
         layers = [(np.zeros(w), np.zeros(b)) for w, b in shapes]
-        with pytest.raises(DimensionError, match="do not chain"):
+        with pytest.raises(DataError, match="do not chain"):
             MlpModel.from_layers(layers, 0.0)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import mgkd
 from mgkd import data, losses, metrics, modelio, numcore, pipeline
-from mgkd.errors import ConfigError, DataError, DimensionError
+from mgkd.errors import ConfigError, DataError
 from mgkd.pipeline import (PREDICT_ROWS, DistillConfig, evaluate_split,
                            predict, run_ablation, train_student,
                            train_teacher)
@@ -410,7 +410,8 @@ class TestPredict:
         model = numcore.init_mlp(20, [8], 0.0, np.random.default_rng(0))
         for x in (np.zeros(20), np.zeros((3, 19)), np.zeros((0, 19)),
                   np.zeros((PREDICT_ROWS + 2, 21)), 0.5):
-            with pytest.raises(DimensionError):
+            with pytest.raises(DataError, match=r"must be 2-D|input has "
+                               r"(19|21) columns, model expects 20"):
                 predict(model, x)
 
     def test_tiles_allocate_less_than_one_layer_output(self):
