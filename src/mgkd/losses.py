@@ -129,39 +129,6 @@ def reweight(y, pi1: float) -> np.ndarray:
     return np.where(y == 1, 1.0 / pi1, 1.0 / (1.0 - pi1))
 
 
-def focal_loss(y, p, gamma: float = 2.0, weights=None) -> LossValue:
-    """Cross-entropy modulated by (1 - p_t)^gamma; gamma=0 is exactly CE."""
-    if gamma < 0.0:
-        raise ConfigError(f"gamma must be nonnegative, got {gamma}")
-    if gamma == 0.0:
-        return kl_hard(y, p, weights)
-    y = np.asarray(y, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    n = _check_lengths(y, p)
-    w = _sample_weights(y, weights)
-    pc = _clamp(p)
-    pt = np.where(y == 1, pc, 1.0 - pc)
-    mod = (1.0 - pt) ** gamma
-    value = float(np.mean(w * mod * (-np.log(pt))))
-    dl_dpt = w * (-gamma * (1.0 - pt) ** (gamma - 1.0) * (-np.log(pt))
-                  - mod / pt)
-    sign = np.where(y == 1, 1.0, -1.0)
-    grad_logit = dl_dpt * sign * pc * (1.0 - pc) / n
-    return LossValue(value, grad_logit, None)
-
-
-# What each DistillConfig.hard_term name means: (reweighted, focal), that is
-# sample weights 1/pi_c from `reweight`, and `focal_loss` for `kl_hard`.
-HARD_TERMS = {"ce": (False, False), "reweighted": (True, False),
-              "focal": (False, True), "reweighted_focal": (True, True)}
-
-
-def hard_loss(cfg, y, p, weights=None) -> LossValue:
-    """The hard term that `cfg.hard_term` names, on probabilities `p`."""
-    _, focal = HARD_TERMS[cfg.hard_term]
-    return focal_loss(y, p, cfg.gamma if focal else 0.0, weights)  # 0: CE
-
-
 def objective(cfg, cache, y, weights=None, teacher_h=None, teacher_z=None,
               snapshot=None, ws: Workspace | None = None,
               ) -> tuple[LossValue, dict[str, float]]:
@@ -170,7 +137,8 @@ def objective(cfg, cache, y, weights=None, teacher_h=None, teacher_z=None,
     One batch's training loss and each term's value, 0.0 for a term left
     out: soft at alpha = 0, feat at beta = 0, self at lam = 0 or with no
     snapshot. `cfg` holds the settings (a DistillConfig), `cache` is the
-    student's ForwardCache and the rest are the batch's rows. `ws` is
+    student's ForwardCache and the rest are the batch's rows. The hard
+    term is `kl_hard` under `weights`. `ws` is
     passed on to `feat_loss`, and feat's `grad_repr` is scaled by beta in
     place and becomes the total's. The self term is the softened KL from
     the previous epoch's logits to the current ones.
@@ -180,7 +148,7 @@ def objective(cfg, cache, y, weights=None, teacher_h=None, teacher_z=None,
         raise ConfigError(f"alpha must be in [0,1], got {alpha}")
     if beta < 0.0 or lam < 0.0:
         raise ConfigError("beta and lambda must be nonnegative")
-    hard = hard_loss(cfg, y, cache.p, weights)
+    hard = kl_hard(y, cache.p, weights)
     terms = {"hard": hard.value, "soft": 0.0, "feat": 0.0, "self": 0.0}
     value, grad_logit, grad_repr = hard.value, hard.grad_logit, None
     if alpha > 0.0:

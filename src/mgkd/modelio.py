@@ -5,7 +5,8 @@ mode (0=pre, 1=in, 2=both), float64 dropout rate, uint32 encoder layer
 count, then per layer (encoder layers first, classifier last) a shape
 table entry of two uint32 dims followed by the weight matrix and the bias
 vector as float64. The layer order is that of `numcore.FlatParams`; the
-shapes must chain, or the file is rejected with `DataError`.
+shapes must chain and every parameter must be finite, or the file is
+rejected with `DataError`.
 """
 
 from __future__ import annotations
@@ -94,4 +95,7 @@ def load_model(path) -> tuple[MlpModel, str]:
         model = MlpModel.from_layers(layers, dropout)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
+    for name, array in model.param_arrays():
+        if not np.isfinite(array).all():
+            raise DataError(f"{path}: non-finite value in {name}")
     return model, FEATURE_MODES[mode_code]

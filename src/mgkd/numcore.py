@@ -1,4 +1,4 @@
-"""Dense MLP substrate: forward/backward passes, Adam, gradient checking.
+"""Dense MLP substrate: forward/backward passes and Adam.
 
 The model is an encoder stack (affine + ReLU + inverted dropout per hidden
 layer) followed by a single-logit linear classifier, so the representation
@@ -368,43 +368,3 @@ def adam_step(model: MlpModel, grads: FlatParams, state: AdamState,
     m_hat = m / (1.0 - b1 ** t)
     v_hat = v / (1.0 - b2 ** t)
     model.flat -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-
-
-GRAD_CHECK_MAX_PARAMS = 10_000
-
-
-def grad_check(loss_fn, model: MlpModel, eps: float = 1e-5,
-               rng: np.random.Generator | None = None,
-               sample_size: int = 1500) -> float:
-    """Worst relative error between analytic and central-difference grads.
-
-    `loss_fn(model)` must return `(value, FlatParams gradients)`. Above
-    GRAD_CHECK_MAX_PARAMS parameters a random subsample of coordinates is
-    checked to bound the runtime.
-    """
-    if eps <= 0:
-        raise TrainingError("eps must be positive")
-    _, grads = loss_fn(model)
-    flat, total = model.flat, model.flat.size
-
-    if total > GRAD_CHECK_MAX_PARAMS:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        indices = rng.choice(total, size=min(sample_size, total),
-                             replace=False)
-    else:
-        indices = np.arange(total)
-
-    worst = 0.0
-    for idx in indices:
-        orig = flat[idx]
-        flat[idx] = orig + eps
-        plus, _ = loss_fn(model)
-        flat[idx] = orig - eps
-        minus, _ = loss_fn(model)
-        flat[idx] = orig
-        numeric = (plus - minus) / (2.0 * eps)
-        analytic = grads.flat[idx]
-        err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
-        worst = max(worst, err)
-    return worst

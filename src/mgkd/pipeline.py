@@ -67,6 +67,9 @@ MODE_TABLE = {
 MODES = tuple(MODE_TABLE)
 ABLATION_MODES = tuple(m for m, spec in MODE_TABLE.items() if spec.ablated)
 
+# DistillConfig.hard_term: cross-entropy, plain or with `losses.reweight`.
+HARD_TERMS = ("ce", "reweighted")
+
 
 @dataclass
 class DistillConfig:
@@ -78,7 +81,6 @@ class DistillConfig:
     tau: float = 2.5
     feat_metric: str = "mse"
     hard_term: str = "ce"
-    gamma: float = 2.0
     lr: float = 0.005
     weight_decay: float = 1e-7
     dropout: float = 0.4
@@ -100,10 +102,9 @@ class DistillConfig:
             raise ConfigError(f"tau must be >= 1, got {self.tau}")
         if self.feat_metric not in ("mse", "cosine"):
             raise ConfigError(f"unknown feat_metric {self.feat_metric!r}")
-        if self.hard_term not in losses.HARD_TERMS:
-            raise ConfigError(f"unknown hard_term {self.hard_term!r}")
-        if self.gamma < 0.0:
-            raise ConfigError("gamma must be nonnegative")
+        if self.hard_term not in HARD_TERMS:
+            raise ConfigError(f"unknown hard_term {self.hard_term!r}: "
+                              f"choose {' or '.join(HARD_TERMS)}")
         if self.lr <= 0.0:
             raise ConfigError("learning rate must be positive")
         if self.weight_decay < 0.0:
@@ -196,8 +197,8 @@ def _train_model(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
 
     state = numcore.init_adam(model)
     pi1 = np.count_nonzero(y_tr) / n_tr  # the train positive share
-    reweighted, _ = losses.HARD_TERMS[cfg.hard_term]
-    w_tr, w_va = (losses.reweight(y, pi1) if reweighted else None
+    w_tr, w_va = (losses.reweight(y, pi1)
+                  if cfg.hard_term == "reweighted" else None
                   for y in (y_tr, y_va))
 
     # Teacher pass once, eval mode, in a workspace freed before training.
@@ -247,7 +248,7 @@ def _train_model(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
         snapshot = new_snapshot
 
         p_va = _eval_pass(model, x_va, eval_ws)[2]
-        val_loss = losses.hard_loss(cfg, y_va, p_va, w_va).value
+        val_loss = losses.kl_hard(y_va, p_va, w_va).value
         if not np.isfinite(val_loss):
             raise TrainingError(f"non-finite validation loss at epoch {epoch}")
         report = metrics.evaluate(p_va, y_va, split="valid",

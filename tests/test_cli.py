@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mgkd import cli, data, errors, losses, modelio, numcore, pipeline
+from mgkd import cli, data, errors, modelio, numcore, pipeline
 
 CONFIG = """\
 [dataset]
@@ -732,6 +732,27 @@ class TestModelFile:
         assert str(path) in capsys.readouterr().err
         assert not (tmp_path / "student_pretrain_only.mgkd").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_non_finite_parameter_exit_4(self, workdir, tmp_path, capsys,
+                                         command):
+        out, config = workdir
+        raw = bytearray((out / "teacher.mgkd").read_bytes())
+        raw[-8:] = struct.pack("<d", math.nan)  # the classifier bias
+        path = tmp_path / "bad.mgkd"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(errors.DataError,
+                           match=r"non-finite value in classifier\.bias"):
+            modelio.load_model(path)
+        capsys.readouterr()
+        argv = ["eval", "--model", str(path)] if command == "eval" \
+            else ["train", "--mode", "full", "--teacher", str(path)]
+        rc = cli.main([*argv, "--config", str(config),
+                       "--out", str(tmp_path / "out"),
+                       "--data", str(out / "dataset.csv")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert f"{path}: non-finite value in classifier.bias" in err
+
 
 def _tiny_model_file() -> bytes:
     """A valid file: a 3->2 encoder layer and a 2->1 classifier."""
@@ -802,6 +823,26 @@ def test_bad_student_value_exit_2(workdir, tmp_path, capsys, key, value):
                    "--teacher", str(out / "teacher.mgkd")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("hard_term", "focal",
+     "unknown hard_term 'focal': choose ce or reweighted"),
+    ("hard_term", "reweighted_focal",
+     "unknown hard_term 'reweighted_focal': choose ce or reweighted"),
+    ("gamma", "2.0", "unknown config key 'gamma' in [student]")])
+def test_focal_settings_exit_2(workdir, tmp_path, capsys, key, value,
+                               message):
+    # Focal loss is gone: its names and its gamma key are config errors.
+    out, _ = workdir
+    config = _config_with(tmp_path, "student", key, value)
+    rc = cli.main(["train", "--config", str(config),
+                   "--out", str(tmp_path / "out"), "--mode", "full",
+                   "--data", str(out / "dataset.csv"),
+                   "--teacher", str(out / "teacher.mgkd")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key,value", [
@@ -985,7 +1026,7 @@ def test_cosine_ablation_survives_zero_rows(tmp_path):
     # representation; the cosine feature loss used to abort on them.
     config = tmp_path / "run.ini"
     train = ("hidden_dims = 16,16\ndropout = 0.2\nbatch_size = 512\n"
-             "max_epochs = 5\npatience = 5\nhard_term = reweighted_focal\n")
+             "max_epochs = 5\npatience = 5\nhard_term = reweighted\n")
     config.write_text(
         CONFIG.split("[teacher]")[0].replace("n = 2500", "n = 4000")
         .replace("d_in = 4", "d_in = 7").replace("d_pre = 4", "d_pre = 5")
@@ -1109,8 +1150,7 @@ def tiny_runs(draw):
                     "beta": pick(0.25, 0.0, 1e300), "lambda": pick(0.1, 0.0),
                     "tau": pick(2.5, 1.0),
                     "feat_metric": pick("mse", "cosine"),
-                    "hard_term": pick(*sorted(losses.HARD_TERMS)),
-                    "gamma": pick(2.0, 0.0)},
+                    "hard_term": pick(*pipeline.HARD_TERMS)},
     }
     text = "".join(f"[{name}]\n" + "".join(f"{key} = {value}\n"
                                            for key, value in keys.items())

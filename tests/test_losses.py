@@ -4,14 +4,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mgkd import losses, numcore
+from mgkd import losses, numcore, pipeline
 from mgkd.errors import ConfigError, DataError
-from mgkd.losses import (feat_loss, focal_loss, kl_hard, kl_soft, objective,
-                         reweight)
-from mgkd.numcore import grad_check
+from mgkd.losses import feat_loss, kl_hard, kl_soft, objective, reweight
 from mgkd.pipeline import DistillConfig
 
-from conftest import loss_fn_over_model, small_model
+from conftest import grad_check, loss_fns_over_model, small_model
 
 
 def logit(p):
@@ -132,10 +130,7 @@ def parent_assembly(cfg, cache, y, weights, teacher_h, teacher_z, snapshot):
 
     A frozen reference: `objective` must match it bit for bit.
     """
-    if cfg.hard_term in ("focal", "reweighted_focal"):
-        hard = losses.focal_loss(y, cache.p, cfg.gamma, weights)
-    else:
-        hard = losses.kl_hard(y, cache.p, weights)
+    hard = losses.kl_hard(y, cache.p, weights)
     soft = feat = self_part = None
     label = hard
     if cfg.alpha > 0.0:
@@ -178,7 +173,7 @@ class TestObjectiveMatchesParentAssembly:
     @pytest.mark.parametrize("with_snapshot", [False, True])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("feat_metric", ["mse", "cosine"])
-    @pytest.mark.parametrize("hard_term", list(losses.HARD_TERMS))
+    @pytest.mark.parametrize("hard_term", pipeline.HARD_TERMS)
     def test_bitwise(self, hard_term, feat_metric, alpha, with_snapshot):
         rng = np.random.default_rng(31)
         model = small_model(input_dim=5, hidden=(8, 8), dropout=0.2)
@@ -186,14 +181,13 @@ class TestObjectiveMatchesParentAssembly:
                                 "train", rng)
         y = rng.integers(0, 2, 40).astype(float)
         weights = None
-        if hard_term in ("reweighted", "reweighted_focal"):
+        if hard_term == "reweighted":
             weights = reweight(y, float(np.mean(y == 1)))
         teacher_h = rng.standard_normal((40, 8))
         teacher_z = rng.standard_normal(40)
         snapshot = rng.standard_normal(40) if with_snapshot else None
         cfg = DistillConfig(alpha=alpha, beta=0.25, lam=0.1, tau=2.5,
-                            feat_metric=feat_metric, hard_term=hard_term,
-                            gamma=2.0)
+                            feat_metric=feat_metric, hard_term=hard_term)
         args = (cfg, cache, y, weights, teacher_h, teacher_z, snapshot)
 
         total, terms = objective(*args)
@@ -286,7 +280,7 @@ class TestDistillTotal:
     @pytest.fixture
     def total(self, monkeypatch):
         def total(label, feat, self_part, beta, lam):
-            for name, part in (("hard_loss", label), ("feat_loss", feat),
+            for name, part in (("kl_hard", label), ("feat_loss", feat),
                                ("kl_soft", self_part)):
                 monkeypatch.setattr(losses, name, lambda *_, v=part: v)
             cfg = DistillConfig(alpha=0.0, beta=0.0, lam=0.0)
@@ -344,30 +338,6 @@ class TestReweight:
         assert w[0] == pytest.approx(13.888888, abs=1e-4)
 
 
-class TestFocalLoss:
-    def test_gamma_zero_is_ce(self):
-        y = np.array([1.0, 0.0])
-        p = np.array([0.8, 0.3])
-        a = focal_loss(y, p, gamma=0.0)
-        b = kl_hard(y, p)
-        assert a.value == b.value
-        assert np.array_equal(a.grad_logit, b.grad_logit)
-
-    def test_closed_form_confident(self):
-        lv = focal_loss([1.0], [0.9], gamma=2.0)
-        assert lv.value == pytest.approx(0.01 * -math.log(0.9), rel=1e-6)
-        assert lv.value == pytest.approx(0.0010536, abs=1e-6)
-
-    def test_closed_form_uncertain(self):
-        lv = focal_loss([1.0], [0.5], gamma=2.0)
-        assert lv.value == pytest.approx(0.25 * math.log(2.0), rel=1e-6)
-        assert lv.value == pytest.approx(0.17329, abs=1e-5)
-
-    def test_negative_gamma(self):
-        with pytest.raises(ConfigError):
-            focal_loss([1.0], [0.5], gamma=-1.0)
-
-
 class TestNonNegativity:
     def test_kl_family_nonnegative(self, rng):
         for _ in range(50):
@@ -378,7 +348,6 @@ class TestNonNegativity:
             tau = float(rng.uniform(1.0, 4.0))
             assert kl_hard(y, numcore.sigmoid(zs)).value >= 0.0
             assert kl_soft(zt, zs, tau).value >= 0.0
-            assert focal_loss(y, numcore.sigmoid(zs), 2.0).value >= 0.0
 
 
 class TestGradientsAgainstFiniteDifferences:
@@ -387,7 +356,7 @@ class TestGradientsAgainstFiniteDifferences:
     def _check(self, loss_from_cache, rng, dims=(8, 8)):
         model = small_model(input_dim=5, hidden=dims)
         x = rng.standard_normal((12, 5))
-        err = grad_check(loss_fn_over_model(x, loss_from_cache), model)
+        err = grad_check(*loss_fns_over_model(x, loss_from_cache), model)
         assert err < 1e-4, err
 
     def test_kl_soft_grad(self, rng):
@@ -401,10 +370,6 @@ class TestGradientsAgainstFiniteDifferences:
     def test_feat_cosine_grad(self, rng):
         ht = rng.standard_normal((12, 8))
         self._check(lambda c: feat_loss(ht, c.h, "cosine"), rng)
-
-    def test_focal_grad(self, rng):
-        y = rng.integers(0, 2, 12).astype(float)
-        self._check(lambda c: focal_loss(y, c.p, 2.0), rng)
 
     def test_total_grad(self, rng):
         y = rng.integers(0, 2, 12).astype(float)

@@ -7,9 +7,9 @@ import pytest
 from mgkd import modelio, numcore
 from mgkd.errors import DataError, TrainingError
 from mgkd.numcore import (Layer, MlpModel, adam_step, backward, forward,
-                          grad_check, init_adam, init_mlp)
+                          init_adam, init_mlp)
 
-from conftest import loss_fn_over_model, small_model
+from conftest import grad_check, loss_fns_over_model, small_model
 
 
 class TestForward:
@@ -169,7 +169,7 @@ class TestBackward:
             from mgkd.losses import kl_hard
             return kl_hard(y, cache.p)
 
-        err = grad_check(loss_fn_over_model(x, loss_from_cache), model)
+        err = grad_check(*loss_fns_over_model(x, loss_from_cache), model)
         assert err < 1e-4
 
     def test_shape_errors(self, rng):
@@ -237,36 +237,37 @@ class TestGradCheck:
     def test_quadratic_exact(self):
         model = small_model()
 
-        def quad(m):
-            value = 0.5 * sum(float(np.sum(a * a))
-                              for _, a in m.param_arrays())
+        def value(m):
+            return 0.5 * sum(float(np.sum(a * a))
+                             for _, a in m.param_arrays())
+
+        def grad(m):
             grads = m.zeros_like()
             for (_, g), (_, theta) in zip(grads.param_arrays(),
                                           m.param_arrays()):
                 g[...] = theta
-            return value, grads
+            return grads
 
-        assert grad_check(quad, model) < 1e-8
+        assert grad_check(value, grad, model) < 1e-8
 
     def test_detects_corruption(self, rng):
         model = small_model()
         x = rng.standard_normal((8, 6))
         y = rng.integers(0, 2, 8).astype(float)
 
-        def corrupted(m):
-            from mgkd.losses import kl_hard
-            cache = forward(m, x, "eval")
-            lv = kl_hard(y, cache.p)
-            grads = backward(m, cache, lv.grad_logit,
-                             np.zeros_like(cache.h))
-            grads.classifier.weights[0, 0] += 0.1
-            return lv.value, grads
+        from mgkd.losses import kl_hard
+        value, grad = loss_fns_over_model(x, lambda c: kl_hard(y, c.p))
 
-        assert grad_check(corrupted, model) > 1e-2
+        def corrupted(m):
+            grads = grad(m)
+            grads.classifier.weights[0, 0] += 0.1
+            return grads
+
+        assert grad_check(value, corrupted, model) > 1e-2
 
     def test_eps_validation(self):
-        with pytest.raises(TrainingError, match="eps must be positive"):
-            grad_check(lambda m: (0.0, None), small_model(), eps=0.0)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            grad_check(lambda m: 0.0, lambda m: None, small_model(), eps=0.0)
 
 
 def _old_adam_step(arrays, grads, ms, vs, t, lr, weight_decay,

@@ -68,19 +68,17 @@ class TestConfig:
             DistillConfig(hard_term="hinge")
 
 
-@pytest.mark.parametrize("hard_term", ["ce", "reweighted", "focal",
-                                       "reweighted_focal"])
+@pytest.mark.parametrize("hard_term", pipeline.HARD_TERMS)
 def test_validation_loss_is_the_named_hard_term(small_ds, hard_term):
     cfg = small_cfg(mode="baseline_pre", hard_term=hard_term, max_epochs=1)
     model, trace = train_student(small_ds, None, cfg)
     va = small_ds.mask("valid")
     y_va, p = small_ds.y[va], predict(model, small_ds.x_pre[va])
     weights = None
-    if hard_term.startswith("reweighted"):
+    if hard_term == "reweighted":
         y_tr = small_ds.y[small_ds.mask("train")]
         weights = losses.reweight(y_va, float(np.mean(y_tr == 1)))
-    ref = losses.focal_loss(y_va, p, cfg.gamma, weights) \
-        if hard_term.endswith("focal") else losses.kl_hard(y_va, p, weights)
+    ref = losses.kl_hard(y_va, p, weights)
     assert trace.epochs[0]["val_loss"] == ref.value
 
 
@@ -103,7 +101,7 @@ def parent_train_model(x_tr, y_tr, x_va, y_va, cfg, teacher=None,
                                      cfg.dropout, rng)
     state = numcore.init_adam(model)
     pi1 = float(np.mean(y_tr == 1))
-    reweighted, _ = losses.HARD_TERMS[cfg.hard_term]
+    reweighted = cfg.hard_term == "reweighted"
     w_tr, w_va = (losses.reweight(y, pi1) if reweighted else None
                   for y in (y_tr, y_va))
     teacher_h = teacher_z = None
@@ -194,7 +192,7 @@ def _check_against_parent_loop(small_ds, dropout, terms, feat_metric, dtype):
     # 3 epochs of batches 1024, 1024 and a short 752.
     alpha, beta, lam = terms
     cfg = small_cfg(alpha=alpha, beta=beta, lam=lam, dropout=dropout,
-                    feat_metric=feat_metric, hard_term="reweighted_focal",
+                    feat_metric=feat_metric, hard_term="reweighted",
                     max_epochs=3)
     teacher, _ = train_teacher(small_ds, small_cfg(max_epochs=2))
     tr, va = small_ds.mask("train"), small_ds.mask("valid")
