@@ -36,13 +36,11 @@ def _as_matrix(a, name: str) -> np.ndarray:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Logistic: 1/(1+e) if z >= 0 else e/(1+e), e = exp(-|z|) <= 1."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e)
+    out /= 1.0 + e  # in place: a 0-d input stays an array
     return out
 
 
@@ -266,8 +264,8 @@ def forward(model: MlpModel, x, mode: str = "eval",
     z = np.einsum("ij,j->i", h, model.classifier.weights[:, 0]) \
         + model.classifier.bias[0]
     p = sigmoid(z)
-    if not (np.isfinite(h, out=_room(ws, "bool", h.shape, dtype=bool)).all()
-            and np.all(np.isfinite(z))):
+    # A non-finite h makes its row's logit non-finite too (inf * 0 is NaN).
+    if not np.all(np.isfinite(z)):
         raise TrainingError("forward pass produced non-finite activations")
     return ForwardCache(x, [], post_acts, [], h, z, p, mode)
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mgkd import metrics
 from mgkd.errors import DataError
 from mgkd.metrics import EvalReport, _rank, auc, evaluate, ks, recall_at_k
 
@@ -178,6 +179,14 @@ class TestEvaluate:
         with pytest.raises(DataError, match="k_percent"):
             evaluate([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1], k_percent=k)
 
+    @pytest.mark.parametrize("metric", [evaluate, recall_at_k])
+    def test_bad_k_raises_before_sorting(self, metric, monkeypatch):
+        def no_sort(*args):
+            raise AssertionError("sorted before checking k_percent")
+        monkeypatch.setattr(metrics, "_rank", no_sort)
+        with pytest.raises(DataError, match="k_percent"):
+            metric([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1], 0.0)
+
 
 def loop_midranks(scores):
     """The while-loop midranks that the whole-array version replaced."""
@@ -195,7 +204,11 @@ def loop_midranks(scores):
 
 
 def midranks(scores):
-    return _rank(scores, np.zeros(scores.size, dtype=bool))[0]
+    """Each row's midrank, rebuilt from `_rank`'s order and tie groups."""
+    order, starts, ends, _ = _rank(scores, np.zeros(scores.size, dtype=bool))
+    ranks = np.empty(scores.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
+    return ranks
 
 
 class TestMidranks:
@@ -293,3 +306,54 @@ def test_recall_accepts_all_positive_labels(n):
     for k in (0.01, 10.0, 100.0):
         assert recall_at_k(scores, np.ones(n, dtype=int), k) == \
             parent_recall_at_k(scores, np.ones(n, dtype=int), k)
+
+
+def boundary_group_case(n):
+    """Recall@10's cut falls inside the top tie group, every third row.
+
+    Its positives are the even indices below n / 2, so they interleave
+    with its negatives by original index, and the kept rows (its lowest
+    indices) hold more positives than its highest indices do.
+    """
+    rng = np.random.default_rng(n)
+    scores = rng.uniform(0.0, 0.5, n)
+    labels = (rng.random(n) < 0.1).astype(int)
+    top = np.arange(0, n, 3)
+    scores[top] = 1.0
+    labels[top] = (top % 2 == 0) & (top < n // 2)
+    return scores, labels
+
+
+@pytest.mark.parametrize("n", [20_000, 100_000])
+@pytest.mark.parametrize("kind", ["int_levels", "rounded", "boundary_group"])
+def test_large_sort_matches_four_sorts(n, kind):
+    # Above the property's n <= 300, where numpy's sort may switch kernels.
+    rng = np.random.default_rng(7)
+    if kind == "int_levels":
+        scores = rng.integers(0, 5, n).astype(float)
+        labels = rng.integers(0, 2, n)
+    elif kind == "rounded":
+        scores = np.round(rng.standard_normal(n), 2)
+        labels = (rng.random(n) < 1.0 / (1.0 + np.exp(-scores))).astype(int)
+    else:
+        scores, labels = boundary_group_case(n)
+    for k in (0.01, 10.0, 33.3, 100.0):
+        parent = EvalReport(
+            parent_auc(scores, labels), parent_ks(scores, labels),
+            parent_recall_at_k(scores, labels, k), k,
+            int(np.sum(labels == 1)), int(np.sum(labels == 0)))
+        assert bits(evaluate(scores, labels, k)) == bits(parent)
+        assert bits(EvalReport(auc(scores, labels), ks(scores, labels),
+                               recall_at_k(scores, labels, k), k,
+                               parent.n_pos, parent.n_neg)) == bits(parent)
+
+
+@pytest.mark.parametrize("n", [20_000, 100_000])
+def test_boundary_group_is_cut(n):
+    # The case above would not test the tie-breaking if the cut missed
+    # the group, or if any subset of its rows had the same positives.
+    scores, labels = boundary_group_case(n)
+    m = math.ceil(0.1 * n)
+    group = np.flatnonzero(scores == 1.0)
+    assert 0 < m < group.size
+    assert labels[group[:m]].sum() != labels[group[-m:]].sum()

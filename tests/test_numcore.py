@@ -54,6 +54,51 @@ class TestForward:
         with pytest.raises(TrainingError, match="needs an rng"):
             forward(model, np.ones((2, 6)), "train")
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_unit_with_zero_weight_raises(self, mode, bad):
+        # The bias makes hidden unit 0 inf or NaN on every row. Its
+        # classifier weight is 0, so only the logit check, through inf * 0
+        # or NaN, can see it.
+        model = MlpModel.from_layers([(np.eye(2), np.array([bad, 0.0])),
+                                      (np.array([[0.0], [1.0]]), np.zeros(1))])
+        x = np.array([[0.5, 1.0], [2.0, 3.0]])
+        with pytest.raises(TrainingError, match="non-finite activations"):
+            forward(model, x, mode)
+
+
+def _two_branch_sigmoid(z):
+    """The masked two-branch sigmoid that the branch-free one replaced."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("z", [
+        0.0, -0.0, 800.0, -800.0, 1e308, -1e308, 37.5,
+        np.array([0.0, -0.0, 1e-300, -1e-300, 709.0, -709.0, 745.2, -745.2]),
+        np.linspace(-800.0, 800.0, 4001).reshape(-1, 1),
+        np.random.default_rng(0).standard_normal((7, 9)) * 40.0,
+        np.array([[1e308, -1e308], [5e-324, -5e-324]]),
+    ], ids=["zero", "neg_zero", "800", "-800", "1e308", "-1e308", "0d_float",
+            "edges", "sweep_2d", "random_2d", "extremes_2d"])
+    def test_matches_two_branch_bitwise(self, z):
+        got = numcore.sigmoid(z)
+        ref = _two_branch_sigmoid(z)
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        assert got.shape == np.shape(z)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_saturates_without_warnings(self):
+        # The suite turns warnings into errors, so an overflowing exp fails.
+        z = np.array([-1e308, -800.0, 800.0, 1e308])
+        assert np.array_equal(numcore.sigmoid(z), [0.0, 0.0, 1.0, 1.0])
+
 
 def _one_shot_flags(rng, shape):
     """The 16-bit keep flags of `shape` units from one `random_raw` draw."""
