@@ -254,7 +254,7 @@ def cmd_eval(args) -> int:
     # A model file records its feature block, not its student mode. A
     # one-class split is reported ahead of a width mismatch.
     ds.labels(args.split)
-    width = ds.features(feature_mode, args.split).shape[1]
+    rows, width = ds.features(feature_mode, args.split).shape
     if width != model.input_dim:
         raise DataError(f"{dataset_path}: block {feature_mode!r} does not "
                         f"fit {model_path}: input has {width} columns, "
@@ -269,7 +269,8 @@ def cmd_eval(args) -> int:
                          _split_fractions(parser)))
     _write_manifest(out_dir, "eval", {"split": args.split,
                                       "model": str(model_path), **fractions},
-                    dataset_path, ds.sha256, [], [str(results_path)], {})
+                    dataset_path, ds.sha256, [], [str(results_path)], {},
+                    tile_workers=pipeline.tile_workers(rows))
     print(f"{'split':>10} {'AUC':>8} {'KS':>8} {'Recall@10':>10}")
     print(f"{report.split:>10} {report.auc:8.4f} {report.ks:8.4f} "
           f"{report.recall_at_k:10.4f}")

@@ -48,7 +48,9 @@ def _rank(scores: np.ndarray, pos: np.ndarray):
     starts = np.flatnonzero(np.concatenate(
         ([True], s_sorted[1:] != s_sorted[:-1])))
     ends = np.append(starts[1:], scores.size) - 1
-    return order, starts, ends, np.concatenate(([0], np.cumsum(pos[order])))
+    cpos = np.empty(scores.size + 1, np.int64)  # summed in place
+    cpos[0], cpos[1:] = 0, pos[order]
+    return order, starts, ends, np.cumsum(cpos, out=cpos)
 
 
 def _auc(ranked, n_pos: int, n_neg: int) -> float:

@@ -163,6 +163,13 @@ class Workspace:
         out = _room(self, name, (len(idx), rows.shape[1]), rows.dtype)
         return np.take(rows, idx, axis=0, out=out, mode="clip")
 
+    def reserve(self, model: "MlpModel", rows: int) -> "Workspace":
+        """Size the buffers of a float64 eval-mode `forward` of up to
+        `rows` rows now, so that the forward allocates none of them."""
+        for i, (_, width) in enumerate(model.shapes[:-1]):
+            _room(self, f"act{i}", (rows, width))
+        return self
+
 
 def _room(ws: Workspace | None, name: str, shape: tuple[int, ...],
           dtype=np.float64):

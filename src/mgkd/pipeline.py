@@ -27,7 +27,7 @@ import json
 import multiprocessing
 import os
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -139,24 +139,69 @@ class TrainTrace:
 PREDICT_ROWS = 8192
 
 
-def _eval_pass(model: numcore.MlpModel, x, ws, keep_h: bool = False):
+def _tiles(n: int) -> list[tuple[int, int]]:
+    """`(start, end)` of each eval tile of `n` rows: tiles start at
+    multiples of PREDICT_ROWS, and a lone last row joins the tile before
+    it."""
+    starts = list(range(0, max(n - 1, 1), PREDICT_ROWS))
+    return list(zip(starts, [*starts[1:], n]))
+
+
+def tile_workers(rows: int) -> int:
+    """The threads `predict` scores `rows` rows on: the usable CPUs over
+    the BLAS threads, at least 1 and at most the tile count.
+
+    The BLAS threads are the first positive integer in
+    OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS, as OpenBLAS reads them.
+    Without one the BLAS runs on every CPU, and this is 1.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            blas = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            break
+    else:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) \
+        if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cpus // blas, len(_tiles(rows))))
+
+
+def _eval_pass(model: numcore.MlpModel, x, ws, keep_h: bool = False,
+               workers: int = 1):
     """`(h, z, p)` of a float64 eval-mode pass, PREDICT_ROWS rows at a time.
 
     A row's encoder bits depend on its place in its block, and a 1-row
-    product runs another kernel; so tiles start at multiples of
-    PREDICT_ROWS, a lone last row joins the tile before it, and the result
+    product runs another kernel; so the tiles are `_tiles`, and the result
     equals one whole-array pass bit for bit. `h` is kept only with `keep_h`,
-    as STEP_DTYPE.
+    as STEP_DTYPE. With `workers` > 1, worker k runs tiles k, k + workers,
+    ... on a thread of its own, in `ws` or a workspace of its own; each
+    tile writes only its rows, so the bits do not depend on `workers`.
     """
     x = numcore._as_matrix(np.asarray(x, dtype=np.float64), "x")
     h = np.empty((len(x), model.repr_dim), STEP_DTYPE) if keep_h else None
     z, p = np.empty(len(x)), np.empty(len(x))
-    starts = list(range(0, max(len(x) - 1, 1), PREDICT_ROWS))
-    for a, b in zip(starts, [*starts[1:], len(x)]):
-        cache = numcore.forward(model, x[a:b], "eval", ws=ws)
-        z[a:b], p[a:b] = cache.z, cache.p
-        if keep_h:
-            h[a:b] = cache.h
+    tiles = _tiles(len(x))
+
+    def run(k, ws):
+        for a, b in tiles[k::workers]:
+            cache = numcore.forward(model, x[a:b], "eval", ws=ws)
+            z[a:b], p[a:b] = cache.z, cache.p
+            if keep_h:
+                h[a:b] = cache.h
+
+    if workers < 2:
+        run(0, ws)
+        return h, z, p
+    # Sized in this thread: grown in a worker, the buffers would come from
+    # that thread's malloc arena, which holds on to its memory.
+    rows = max(b - a for a, b in tiles)
+    spaces = [ws.reserve(model, rows), *(numcore.Workspace().reserve(
+        model, rows) for _ in range(workers - 1))]
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(run, range(workers), spaces))
     return h, z, p
 
 
@@ -202,6 +247,8 @@ def _train_model(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
                   for y in (y_tr, y_va))
 
     # Teacher pass once, eval mode, in a workspace freed before training.
+    # It and the validation passes run on one worker: more workers' tile
+    # buffers would add to the peak memory of the training run.
     teacher_h = teacher_z = None
     if spec.needs_teacher and (cfg.alpha > 0.0 or cfg.beta > 0.0):
         teacher_h, z, _ = _eval_pass(
@@ -285,8 +332,10 @@ def train_student(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
 
 
 def predict(model: numcore.MlpModel, x) -> np.ndarray:
-    """Eval-mode probabilities, tiled in one workspace by `_eval_pass`."""
-    return _eval_pass(model, x, numcore.Workspace())[2]
+    """Eval-mode probabilities: `_eval_pass` on `tile_workers` threads."""
+    x = numcore._as_matrix(np.asarray(x, dtype=np.float64), "x")
+    return _eval_pass(model, x, numcore.Workspace(),
+                      workers=tile_workers(len(x)))[2]
 
 
 def evaluate_split(model: numcore.MlpModel, ds: TwoPhaseDataset, split: str,

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -989,6 +990,28 @@ def test_manifests_record_step_dtype_and_blas_threads(workdir, tmp_path,
         assert manifest["MKL_NUM_THREADS"] == "2"
         assert manifest["numpy"] == np.__version__
         assert manifest["blas"] == pipeline.environment()["blas"]
+    # The test split is one tile.
+    assert json.loads(manifests[0].read_text())["tile_workers"] == 1
+
+
+def test_eval_manifest_records_tile_workers(workdir, tmp_path, monkeypatch):
+    # 16-row tiles, so that the test split has several.
+    out, config = workdir
+    monkeypatch.setattr(pipeline, "PREDICT_ROWS", 16)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    results = {}
+    for blas_threads in ("", "1"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+        dest = tmp_path / f"blas{blas_threads}"
+        assert cli.main(["eval", "--model", str(out / "teacher.mgkd"),
+                         "--data", str(out / "dataset.csv"),
+                         "--config", str(config), "--out", str(dest)]) == 0
+        manifest = json.loads((dest / "eval_manifest.json").read_text())
+        results[manifest["tile_workers"]] = \
+            (dest / "eval_results.jsonl").read_bytes()
+    assert list(results) == [1, 2]
+    assert results[1] == results[2]
 
 
 @pytest.mark.parametrize("grid", [",", "nan", "0.2,inf"])

@@ -529,6 +529,16 @@ class TestWorkspace:
         assert not np.shares_memory(first.flat, second.flat)
         assert first.flat.tobytes() == before.tobytes()
 
+    def test_reserve_sizes_every_eval_buffer(self, rng):
+        model = small_model(hidden=(16, 12, 8), dropout=0.3)
+        ws = numcore.Workspace().reserve(model, 40)
+        reserved = dict(ws.buffers)
+        for n in (40, 1, 0):
+            forward(model, rng.standard_normal((n, 6)), "eval", ws=ws)
+            # no buffer added or regrown
+            assert list(ws.buffers) == list(reserved), n
+            assert all(ws.buffers[k] is buf for k, buf in reserved.items())
+
     def test_step_allocates_less_than_one_batch_array(self):
         one_array = STEP_ROWS * STEP_WIDTH * 8
         assert _step_peak_bytes(np.float64, numcore.Workspace()) < one_array

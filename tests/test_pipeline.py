@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 import mgkd
 from mgkd import data, losses, metrics, modelio, numcore, pipeline
-from mgkd.errors import ConfigError, DataError
+from mgkd.errors import ConfigError, DataError, TrainingError
 from mgkd.pipeline import (PREDICT_ROWS, DistillConfig, evaluate_split,
                            predict, run_ablation, train_student,
                            train_teacher)
@@ -412,7 +413,9 @@ class TestPredict:
                                r"(19|21) columns, model expects 20"):
                 predict(model, x)
 
-    def test_tiles_allocate_less_than_one_layer_output(self):
+    def test_tiles_allocate_less_than_one_layer_output(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         rows, width = 100_000, 64
         model = numcore.init_mlp(20, [width, width], 0.2,
                                  np.random.default_rng(0))
@@ -429,6 +432,9 @@ class TestPredict:
         # One tile's activations and masks plus `p`: about 10 MB. A
         # workspace that also held the training buffers peaked at 36.5 MB.
         assert peak_bytes(lambda: predict(model, x)) < 16 * 10**6
+        # A second worker adds its own tile activations, about 8.4 MB.
+        monkeypatch.setattr(pipeline, "tile_workers", lambda rows: 2)
+        assert peak_bytes(lambda: predict(model, x)) < 25 * 10**6
         one_output = rows * width * 8
         assert peak_bytes(lambda: numcore.forward(model, x, "eval")) \
             > one_output
@@ -457,9 +463,11 @@ def _child_json(script: str, blas_threads: str):
     return json.loads(proc.stdout)
 
 
-# The tiled pass against one whole-array pass: `predict`'s p, and the
-# kept h (as STEP_DTYPE) and z, over one workspace per model.
+# The tiled pass on 1, 2 and 3 workers against one whole-array pass:
+# `predict`'s p, and the pass's p, z and kept h (as STEP_DTYPE), over one
+# workspace per model.
 WHOLE_PASS_SCRIPT = """
+import itertools
 import json
 import numpy as np
 from mgkd import numcore, pipeline
@@ -472,20 +480,21 @@ for rate in (0.0, 0.3):
         model = numcore.init_mlp(20, [width, width], rate,
                                  np.random.default_rng(1))
         ws = numcore.Workspace()
-        for n in sizes:
+        for n, workers in itertools.product(sizes, (1, 2, 3)):
             whole = numcore.forward(model, x[:n], "eval")
-            h, z, _ = pipeline._eval_pass(model, x[:n], ws, keep_h=True)
-            pairs = ((pipeline.predict(model, x[:n]), whole.p), (z, whole.z),
-                     (h, whole.h.astype(pipeline.STEP_DTYPE)))
+            h, z, p = pipeline._eval_pass(model, x[:n], ws, keep_h=True,
+                                          workers=workers)
+            pairs = ((pipeline.predict(model, x[:n]), whole.p), (p, whole.p),
+                     (z, whole.z), (h, whole.h.astype(pipeline.STEP_DTYPE)))
             if any(a.tobytes() != b.tobytes() for a, b in pairs):
-                bad.append([rate, width, n])
+                bad.append([rate, width, n, workers])
 print(json.dumps(bad))
 """
 
 
 def test_tiled_predict_matches_whole_pass():
     for blas_threads in ("1", "2"):
-        # (dropout, width, rows) that differ
+        # (dropout, width, rows, workers) that differ
         assert _child_json(WHOLE_PASS_SCRIPT, blas_threads) == [], \
             blas_threads
 
@@ -512,13 +521,20 @@ def test_eval_pass_does_not_depend_on_blas_threads():
         _child_json(EVAL_PASS_SCRIPT, "2")
 
 
-def test_training_eval_passes_are_tiled(monkeypatch):
-    # The teacher pass covers every train row and validation every valid
-    # row; whole-array passes would run forwards over 9,000 rows each.
+@pytest.fixture(scope="module")
+def tiled_ds():
+    """A dataset whose train and valid splits each span several tiles."""
     ds = data.temporal_split(data.generate_synthetic(data.SyntheticConfig(
         n=20_000, d_pre=5, d_in=5, seed=2)), 0.45, 0.1)
     assert min(ds.mask("train").sum(), ds.mask("valid").sum()) \
         > PREDICT_ROWS + 1
+    return ds
+
+
+def test_training_eval_passes_are_tiled(tiled_ds, monkeypatch):
+    # The teacher pass covers every train row and validation every valid
+    # row; whole-array passes would run forwards over 9,000 rows each.
+    ds = tiled_ds
     teacher, _ = train_teacher(ds, small_cfg(max_epochs=1))
     eval_rows, forward = [], numcore.forward
 
@@ -532,6 +548,82 @@ def test_training_eval_passes_are_tiled(monkeypatch):
     assert sum(eval_rows) == ds.mask("train").sum() \
         + 2 * ds.mask("valid").sum()
     assert max(eval_rows) <= PREDICT_ROWS + 1
+
+
+R = PREDICT_ROWS
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("keep_h", [True, False])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_eval_pass_bits_do_not_depend_on_workers(workers, keep_h, dropout):
+    x = np.random.default_rng(0).standard_normal((3 * R + 7, 20))
+    model = numcore.init_mlp(20, [64, 64], dropout, np.random.default_rng(1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # many thread switches inside each pass
+    try:
+        for n in (0, 1, 2, R - 1, R, R + 1, R + 2, 3 * R + 7):
+            one = pipeline._eval_pass(model, x[:n], numcore.Workspace(),
+                                      keep_h)
+            threads = threading.active_count()
+            many = pipeline._eval_pass(model, x[:n], numcore.Workspace(),
+                                       keep_h, workers)
+            assert threading.active_count() == threads
+            assert [None if a is None else a.tobytes() for a in one] == \
+                [None if a is None else a.tobytes() for a in many], n
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_worker_error_reaches_the_caller():
+    x = np.random.default_rng(0).standard_normal((3 * R + 7, 20))
+    x[2 * R + 5, 3] = np.nan  # in the third tile
+    model = numcore.init_mlp(20, [16], 0.0, np.random.default_rng(1))
+    threads = threading.active_count()
+    with pytest.raises(TrainingError, match="^forward pass produced "
+                       "non-finite activations$"):
+        pipeline._eval_pass(model, x, numcore.Workspace(), workers=2)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("env, cpus, rows, workers", [
+    ({}, 4, 10 * R, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, 10 * R, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 10 * R, 2),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 7, 10 * R, 7),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2, 10 * R, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 8, 10 * R, 4),
+    ({"OPENBLAS_NUM_THREADS": "4"}, 2, 10 * R, 1),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 4, 10 * R, 1),
+    ({"OPENBLAS_NUM_THREADS": ""}, 4, 10 * R, 1),
+    ({"OPENBLAS_NUM_THREADS": "two"}, 4, 10 * R, 1),
+    ({"OMP_NUM_THREADS": "1"}, 4, 10 * R, 4),
+    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 4, 10 * R, 2),
+    ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4, 10 * R, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 8, 0, 1),       # one tile
+    ({"OPENBLAS_NUM_THREADS": "1"}, 8, R + 1, 1),   # still one tile
+    ({"OPENBLAS_NUM_THREADS": "1"}, 8, 3 * R, 3),   # three tiles
+])
+def test_worker_rule(monkeypatch, env, cpus, rows, workers):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert pipeline.tile_workers(rows) == workers
+
+
+def test_training_passes_start_no_threads(tiled_ds, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(pipeline, "tile_workers", lambda rows: 2)
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
+    teacher, _ = train_teacher(tiled_ds, small_cfg(max_epochs=1))
+    model, _ = train_student(tiled_ds, teacher,
+                             small_cfg(mode="full", max_epochs=1))
+    with pytest.raises(AssertionError, match="thread pool"):
+        predict(model, tiled_ds.features("pre", "train"))
 
 
 def test_one_seed_grid_starts_no_workers(small_ds, monkeypatch, tmp_path):
