@@ -279,7 +279,8 @@ def cmd_eval(args) -> int:
 
 
 def _parse_list(text: str, cast, what: str) -> list:
-    """Comma-separated `text` as a non-empty list of `cast` values."""
+    """Comma-separated `text` as a non-empty list of distinct `cast`
+    values."""
     try:
         values = [cast(v) for v in text.split(",") if v.strip()]
     except ValueError:
@@ -287,6 +288,9 @@ def _parse_list(text: str, cast, what: str) -> list:
     if not values:
         raise ConfigError(f"bad {what} {text!r}: need one or more "
                           "comma-separated numbers")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"bad {what} {text!r}: {value} is repeated")
     return values
 
 
@@ -325,7 +329,8 @@ def cmd_ablate(args) -> int:
                     ds.sha256, seeds, [str(results_path)],
                     {"ablate_s": elapsed},
                     teacher_config=dataclasses.asdict(teacher_cfg),
-                    models=models)
+                    models=models, grid_workers=pipeline.grid_workers(
+                        len(seeds), len(modes), args.jobs))
 
     print(f"{'mode':>14} {'AUC':>8} {'±':>7} {'KS':>8} {'Recall@10':>10}")
     for mode in sorted(modes, key=lambda m: -agg[m]["auc_mean"]):
@@ -377,7 +382,8 @@ def cmd_sweep(args) -> int:
                     ds.sha256, seeds, [str(results_path)],
                     {"sweep_s": elapsed},
                     teacher_config=dataclasses.asdict(teacher_cfg),
-                    models=models)
+                    models=models, grid_workers=pipeline.grid_workers(
+                        len(seeds), len(points), args.jobs))
 
     print(f"{param:>8} {'seed':>5} {'AUC':>8} {'KS':>8} {'Recall@10':>10}")
     for record in records:

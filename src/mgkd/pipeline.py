@@ -147,9 +147,9 @@ def _tiles(n: int) -> list[tuple[int, int]]:
     return list(zip(starts, [*starts[1:], n]))
 
 
-def tile_workers(rows: int) -> int:
-    """The threads `predict` scores `rows` rows on: the usable CPUs over
-    the BLAS threads, at least 1 and at most the tile count.
+def _cpu_workers(jobs: int = 1) -> int:
+    """The usable CPUs over the BLAS threads, over `jobs` processes, at
+    least 1.
 
     The BLAS threads are the first positive integer in
     OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS, as OpenBLAS reads them.
@@ -166,7 +166,33 @@ def tile_workers(rows: int) -> int:
         return 1
     cpus = len(os.sched_getaffinity(0)) \
         if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(cpus // blas, len(_tiles(rows))))
+    return max(1, cpus // blas // jobs)
+
+
+def tile_workers(rows: int) -> int:
+    """The threads `predict` scores `rows` rows on: `_cpu_workers()`, at
+    most the tile count."""
+    return min(_cpu_workers(), len(_tiles(rows)))
+
+
+def grid_workers(seeds: int, points: int, jobs: int = 1) -> int:
+    """The threads `run_grid` trains one seed's students on: `_cpu_workers`
+    over the `min(jobs, seeds)` processes, at most `points`. A seed with
+    fewer students to train uses fewer."""
+    return max(1, min(_cpu_workers(min(jobs, seeds)), points))
+
+
+def _on_threads(run, shares: list) -> list:
+    """`[run(share) for share in shares]`: the first share in the calling
+    thread, and each other one on a thread of a pool that lives only
+    inside the call. Every thread finishes before this returns or raises;
+    the error raised is the first share's, in share order, unchanged."""
+    if len(shares) < 2:
+        return [run(share) for share in shares]
+    with ThreadPoolExecutor(len(shares) - 1) as pool:
+        futures = [pool.submit(run, share) for share in shares[1:]]
+        first = run(shares[0])
+        return [first, *(future.result() for future in futures)]
 
 
 def _eval_pass(model: numcore.MlpModel, x, ws, keep_h: bool = False,
@@ -185,29 +211,72 @@ def _eval_pass(model: numcore.MlpModel, x, ws, keep_h: bool = False,
     z, p = np.empty(len(x)), np.empty(len(x))
     tiles = _tiles(len(x))
 
-    def run(k, ws):
+    def run(share):
+        k, ws = share
         for a, b in tiles[k::workers]:
             cache = numcore.forward(model, x[a:b], "eval", ws=ws)
             z[a:b], p[a:b] = cache.z, cache.p
             if keep_h:
                 h[a:b] = cache.h
 
-    if workers < 2:
-        run(0, ws)
-        return h, z, p
-    # Sized in this thread: grown in a worker, the buffers would come from
-    # that thread's malloc arena, which holds on to its memory.
-    rows = max(b - a for a, b in tiles)
-    spaces = [ws.reserve(model, rows), *(numcore.Workspace().reserve(
-        model, rows) for _ in range(workers - 1))]
-    with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(run, range(workers), spaces))
+    spaces = [ws]
+    if workers > 1:
+        # Sized in this thread: grown in a worker, the buffers would come
+        # from that thread's malloc arena, which holds on to its memory.
+        rows = max(b - a for a, b in tiles)
+        spaces = [ws.reserve(model, rows), *(numcore.Workspace().reserve(
+            model, rows) for _ in range(workers - 1))]
+    _on_threads(run, list(enumerate(spaces)))
     return h, z, p
 
 
+def _reads_teacher(cfg: DistillConfig) -> bool:
+    """Whether training normalized `cfg` reads the teacher pass."""
+    return MODE_TABLE[cfg.mode].needs_teacher \
+        and (cfg.alpha > 0.0 or cfg.beta > 0.0)
+
+
+@dataclass(frozen=True)
+class _Inputs:
+    """What students read and never write: the train rows of each block
+    they read, as STEP_DTYPE, and the teacher pass's `(h, z)`, or None."""
+
+    rows: dict[str, np.ndarray]
+    taught: tuple[np.ndarray | None, np.ndarray] | None
+
+
+def _inputs(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
+            cfgs: list[DistillConfig]) -> _Inputs:
+    """The `_Inputs` of normalized `cfgs`.
+
+    The teacher pass is one eval pass over the train rows, in a workspace
+    freed before training. It runs only if one of `cfgs` reads it, and
+    keeps `h`, as STEP_DTYPE, only if such a one has β > 0. It and the
+    validation passes run on one worker: more workers' tile buffers would
+    add to the peak memory of the training run.
+    """
+    rows = {block: ds.features(block, "train").astype(STEP_DTYPE, copy=False)
+            for block in dict.fromkeys(MODE_TABLE[cfg.mode].features
+                                       for cfg in cfgs)}
+    readers = [cfg for cfg in cfgs if _reads_teacher(cfg)]
+    if not readers:
+        return _Inputs(rows, None)
+    h, z, _ = _eval_pass(
+        teacher, ds.features(MODE_TABLE["teacher"].features, "train"),
+        numcore.Workspace(), any(cfg.beta > 0.0 for cfg in readers))
+    return _Inputs(rows, (h, z))
+
+
 def _train_model(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
-                 cfg: DistillConfig) -> tuple[numcore.MlpModel, TrainTrace]:
-    """Fit the model of `cfg.mode` as its `MODE_TABLE` row says."""
+                 cfg: DistillConfig, inputs: _Inputs | None = None,
+                 spaces: tuple[numcore.Workspace, numcore.Workspace]
+                 | None = None) -> tuple[numcore.MlpModel, TrainTrace]:
+    """Fit the model of `cfg.mode` as its `MODE_TABLE` row says.
+
+    `inputs` is `_inputs` of a config list that holds `cfg`, normalized;
+    by default it is made here for `cfg` alone. `spaces` is the `(step,
+    validation)` workspace pair to train in, by default a new one.
+    """
     cfg = cfg.normalized()
     spec = MODE_TABLE[cfg.mode]
     if spec.needs_teacher and teacher is None:
@@ -215,7 +284,6 @@ def _train_model(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
     if (spec.needs_teacher or spec.features != "pre") and ds.d_in == 0:
         raise DataError(f"mode {cfg.mode!r} requires the in-service block")
     y_tr, y_va = ds.labels("train"), ds.labels("valid")
-    x_tr = ds.features(spec.features, "train").astype(STEP_DTYPE, copy=False)
     x_va = ds.features(spec.features, "valid")
     n_tr = len(y_tr)
 
@@ -223,7 +291,7 @@ def _train_model(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
     # pretrain_only draws a fresh first layer from a generator of its own,
     # leaving the training rng unused until the first epoch.
     model = numcore.init_mlp(
-        x_tr.shape[1], list(cfg.hidden_dims), cfg.dropout,
+        x_va.shape[1], list(cfg.hidden_dims), cfg.dropout,
         np.random.default_rng(cfg.seed) if spec.init_from_teacher else rng)
     if spec.init_from_teacher:
         hidden = tuple(shape[1] for shape in teacher.shapes[:-1])
@@ -246,16 +314,15 @@ def _train_model(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
                   if cfg.hard_term == "reweighted" else None
                   for y in (y_tr, y_va))
 
-    # Teacher pass once, eval mode, in a workspace freed before training.
-    # It and the validation passes run on one worker: more workers' tile
-    # buffers would add to the peak memory of the training run.
+    inputs = inputs or _inputs(ds, teacher, [cfg])
+    x_tr = inputs.rows[spec.features]
     teacher_h = teacher_z = None
-    if spec.needs_teacher and (cfg.alpha > 0.0 or cfg.beta > 0.0):
-        teacher_h, z, _ = _eval_pass(
-            teacher, ds.features(MODE_TABLE["teacher"].features, "train"),
-            numcore.Workspace(), keep_h=cfg.beta > 0.0)
+    if _reads_teacher(cfg):
+        h, z = inputs.taught
+        teacher_h = h if cfg.beta > 0.0 else None
         teacher_z = z if cfg.alpha > 0.0 else None
-    ws, eval_ws = numcore.Workspace(), numcore.Workspace()  # by dtype
+    # By dtype: the STEP_DTYPE steps, and the float64 validation passes.
+    ws, eval_ws = spaces or (numcore.Workspace(), numcore.Workspace())
 
     work = numcore.MlpModel(model.flat.astype(STEP_DTYPE), model.shapes,
                             model.dropout_rate)
@@ -326,9 +393,11 @@ def train_teacher(ds: TwoPhaseDataset,
 
 
 def train_student(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
-                  cfg: DistillConfig) -> tuple[numcore.MlpModel, TrainTrace]:
-    """Fit the pre-service model under the mode-resolved objective."""
-    return _train_model(ds, teacher, cfg)
+                  cfg: DistillConfig, inputs: _Inputs | None = None,
+                  spaces=None) -> tuple[numcore.MlpModel, TrainTrace]:
+    """Fit the pre-service model under the mode-resolved objective;
+    `inputs` and `spaces` are `_train_model`'s."""
+    return _train_model(ds, teacher, cfg, inputs, spaces)
 
 
 def predict(model: numcore.MlpModel, x) -> np.ndarray:
@@ -393,52 +462,77 @@ def model_key(data_key: str, cfg: DistillConfig,
         .hexdigest()
 
 
-def _stored(path: Path, features: str,
-            train) -> tuple[numcore.MlpModel, str]:
-    """`(model, "trained" | "reused")`: the model stored at `path`, which
-    `train()` makes first when there is none. A new model is read back
-    like a reused one."""
-    status = "reused" if path.exists() else "trained"
-    if status == "trained":
-        modelio.save_model(train()[0], path, features)
+def _load_stored(path: Path, features: str) -> numcore.MlpModel:
+    """The model stored at `path`, which must read block `features`."""
     model, block = modelio.load_model(path)
     if block != features:
         raise DataError(f"{path}: the stored model reads block {block!r}, "
                         f"its mode reads {features!r}")
-    return model, status
+    return model
 
 
 def _run_seed(ds: TwoPhaseDataset, data_key: str, base_cfg: DistillConfig,
               teacher_cfg: DistillConfig, points: list[tuple[str, dict]],
-              store: Path, seed: int,
+              store: Path, workers: int, seed: int,
               ) -> tuple[list[metrics.EvalReport], list[dict]]:
+    """The teacher, then the missing students on up to `workers` threads,
+    then each point in order: load and score its model."""
     models = []
 
-    def fetch(label, cfg, teacher_key, train):
+    def record(label, cfg, teacher_key=None) -> dict:
+        """`cfg`'s model record; the first model of a key trains, unless
+        the store has a file for it."""
         key = model_key(data_key, cfg, teacher_key)
         path = Path(store, f"model_{key}.mgkd")
-        model, status = _stored(path, MODE_TABLE[cfg.mode].features, train)
+        trained = not path.exists() and all(m["key"] != key for m in models)
         models.append({"seed": seed, "label": label, "key": key,
-                       "path": str(path), "status": status})
-        return model, key
+                       "path": str(path),
+                       "status": "trained" if trained else "reused"})
+        return models[-1]
 
-    cfgs = [replace(base_cfg, seed=seed, **overrides)
+    cfgs = [replace(base_cfg, seed=seed, **overrides).normalized()
             for _, overrides in points]
     teacher = teacher_key = None
     if any(MODE_TABLE[cfg.mode].needs_teacher for cfg in cfgs):
         # The overrides never reach the teacher, so one teacher per seed
         # serves every point.
         t_cfg = replace(teacher_cfg, seed=seed, mode="teacher")
-        teacher, teacher_key = fetch("teacher", t_cfg, None,
-                                     lambda: train_teacher(ds, t_cfg))
+        rec = record("teacher", t_cfg)
+        path, block = Path(rec["path"]), MODE_TABLE["teacher"].features
+        if rec["status"] == "trained":
+            modelio.save_model(train_teacher(ds, t_cfg)[0], path, block)
+        teacher, teacher_key = _load_stored(path, block), rec["key"]
+    students = [record(label, cfg, teacher_key
+                       if MODE_TABLE[cfg.mode].needs_teacher else None)
+                for (label, _), cfg in zip(points, cfgs)]
+    todo = [i for i, rec in enumerate(students) if rec["status"] == "trained"]
+    inputs = _inputs(ds, teacher, [cfgs[i] for i in todo])
+
+    def train(share):
+        """Train a share's points in order, in one workspace pair; stop at
+        the first error and return it with its point."""
+        own = numcore.Workspace(), numcore.Workspace()
+        for i in share:
+            try:
+                model, _ = train_student(ds, teacher, cfgs[i], inputs, own)
+                modelio.save_model(model, Path(students[i]["path"]),
+                                   MODE_TABLE[cfgs[i].mode].features)
+            except Exception as exc:  # raised below, in point order
+                return i, exc
+        return None
+
+    # Thread k, the caller first, trains the missing points k, k + n, ...
+    n = min(workers, len(todo))
+    failed = dict(filter(None, _on_threads(
+        train, [todo[k::n] for k in range(n)])))
     reports = []
-    for (label, _), cfg in zip(points, cfgs):
-        spec = MODE_TABLE[cfg.mode]
-        model, _ = fetch(label, cfg,
-                         teacher_key if spec.needs_teacher else None,
-                         lambda: train_student(ds, teacher, cfg))
-        reports.append(evaluate_split(model, ds, "test", spec.features,
-                                      seed=seed, mode=label))
+    for i, (rec, cfg) in enumerate(zip(students, cfgs)):
+        if i in failed:
+            raise failed[i]
+        block = MODE_TABLE[cfg.mode].features
+        model = _load_stored(Path(rec["path"]), block)
+        reports.append(evaluate_split(model, ds, "test", block, seed=seed,
+                                      mode=rec["label"]))
     return reports, models
 
 
@@ -454,15 +548,19 @@ def run_grid(ds: TwoPhaseDataset, base_cfg: DistillConfig, seeds: list[int],
     The per-seed teacher is trained from `teacher_cfg` (default
     `base_cfg`). Each model is kept in the `store` directory as
     `model_<key>.mgkd`; a model whose key has a file there is loaded, not
-    trained, and its status is "reused". With `jobs > 1` the seeds run in
-    that many worker processes, at most one per seed.
+    trained, and its status is "reused", as is a point whose key an
+    earlier point of its seed has. With `jobs > 1` the seeds run in that
+    many worker processes, at most one per seed. Within a seed, the
+    students train on `grid_workers` threads; each model trains in one
+    thread, so its bits do not depend on the count.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    workers = grid_workers(len(seeds), len(points), jobs)
     jobs = min(jobs, len(seeds))
     ds.labels("test")  # a one-class test split fails before any training
     run = partial(_run_seed, ds, data_sha256(ds), base_cfg,
-                  teacher_cfg or base_cfg, points, store)
+                  teacher_cfg or base_cfg, points, store, workers)
     if jobs > 1:
         # Fork is unsafe once BLAS has started threads.
         ctx = multiprocessing.get_context("spawn")

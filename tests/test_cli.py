@@ -1032,6 +1032,54 @@ def test_empty_seed_list_exit_2(workdir, tmp_path, command):
     assert rc == 2
 
 
+@pytest.mark.parametrize("args, sweep_section, value", [
+    (["ablate", "--seeds", "0,0"], "", "0"),
+    (["sweep", "--param", "alpha", "--grid", "0.2", "--seeds", "1,0,1"],
+     "", "1"),
+    (["sweep", "--param", "alpha", "--grid", "0.2,0.4,0.20", "--seeds", "0"],
+     "", "0.2"),
+    (["sweep"], "[sweep]\nparam = beta\ngrid = 0.1,0.1\nseeds = 0\n", "0.1"),
+    (["sweep", "--param", "alpha", "--grid", "0.2"],
+     "[sweep]\nseeds = 2,2\n", "2"),
+], ids=["ablate_seeds", "sweep_seeds", "sweep_grid", "config_grid",
+        "config_seeds"])
+def test_repeated_seed_or_grid_value_exit_2(workdir, tmp_path, capsys, args,
+                                            sweep_section, value):
+    # A repeated seed used to train once and count twice in n_runs.
+    out, config = workdir
+    variant = tmp_path / "run.ini"
+    variant.write_text(config.read_text() + "\n" + sweep_section)
+    dest = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main([*args, "--config", str(variant), "--out", str(dest),
+                     "--data", str(out / "dataset.csv")]) == 2
+    assert f": {value} is repeated" in capsys.readouterr().err
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--param", "alpha", "--grid", "0.0,0.2"], ["ablate"]])
+def test_grid_manifest_records_grid_workers(workdir, tmp_path, monkeypatch,
+                                            command):
+    out, config = workdir
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    results = {}
+    for blas_threads in ("", "1"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+        dest = tmp_path / f"blas{blas_threads}"
+        assert cli.main([*command, "--config", str(config), "--out",
+                         str(dest), "--seeds", "0",
+                         "--data", str(out / "dataset.csv")]) == 0
+        manifest = json.loads(
+            (dest / f"{command[0]}_manifest.json").read_text())
+        assert "grid_workers" not in pipeline.environment()
+        (path,) = dest.glob("*_results.jsonl")
+        results[manifest["grid_workers"]] = path.read_bytes()
+    assert list(results) == [1, 2]
+    assert results[1] == results[2]
+
+
 @pytest.mark.parametrize("command", GRID_COMMANDS)
 def test_grid_commands_reject_seed(workdir, tmp_path, command):
     # They take --seeds; a --seed would be ignored.

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -635,6 +636,94 @@ def test_one_seed_grid_starts_no_workers(small_ds, monkeypatch, tmp_path):
         small_ds, small_cfg(max_epochs=1), [0],
         [("baseline_pre", {"mode": "baseline_pre"})], tmp_path, jobs=2)
     assert [[r.mode for r in seed] for seed in reports] == [["baseline_pre"]]
+
+
+def _grid_outputs(ds, store: Path, seeds, cfg, monkeypatch, workers):
+    """Store files, model records and reports of an ablation on `workers`
+    grid threads."""
+    monkeypatch.setattr(pipeline, "grid_workers", lambda *args: workers)
+    threads = threading.active_count()
+    reports, models = run_ablation(ds, cfg, seeds, store)
+    assert threading.active_count() == threads
+    return (sorted((p.name, p.read_bytes()) for p in store.iterdir()),
+            [{**m, "path": Path(m["path"]).name} for m in models],
+            [dataclasses.asdict(r) for r in reports])
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_grid_bits_do_not_depend_on_workers(small_ds, tmp_path, monkeypatch,
+                                            workers):
+    # At beta = 0, no_coarse and full share a key: full reuses that model.
+    cfg = small_cfg(max_epochs=3, beta=0.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # many thread switches inside each step
+    try:
+        outputs = [_grid_outputs(small_ds, tmp_path / str(n), [0, 1], cfg,
+                                 monkeypatch, n) for n in (1, workers)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs[0] == outputs[1]
+    statuses = {(m["seed"], m["label"]): m["status"] for m in outputs[0][1]}
+    assert {label for (_, label), status in statuses.items()
+            if status == "reused"} == {"full"}
+    assert len(outputs[0][0]) == 2 * 6  # teacher and 5 students per seed
+
+
+def test_grid_worker_error_reaches_the_caller(small_ds, tmp_path,
+                                              monkeypatch):
+    # With 2 threads the caller trains points 0, 2, 4 and the worker
+    # 1, 3, 5: no_coarse (3) fails in the worker, full (4) in the caller.
+    raised, real = {}, pipeline.train_student
+
+    def failing(ds, teacher, cfg, *args):
+        if cfg.mode in ("no_coarse", "full"):
+            raised[cfg.mode] = TrainingError(f"{cfg.mode} failed")
+            raise raised[cfg.mode]
+        return real(ds, teacher, cfg, *args)
+
+    monkeypatch.setattr(pipeline, "train_student", failing)
+    monkeypatch.setattr(pipeline, "grid_workers", lambda *args: 2)
+    threads = threading.active_count()
+    with pytest.raises(TrainingError) as exc:
+        run_ablation(small_ds, small_cfg(max_epochs=2), [0], tmp_path)
+    assert exc.value is raised["no_coarse"]
+    assert set(raised) == {"no_coarse", "full"}
+    assert threading.active_count() == threads
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_one_grid_worker_starts_no_threads(small_ds, tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
+    reports, models = run_ablation(small_ds, small_cfg(max_epochs=1), [0],
+                                   tmp_path)
+    assert len(reports) == 6
+    assert {m["status"] for m in models} == {"trained"}
+
+
+@pytest.mark.parametrize("env, cpus, seeds, points, jobs, workers", [
+    ({}, 4, 1, 6, 1, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 1, 6, 1, 2),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2, 6, 2, 1),    # 1 per process
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 3, 6, 3, 1),    # at least 1
+    ({"OPENBLAS_NUM_THREADS": "1"}, 8, 2, 6, 2, 4),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 8, 2, 6, 2, 2),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 8, 1, 6, 4, 6),    # jobs cut to seeds
+    ({"OPENBLAS_NUM_THREADS": "1"}, 8, 5, 3, 1, 3),    # at most the points
+    ({"OPENBLAS_NUM_THREADS": "two"}, 8, 1, 6, 1, 1),
+])
+def test_grid_worker_rule(monkeypatch, env, cpus, seeds, points, jobs,
+                          workers):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert pipeline.grid_workers(seeds, points, jobs) == workers
 
 
 class TestAblation:
