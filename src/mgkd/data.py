@@ -99,7 +99,6 @@ class SyntheticConfig:
     snr_in_base: float = 0.3
     window_days: int = 30
     window_gain: float = 0.5
-    label_noise: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -116,8 +115,6 @@ class SyntheticConfig:
             raise ConfigError("positive_rate must be in (0,1)")
         if self.snr_pre <= 0.0 or self.snr_in_base <= 0.0:
             raise ConfigError("signal-to-noise ratios must be positive")
-        if not 0.0 <= self.label_noise < 0.5:
-            raise ConfigError("label_noise must be in [0, 0.5)")
         if self.snr_in(self.window_days) <= self.snr_pre:
             raise ConfigError(
                 "in-service SNR must exceed pre-service SNR "
@@ -156,19 +153,8 @@ def generate_synthetic(cfg: SyntheticConfig) -> TwoPhaseDataset:
     """Draw a deterministic two-phase dataset from the latent-risk model."""
     rng = np.random.default_rng(cfg.seed)
     z = rng.standard_normal(cfg.n)
-
-    # Account for symmetric label flips so the marginal rate still matches.
-    target = cfg.positive_rate
-    if cfg.label_noise > 0.0:
-        target = (cfg.positive_rate - cfg.label_noise) / (1.0 - 2.0 * cfg.label_noise)
-        if not 0.0 < target < 1.0:
-            raise ConfigError(
-                "positive_rate unreachable under the requested label_noise")
-    b = _calibrate_intercept(target)
+    b = _calibrate_intercept(cfg.positive_rate)
     y = (rng.random(cfg.n) < sigmoid(LATENT_SLOPE * z + b)).astype(np.int64)
-    if cfg.label_noise > 0.0:
-        flips = rng.random(cfg.n) < cfg.label_noise
-        y = np.where(flips, 1 - y, y)
 
     def block(d: int, snr: float) -> np.ndarray:
         loadings = rng.standard_normal(d)

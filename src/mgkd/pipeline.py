@@ -24,12 +24,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 import os
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -119,9 +117,14 @@ class DistillConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
 
     def normalized(self) -> "DistillConfig":
-        """Apply the loss-term constraints implied by the ablation mode."""
-        return replace(self, **dict.fromkeys(MODE_TABLE[self.mode].zeroed,
-                                             0.0))
+        """The mode's loss weights zeroed, and what no term then reads at
+        its default: `tau` at α = λ = 0, `feat_metric` at β = 0."""
+        cfg = replace(self, **dict.fromkeys(MODE_TABLE[self.mode].zeroed,
+                                            0.0))
+        unread = {"tau": cfg.alpha == cfg.lam == 0.0,
+                  "feat_metric": cfg.beta == 0.0}
+        return replace(cfg, **{name: getattr(DistillConfig, name)
+                               for name, reset in unread.items() if reset})
 
 
 STEP_DTYPE = np.float32
@@ -148,8 +151,8 @@ def _tiles(n: int) -> list[tuple[int, int]]:
 
 
 def _cpu_workers(jobs: int = 1) -> int:
-    """The usable CPUs over the BLAS threads, over `jobs` processes, at
-    least 1.
+    """The usable CPUs over the BLAS threads, over `jobs` seeds at a time,
+    at least 1.
 
     The BLAS threads are the first positive integer in
     OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS, as OpenBLAS reads them.
@@ -177,22 +180,39 @@ def tile_workers(rows: int) -> int:
 
 def grid_workers(seeds: int, points: int, jobs: int = 1) -> int:
     """The threads `run_grid` trains one seed's students on: `_cpu_workers`
-    over the `min(jobs, seeds)` processes, at most `points`. A seed with
-    fewer students to train uses fewer."""
+    over the `min(jobs, seeds)` seeds that run at a time, at most
+    `points`. A seed with fewer students to train uses fewer."""
     return max(1, min(_cpu_workers(min(jobs, seeds)), points))
 
 
-def _on_threads(run, shares: list) -> list:
-    """`[run(share) for share in shares]`: the first share in the calling
-    thread, and each other one on a thread of a pool that lives only
-    inside the call. Every thread finishes before this returns or raises;
-    the error raised is the first share's, in share order, unchanged."""
-    if len(shares) < 2:
-        return [run(share) for share in shares]
-    with ThreadPoolExecutor(len(shares) - 1) as pool:
-        futures = [pool.submit(run, share) for share in shares[1:]]
-        first = run(shares[0])
-        return [first, *(future.result() for future in futures)]
+def _in_order(run, items: list, workers: int) -> list:
+    """`[run(item, k) for item in items]` on n = min(workers, len(items))
+    threads, at least 1: thread k runs items k, k + n, ... in order and
+    stops at its first error. Thread 0 is the caller, and the others
+    come from a pool that lives only inside the call. Once every thread
+    has finished, the earliest failing item's error is raised unchanged."""
+    n = max(1, min(workers, len(items)))
+    results = [None] * len(items)
+    errors = {}
+
+    def share(k):
+        for i in range(k, len(items), n):
+            try:
+                results[i] = run(items[i], k)
+            except BaseException as exc:  # raised below, in item order
+                errors[i] = exc
+                return
+
+    if n == 1:
+        share(0)
+    else:
+        with ThreadPoolExecutor(n - 1) as pool:
+            for k in range(1, n):
+                pool.submit(share, k)
+            share(0)
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _eval_pass(model: numcore.MlpModel, x, ws, keep_h: bool = False,
@@ -202,23 +222,14 @@ def _eval_pass(model: numcore.MlpModel, x, ws, keep_h: bool = False,
     A row's encoder bits depend on its place in its block, and a 1-row
     product runs another kernel; so the tiles are `_tiles`, and the result
     equals one whole-array pass bit for bit. `h` is kept only with `keep_h`,
-    as STEP_DTYPE. With `workers` > 1, worker k runs tiles k, k + workers,
-    ... on a thread of its own, in `ws` or a workspace of its own; each
-    tile writes only its rows, so the bits do not depend on `workers`.
+    as STEP_DTYPE. The tiles run `_in_order` on up to `workers` threads,
+    thread k in `ws` or a workspace of its own; each tile writes only its
+    rows, so the bits do not depend on `workers`.
     """
     x = numcore._as_matrix(np.asarray(x, dtype=np.float64), "x")
     h = np.empty((len(x), model.repr_dim), STEP_DTYPE) if keep_h else None
     z, p = np.empty(len(x)), np.empty(len(x))
     tiles = _tiles(len(x))
-
-    def run(share):
-        k, ws = share
-        for a, b in tiles[k::workers]:
-            cache = numcore.forward(model, x[a:b], "eval", ws=ws)
-            z[a:b], p[a:b] = cache.z, cache.p
-            if keep_h:
-                h[a:b] = cache.h
-
     spaces = [ws]
     if workers > 1:
         # Sized in this thread: grown in a worker, the buffers would come
@@ -226,7 +237,15 @@ def _eval_pass(model: numcore.MlpModel, x, ws, keep_h: bool = False,
         rows = max(b - a for a, b in tiles)
         spaces = [ws.reserve(model, rows), *(numcore.Workspace().reserve(
             model, rows) for _ in range(workers - 1))]
-    _on_threads(run, list(enumerate(spaces)))
+
+    def run(tile, k):
+        a, b = tile
+        cache = numcore.forward(model, x[a:b], "eval", ws=spaces[k])
+        z[a:b], p[a:b] = cache.z, cache.p
+        if keep_h:
+            h[a:b] = cache.h
+
+    _in_order(run, tiles, workers)
     return h, z, p
 
 
@@ -507,28 +526,18 @@ def _run_seed(ds: TwoPhaseDataset, data_key: str, base_cfg: DistillConfig,
                 for (label, _), cfg in zip(points, cfgs)]
     todo = [i for i, rec in enumerate(students) if rec["status"] == "trained"]
     inputs = _inputs(ds, teacher, [cfgs[i] for i in todo])
+    spaces = [(numcore.Workspace(), numcore.Workspace())
+              for _ in range(workers)]
 
-    def train(share):
-        """Train a share's points in order, in one workspace pair; stop at
-        the first error and return it with its point."""
-        own = numcore.Workspace(), numcore.Workspace()
-        for i in share:
-            try:
-                model, _ = train_student(ds, teacher, cfgs[i], inputs, own)
-                modelio.save_model(model, Path(students[i]["path"]),
-                                   MODE_TABLE[cfgs[i].mode].features)
-            except Exception as exc:  # raised below, in point order
-                return i, exc
-        return None
+    def train(i, k):
+        """Train and store point `i` in thread k's workspace pair."""
+        model, _ = train_student(ds, teacher, cfgs[i], inputs, spaces[k])
+        modelio.save_model(model, Path(students[i]["path"]),
+                           MODE_TABLE[cfgs[i].mode].features)
 
-    # Thread k, the caller first, trains the missing points k, k + n, ...
-    n = min(workers, len(todo))
-    failed = dict(filter(None, _on_threads(
-        train, [todo[k::n] for k in range(n)])))
+    _in_order(train, todo, workers)
     reports = []
-    for i, (rec, cfg) in enumerate(zip(students, cfgs)):
-        if i in failed:
-            raise failed[i]
+    for rec, cfg in zip(students, cfgs):
         block = MODE_TABLE[cfg.mode].features
         model = _load_stored(Path(rec["path"]), block)
         reports.append(evaluate_split(model, ds, "test", block, seed=seed,
@@ -549,25 +558,22 @@ def run_grid(ds: TwoPhaseDataset, base_cfg: DistillConfig, seeds: list[int],
     `base_cfg`). Each model is kept in the `store` directory as
     `model_<key>.mgkd`; a model whose key has a file there is loaded, not
     trained, and its status is "reused", as is a point whose key an
-    earlier point of its seed has. With `jobs > 1` the seeds run in that
-    many worker processes, at most one per seed. Within a seed, the
-    students train on `grid_workers` threads; each model trains in one
-    thread, so its bits do not depend on the count.
+    earlier point of its seed has. The seeds run `_in_order` on `jobs`
+    threads, at most one per seed, in one copy of `ds`; a seed may not
+    repeat. Within a seed, the students train on `grid_workers` threads.
+    Each model trains in one thread, so its bits depend on neither count.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise ConfigError(f"seed {seed} is repeated")
     workers = grid_workers(len(seeds), len(points), jobs)
-    jobs = min(jobs, len(seeds))
     ds.labels("test")  # a one-class test split fails before any training
-    run = partial(_run_seed, ds, data_sha256(ds), base_cfg,
-                  teacher_cfg or base_cfg, points, store, workers)
-    if jobs > 1:
-        # Fork is unsafe once BLAS has started threads.
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(jobs, mp_context=ctx) as pool:
-            per_seed = list(pool.map(run, seeds))
-    else:
-        per_seed = [run(seed) for seed in seeds]
+    data_key = data_sha256(ds)
+    per_seed = _in_order(lambda seed, _: _run_seed(
+        ds, data_key, base_cfg, teacher_cfg or base_cfg, points, store,
+        workers, seed), seeds, jobs)
     return ([reports for reports, _ in per_seed],
             [model for _, models in per_seed for model in models])
 

@@ -1,9 +1,21 @@
+import threading
+
 import numpy as np
 import pytest
 
 from mgkd import numcore
 
 GRAD_CHECK_MAX_PARAMS = 10_000
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test that ends with more live Python threads than it began
+    with: every thread pool must end inside the call that made it."""
+    threads = threading.active_count()
+    yield
+    assert threading.active_count() <= threads, \
+        f"{threading.active_count() - threads} thread(s) outlived the test"
 
 
 @pytest.fixture

@@ -456,6 +456,28 @@ def test_store_retrains_what_a_change_reaches(tmp_path, monkeypatch):
     assert set(ablate(text).values()) == {"trained"}
 
 
+@pytest.mark.parametrize("setting, retrained", [
+    pytest.param("tau = 3.0", {"no_fine", "no_coarse", "full"}, id="tau"),
+    pytest.param("tau = 2.5\nfeat_metric = cosine", {"no_fine", "full"},
+                 id="feat_metric"),
+])
+def test_store_reuses_what_a_change_does_not_reach(tmp_path, setting,
+                                                   retrained):
+    # The soft and self terms read tau, and only the feat term reads
+    # feat_metric: a model with neither term is reused, bits and all.
+    config = _grid_config(tmp_path)
+    out = tmp_path / "out"
+    ablate = ["ablate", "--config", str(config), "--seeds", "0",
+              "--data", str(tmp_path / "dataset.csv"), "--out", str(out)]
+    assert cli.main(ablate) == 0
+    config.write_text(config.read_text().replace("tau = 2.5", setting))
+    assert cli.main(ablate) == 0
+    assert _statuses(out, "ablate") == {
+        label: "trained" if label in retrained else "reused"
+        for label in ABLATION_LABELS}
+    assert len(list(out.glob("model_*.mgkd"))) == 7 + len(retrained)
+
+
 def test_stored_models_eval_with_their_block(tmp_path):
     config = _grid_config(tmp_path)
     dataset, out = tmp_path / "dataset.csv", tmp_path / "out"
@@ -849,7 +871,7 @@ def test_focal_settings_exit_2(workdir, tmp_path, capsys, key, value,
 @pytest.mark.parametrize("key,value", [
     ("snr_pre", "nan"), ("snr_in_base", "inf"), ("window_gain", "nan"),
     ("n", "-5"), ("d_pre", "-1"), ("d_pre", "0"), ("d_in", "-2"),
-    ("seed", "-1")])
+    ("seed", "-1"), ("label_noise", "0.05")])  # deleted: an unknown key
 def test_bad_dataset_value_exit_2(tmp_path, capsys, key, value):
     config = _config_with(tmp_path, "dataset", key, value)
     assert cli.main(["generate", "--config", str(config),

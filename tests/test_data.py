@@ -54,10 +54,6 @@ class TestGenerator:
         with pytest.raises(ConfigError, match="in-service SNR"):
             small_config(snr_pre=5.0, snr_in_base=0.1, window_gain=0.0)
 
-    def test_label_noise_keeps_rate(self):
-        ds = generate_synthetic(small_config(n=50_000, label_noise=0.05))
-        assert 0.095 <= ds.y.mean() <= 0.105
-
     def test_unequal_widths(self):
         ds = generate_synthetic(small_config(d_pre=3, d_in=6))
         assert ds.d_pre == 3 and ds.d_in == 6

@@ -59,6 +59,18 @@ class TestConfig:
         base = DistillConfig(mode="baseline_pre").normalized()
         assert (base.alpha, base.beta, base.lam) == (0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("mode, tau, feat_metric", [
+        ("teacher", 2.5, "mse"), ("baseline_pre", 2.5, "mse"),
+        ("no_fine", 3.0, "cosine"), ("no_coarse", 3.0, "mse"),
+        ("no_self", 3.0, "cosine"), ("full", 3.0, "cosine")])
+    def test_unread_settings_reset(self, mode, tau, feat_metric):
+        # tau is read by the soft (α) and self (λ) terms, feat_metric by the
+        # feat (β) term; a setting no term reads keeps its default.
+        out = DistillConfig(tau=3.0, feat_metric="cosine",
+                            mode=mode).normalized()
+        assert (out.tau, out.feat_metric) == (tau, feat_metric)
+        assert replace(out, alpha=0.0, lam=0.0).normalized().tau == 2.5
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             DistillConfig(alpha=1.5)
@@ -450,15 +462,19 @@ class TestPredict:
         assert (a.auc, a.ks, a.recall_at_k) == (b.auc, b.ks, b.recall_at_k)
 
 
-def _child_json(script: str, blas_threads: str):
+def _child_json(script: str, blas_threads: str, file: Path | None = None):
     """The JSON that `script` prints, run in a child with that many BLAS
-    threads."""
+    threads: from `file`, if given, else with `-c`."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
            "OMP_NUM_THREADS": blas_threads,
            "PYTHONPATH": os.pathsep.join(
                [str(Path(mgkd.__file__).parents[1]),
                 os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    args = ["-c", script]
+    if file:
+        file.write_text(script)
+        args = [file]
+    proc = subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -628,10 +644,11 @@ def test_training_passes_start_no_threads(tiled_ds, monkeypatch):
 
 
 def test_one_seed_grid_starts_no_workers(small_ds, monkeypatch, tmp_path):
+    # One seed runs in the calling thread, whatever --jobs says.
     def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
+        raise AssertionError("a thread pool was started")
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
     reports, _ = pipeline.run_grid(
         small_ds, small_cfg(max_epochs=1), [0],
         [("baseline_pre", {"mode": "baseline_pre"})], tmp_path, jobs=2)
@@ -692,6 +709,57 @@ def test_grid_worker_error_reaches_the_caller(small_ds, tmp_path,
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_repeated_seed_rejected_before_training(small_ds, tmp_path):
+    with pytest.raises(ConfigError, match="^seed 0 is repeated$"):
+        pipeline.run_grid(small_ds, small_cfg(max_epochs=1), [0, 1, 0],
+                          [("baseline_pre", {"mode": "baseline_pre"})],
+                          tmp_path, jobs=2)
+    assert not list(tmp_path.iterdir())
+
+
+def test_seed_thread_error_reaches_the_caller(small_ds, tmp_path,
+                                              monkeypatch):
+    # With 2 seed threads the caller runs seed 0 and a pool thread seed 1.
+    error, real = TrainingError("seed 1 failed"), pipeline.train_teacher
+
+    def failing(ds, cfg):
+        if cfg.seed == 1:
+            raise error
+        return real(ds, cfg)
+
+    monkeypatch.setattr(pipeline, "train_teacher", failing)
+    threads = threading.active_count()
+    with pytest.raises(TrainingError) as exc:
+        run_ablation(small_ds, small_cfg(max_epochs=1), [0, 1], tmp_path,
+                     jobs=2)
+    assert exc.value is error
+    assert threading.active_count() == threads
+
+
+# Two seeds on one and on two seed threads, from a script with no
+# `if __name__ == "__main__"` guard: prints each run's test AUCs.
+UNGUARDED_GRID_SCRIPT = """
+import json, tempfile
+from pathlib import Path
+from mgkd import data, pipeline
+ds = data.temporal_split(data.generate_synthetic(data.SyntheticConfig(
+    n=1500, d_pre=3, d_in=3, seed=5)), 0.15, 0.15)
+cfg = pipeline.DistillConfig(hidden_dims=(8,), batch_size=512, max_epochs=2)
+aucs = []
+for jobs in (1, 2):
+    with tempfile.TemporaryDirectory() as store:
+        per_seed, _ = pipeline.run_grid(ds, cfg, [0, 1], [("full", {})],
+                                        Path(store), jobs)
+    aucs.append([[r.auc for r in reports] for reports in per_seed])
+print(json.dumps(aucs))
+"""
+
+
+def test_seed_threads_run_from_an_unguarded_script(tmp_path):
+    one, two = _child_json(UNGUARDED_GRID_SCRIPT, "1", tmp_path / "grid.py")
+    assert one == two
+
+
 def test_one_grid_worker_starts_no_threads(small_ds, tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was started")
@@ -708,7 +776,7 @@ def test_one_grid_worker_starts_no_threads(small_ds, tmp_path, monkeypatch):
 @pytest.mark.parametrize("env, cpus, seeds, points, jobs, workers", [
     ({}, 4, 1, 6, 1, 1),
     ({"OPENBLAS_NUM_THREADS": "1"}, 2, 1, 6, 1, 2),
-    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2, 6, 2, 1),    # 1 per process
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2, 6, 2, 1),    # 1 per seed thread
     ({"OPENBLAS_NUM_THREADS": "1"}, 2, 3, 6, 3, 1),    # at least 1
     ({"OPENBLAS_NUM_THREADS": "1"}, 8, 2, 6, 2, 4),
     ({"OPENBLAS_NUM_THREADS": "2"}, 8, 2, 6, 2, 2),
