@@ -30,12 +30,15 @@ class LossValue:
     grad_repr: np.ndarray | None = None   # (n, d); None means zero
 
 
-def _check_lengths(*vecs):
-    n = len(vecs[0])
+def _check_lengths(*vecs, n: int | None = None) -> int:
+    """The row count a loss averages over: `n`, the batch's, when the rows
+    are one tile of it, else their length, which must be the same in all
+    of `vecs`."""
+    rows = len(vecs[0])
     for v in vecs[1:]:
-        if len(v) != n:
-            raise DataError(f"length mismatch: {len(v)} != {n}")
-    return n
+        if len(v) != rows:
+            raise DataError(f"length mismatch: {len(v)} != {rows}")
+    return rows if n is None else n
 
 
 def _sample_weights(y, weights) -> np.ndarray:
@@ -50,20 +53,21 @@ def _clamp(p: np.ndarray) -> np.ndarray:
     return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
-def kl_hard(y, p, weights=None) -> LossValue:
+def kl_hard(y, p, weights=None, n: int | None = None) -> LossValue:
     """Weighted cross-entropy (binary KL against one-hot targets)."""
     y = np.asarray(y, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
-    n = _check_lengths(y, p)
+    n = _check_lengths(y, p, n=n)
     w = _sample_weights(y, weights)
     pc = _clamp(p)
     ce = -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))
-    value = float(np.mean(w * ce))
+    value = float(np.sum(w * ce) / n)
     grad_logit = w * (pc - y) / n
     return LossValue(value, grad_logit, None)
 
 
-def kl_soft(teacher_logits, student_logits, tau: float) -> LossValue:
+def kl_soft(teacher_logits, student_logits, tau: float,
+            n: int | None = None) -> LossValue:
     """Temperature-softened two-class KL from teacher to student.
 
     Gradient flows to the student logits only; the teacher side is a
@@ -73,20 +77,23 @@ def kl_soft(teacher_logits, student_logits, tau: float) -> LossValue:
         raise ConfigError(f"temperature must be >= 1, got {tau}")
     zt = np.asarray(teacher_logits, dtype=np.float64)
     zs = np.asarray(student_logits, dtype=np.float64)
-    n = _check_lengths(zt, zs)
+    n = _check_lengths(zt, zs, n=n)
     qt = _clamp(sigmoid(zt / tau))
     qs = _clamp(sigmoid(zs / tau))
     kl = qt * np.log(qt / qs) + (1.0 - qt) * np.log((1.0 - qt) / (1.0 - qs))
-    value = float(tau * tau * np.mean(kl))
+    value = float(tau * tau * (np.sum(kl) / n))
     grad_logit = tau * (qs - qt) / n
     return LossValue(value, grad_logit, None)
 
 
 def feat_loss(h_teacher, h_student, metric: str = "mse",
-              ws: Workspace | None = None) -> LossValue:
+              ws: Workspace | None = None, n: int | None = None) -> LossValue:
     """Representation alignment loss; gradient w.r.t. the student rows.
 
-    With a workspace the MSE gradient is the workspace's `diff` buffer.
+    With a workspace the MSE gradient is written into its `grad1` buffer,
+    which `h_teacher` may already be (`ws.take("grad1", ...)`), and the
+    squares into `grad0`: `numcore.backward` writes `grad0` only after the
+    value is taken, and `grad1` only after it has added `grad_repr`.
     Float32 operands keep the arithmetic in float32. Under cosine, a row
     where either side has norm 0 counts as cosine 0 (distance 1) and gets a
     zero gradient.
@@ -96,13 +103,13 @@ def feat_loss(h_teacher, h_student, metric: str = "mse",
     if ht.shape != hs.shape:
         raise DataError(
             f"representation shapes differ: {ht.shape} vs {hs.shape}")
-    n, d = hs.shape
+    n, d = _check_lengths(hs, n=n), hs.shape[1]
     if metric == "mse":
         dtype = np.result_type(hs, ht)
-        diff = np.subtract(hs, ht, out=_room(ws, "diff", hs.shape, dtype))
+        diff = np.subtract(hs, ht, out=_room(ws, "grad1", hs.shape, dtype))
         square = np.multiply(diff, diff,
-                             out=_room(ws, "square", hs.shape, dtype))
-        value = float(np.mean(square))
+                             out=_room(ws, "grad0", hs.shape, dtype))
+        value = float(np.sum(square) / (n * d))
         diff *= 2.0
         diff /= n * d
         return LossValue(value, None, diff)
@@ -113,7 +120,7 @@ def feat_loss(h_teacher, h_student, metric: str = "mse",
         # A zero row's dot product is 0, so its cosine is 0 / 1.
         norms = np.where(zero, 1.0, nt * ns)
         cos = np.sum(ht * hs, axis=1) / norms
-        value = float(np.mean(1.0 - cos))
+        value = float(np.sum(1.0 - cos) / n)
         grad_repr = -(ht / norms[:, None]
                       - (cos / np.where(zero, 1.0, ns * ns))[:, None] * hs
                       ) / n
@@ -131,13 +138,15 @@ def reweight(y, pi1: float) -> np.ndarray:
 
 def objective(cfg, cache, y, weights=None, teacher_h=None, teacher_z=None,
               snapshot=None, ws: Workspace | None = None,
-              ) -> tuple[LossValue, dict[str, float]]:
+              n: int | None = None) -> tuple[LossValue, dict[str, float]]:
     """(1 - alpha) * hard + alpha * soft + beta * feat + lam * self.
 
     One batch's training loss and each term's value, 0.0 for a term left
     out: soft at alpha = 0, feat at beta = 0, self at lam = 0 or with no
     snapshot. `cfg` holds the settings (a DistillConfig), `cache` is the
-    student's ForwardCache and the rest are the batch's rows. The hard
+    student's ForwardCache and the rest are the batch's rows. With `n`,
+    the rows are one tile of an n-row batch: every mean divides by n, so
+    the tiles' values and gradients sum to the batch's. The hard
     term is `kl_hard` under `weights`. `ws` is
     passed on to `feat_loss`, and feat's `grad_repr` is scaled by beta in
     place and becomes the total's. The self term is the softened KL from
@@ -148,23 +157,23 @@ def objective(cfg, cache, y, weights=None, teacher_h=None, teacher_z=None,
         raise ConfigError(f"alpha must be in [0,1], got {alpha}")
     if beta < 0.0 or lam < 0.0:
         raise ConfigError("beta and lambda must be nonnegative")
-    hard = kl_hard(y, cache.p, weights)
+    hard = kl_hard(y, cache.p, weights, n)
     terms = {"hard": hard.value, "soft": 0.0, "feat": 0.0, "self": 0.0}
     value, grad_logit, grad_repr = hard.value, hard.grad_logit, None
     if alpha > 0.0:
-        soft = kl_soft(teacher_z, cache.z, cfg.tau)
+        soft = kl_soft(teacher_z, cache.z, cfg.tau, n)
         terms["soft"] = soft.value
         value = (1.0 - alpha) * hard.value + alpha * soft.value
         grad_logit = (1.0 - alpha) * hard.grad_logit \
             + alpha * soft.grad_logit
     if beta > 0.0:
-        feat = feat_loss(teacher_h, cache.h, cfg.feat_metric, ws)
+        feat = feat_loss(teacher_h, cache.h, cfg.feat_metric, ws, n)
         terms["feat"] = feat.value
         value += beta * feat.value
         grad_repr = feat.grad_repr
         grad_repr *= beta
     if lam > 0.0 and snapshot is not None:
-        self_part = kl_soft(snapshot, cache.z, cfg.tau)
+        self_part = kl_soft(snapshot, cache.z, cfg.tau, n)
         terms["self"] = self_part.value
         value += lam * self_part.value
         grad_logit = grad_logit + lam * self_part.grad_logit

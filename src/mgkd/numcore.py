@@ -143,6 +143,12 @@ def init_mlp(input_dim: int, hidden_dims: list[int], dropout_rate: float,
 class Workspace:
     """Scratch buffers reused by a run's steps, or by tiled eval passes.
 
+    A training step's buffers are the gathered rows `x`, each encoder
+    layer's output `act<i>`, the bool keep flags and ReLU gate `bool`, the
+    parameter gradients `grads`, and backward's two gradient buffers
+    `grad0` and `grad1`, which the MSE feature loss also uses. An eval pass
+    writes only `act<i>`.
+
     A buffer is allocated on its first request and again only when a later
     request for that name is larger or of another dtype, so one workspace
     serves batches and passes of any size. `forward`, `backward` and
@@ -163,11 +169,27 @@ class Workspace:
         out = _room(self, name, (len(idx), rows.shape[1]), rows.dtype)
         return np.take(rows, idx, axis=0, out=out, mode="clip")
 
-    def reserve(self, model: "MlpModel", rows: int) -> "Workspace":
-        """Size the buffers of a float64 eval-mode `forward` of up to
-        `rows` rows now, so that the forward allocates none of them."""
-        for i, (_, width) in enumerate(model.shapes[:-1]):
-            _room(self, f"act{i}", (rows, width))
+    def reserve(self, shapes: tuple[tuple[int, int], ...], rows: int,
+                dtype=np.float64, step: bool = False) -> "Workspace":
+        """Size now the buffers that a `dtype` eval-mode `forward` of up to
+        `rows` rows through a model of layer `shapes` writes, and with
+        `step` those of a whole training step (the gathered `x`, forward,
+        `losses.objective` and `backward`), so the pass makes none of them.
+        Reserved for several models, a workspace fits each of them.
+        """
+        widths = [fan_out for _, fan_out in shapes[:-1]]
+        for i, width in enumerate(widths):
+            _room(self, f"act{i}", (rows, width), dtype)
+        if step:
+            # The gradient buffers hold the representation (the input
+            # itself in a linear model) and each hidden layer's input.
+            wide = max(fan_in for fan_in, _ in shapes[1:] or shapes)
+            _room(self, "x", (rows, shapes[0][0]), dtype)
+            _room(self, "bool", (rows, max(widths, default=0)), bool)
+            _room(self, "grads", (sum((a + 1) * b for a, b in shapes),),
+                  dtype)
+            for name in ("grad0", "grad1"):
+                _room(self, name, (rows, wide), dtype)
         return self
 
 
@@ -283,7 +305,8 @@ def backward(model: MlpModel, cache: ForwardCache, grad_logit,
 
     `grad_logit` is dL/dz per sample; `grad_repr` is dL/dH and is injected
     at the encoder output in addition to the classifier path. None means
-    a zero `grad_repr`. The input gradient of `encoder[0]` is not computed.
+    a zero `grad_repr`. Both are cast to the cache's dtype. The input
+    gradient of `encoder[0]` is not computed.
     Without a workspace the gradients are new arrays on every call; with
     one they are views of its `grads` buffer, overwritten by the next call.
 
@@ -326,13 +349,26 @@ def backward(model: MlpModel, cache: ForwardCache, grad_logit,
             da *= _dropout_scale(model.dropout_rate)
         da *= np.greater(cache.post_acts[i], 0.0,
                          out=_room(ws, "bool", da.shape, dtype=bool))
-        np.matmul(a_prev.T, da, out=grads.encoder[i].weights)
+        _rows_product(a_prev, da, grads.encoder[i].weights)
         np.sum(da, axis=0, out=grads.encoder[i].bias)
         if i > 0:
             buffer = f"grad{(len(model.encoder) - i) % 2}"  # the other one
             da = np.matmul(da, model.encoder[i].weights.T,
                            out=_room(ws, buffer, a_prev.shape, dtype))
     return grads
+
+
+def _rows_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """`a.T @ b`, a reduction over the rows, into `out`: one product over
+    the first multiple of 32 rows plus one over the rest. OpenBLAS gives
+    the same bits under one and two threads only for a multiple of 32
+    rows, and so does the sum of the two products."""
+    cut = len(a) - len(a) % 32
+    if 0 < cut < len(a):
+        np.matmul(a[:cut].T, b[:cut], out=out)
+        out += a[cut:].T @ b[cut:]
+    else:
+        np.matmul(a.T, b, out=out)
 
 
 ADAM_BETA1 = 0.9

@@ -25,6 +25,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import threading
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -150,6 +151,11 @@ def _tiles(n: int) -> list[tuple[int, int]]:
     return list(zip(starts, [*starts[1:], n]))
 
 
+def _tile_rows(*lengths: int) -> int:
+    """The most rows in one `_tiles` tile of passes of `lengths` rows."""
+    return max(b - a for n in lengths for a, b in _tiles(n))
+
+
 def _cpu_workers(jobs: int = 1) -> int:
     """The usable CPUs over the BLAS threads, over `jobs` seeds at a time,
     at least 1.
@@ -187,20 +193,34 @@ def grid_workers(seeds: int, points: int, jobs: int = 1) -> int:
 
 def _in_order(run, items: list, workers: int) -> list:
     """`[run(item, k) for item in items]` on n = min(workers, len(items))
-    threads, at least 1: thread k runs items k, k + n, ... in order and
-    stops at its first error. Thread 0 is the caller, and the others
-    come from a pool that lives only inside the call. Once every thread
-    has finished, the earliest failing item's error is raised unchanged."""
+    threads, at least 1: thread k runs items k, k + n, ... in order.
+    Thread 0 is the caller, and the others come from a pool that lives
+    only inside the call. Once every thread has finished, the earliest
+    failing item's error is raised unchanged.
+
+    After a failure no thread starts an item above the lowest failing
+    index so far; the items below it still run, so the error raised is
+    the one a sequential run raises. A BaseException that is not an
+    Exception, such as KeyboardInterrupt, stops every thread after its
+    current item.
+    """
     n = max(1, min(workers, len(items)))
     results = [None] * len(items)
     errors = {}
+    lock = threading.Lock()
+    stop = [len(items)]  # no thread starts an item at or above this
 
     def share(k):
         for i in range(k, len(items), n):
+            if i >= stop[0]:
+                return
             try:
                 results[i] = run(items[i], k)
             except BaseException as exc:  # raised below, in item order
-                errors[i] = exc
+                with lock:
+                    errors[i] = exc
+                    stop[0] = min(stop[0], i) \
+                        if isinstance(exc, Exception) else 0
                 return
 
     if n == 1:
@@ -234,9 +254,10 @@ def _eval_pass(model: numcore.MlpModel, x, ws, keep_h: bool = False,
     if workers > 1:
         # Sized in this thread: grown in a worker, the buffers would come
         # from that thread's malloc arena, which holds on to its memory.
-        rows = max(b - a for a, b in tiles)
-        spaces = [ws.reserve(model, rows), *(numcore.Workspace().reserve(
-            model, rows) for _ in range(workers - 1))]
+        rows = _tile_rows(len(x))
+        spaces = [ws.reserve(model.shapes, rows),
+                  *(numcore.Workspace().reserve(model.shapes, rows)
+                    for _ in range(workers - 1))]
 
     def run(tile, k):
         a, b = tile
@@ -286,6 +307,29 @@ def _inputs(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
     return _Inputs(rows, (h, z))
 
 
+def _spaces(ds: TwoPhaseDataset, inputs: _Inputs,
+            cfgs: list[DistillConfig],
+            workers: int) -> list[tuple[numcore.Workspace, ...]]:
+    """One `(step, validation)` workspace pair for each of the threads
+    that `_in_order` runs `cfgs` on, reserved in this thread for training
+    any of normalized `cfgs` on `ds` and `inputs`, and reused by every
+    student its thread trains. Grown in a worker thread, the buffers
+    would come from that thread's malloc arena, which keeps them resident
+    after the thread ends."""
+    valid_rows = _tile_rows(int(ds.mask("valid").sum()))
+    pairs = [(numcore.Workspace(), numcore.Workspace())
+             for _ in range(min(workers, len(cfgs)))]
+    for cfg in cfgs:
+        n_tr, width = inputs.rows[MODE_TABLE[cfg.mode].features].shape
+        dims = [width, *cfg.hidden_dims, 1]
+        shapes = tuple(zip(dims[:-1], dims[1:]))
+        rows = _tile_rows(min(cfg.batch_size, n_tr), n_tr % cfg.batch_size)
+        for step, valid in pairs:
+            step.reserve(shapes, rows, STEP_DTYPE, step=True)
+            valid.reserve(shapes, valid_rows)
+    return pairs
+
+
 def _train_model(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
                  cfg: DistillConfig, inputs: _Inputs | None = None,
                  spaces: tuple[numcore.Workspace, numcore.Workspace]
@@ -295,6 +339,14 @@ def _train_model(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
     `inputs` is `_inputs` of a config list that holds `cfg`, normalized;
     by default it is made here for `cfg` alone. `spaces` is the `(step,
     validation)` workspace pair to train in, by default a new one.
+
+    A batch runs as the row tiles `_eval_pass` uses, `_tiles(len(batch))`:
+    forward, `losses.objective` (told the batch length) and backward run
+    once per tile, the dropout flags are drawn tile by tile, and the
+    parameter gradients are summed in tile order, the first tile's copied.
+    Adam then takes one step. So a step's buffers hold one tile, and a
+    batch of one tile (at most PREDICT_ROWS + 1 rows) runs as one
+    whole-batch step, bit for bit.
     """
     cfg = cfg.normalized()
     spec = MODE_TABLE[cfg.mode]
@@ -355,29 +407,37 @@ def _train_model(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
         perm = rng.permutation(n_tr)
         sums = defaultdict(float)  # term -> sum over rows, objective's order
         for start in range(0, n_tr, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
+            batch = perm[start:start + cfg.batch_size]
             np.copyto(work.flat, model.flat, casting="same_kind")
-            cache = numcore.forward(work, ws.take("x", x_tr, idx), "train",
-                                    rng, ws)
-            rows_h = None if teacher_h is None \
-                else ws.take("teacher_h", teacher_h, idx)
-            weights, rows_z, rows_snapshot = (
-                None if rows is None else rows[idx]
-                for rows in (w_tr, teacher_z, snapshot))
-            total, terms = losses.objective(
-                cfg, cache, y_tr[idx], weights, rows_h, rows_z,
-                rows_snapshot, ws)
-            if not np.isfinite(total.value):
-                raise TrainingError(f"non-finite loss at epoch {epoch}")
+            grads = None
+            for a, b in _tiles(len(batch)):
+                idx = batch[a:b]
+                cache = numcore.forward(work, ws.take("x", x_tr, idx),
+                                        "train", rng, ws)
+                # Gathered where feat_loss writes its gradient.
+                rows_h = None if teacher_h is None \
+                    else ws.take("grad1", teacher_h, idx)
+                weights, rows_z, rows_snapshot = (
+                    None if rows is None else rows[idx]
+                    for rows in (w_tr, teacher_z, snapshot))
+                total, terms = losses.objective(
+                    cfg, cache, y_tr[idx], weights, rows_h, rows_z,
+                    rows_snapshot, ws, len(batch))
+                if not np.isfinite(total.value):
+                    raise TrainingError(f"non-finite loss at epoch {epoch}")
 
-            grads = numcore.backward(work, cache, total.grad_logit,
-                                     total.grad_repr, ws)
+                tile = numcore.backward(work, cache, total.grad_logit,
+                                        total.grad_repr, ws)
+                if grads is None:  # copied, not added to zeros: -0.0 stays
+                    grads = numcore.FlatParams(tile.flat.copy(), tile.shapes)
+                else:
+                    grads.flat += tile.flat
+
+                for term, value in terms.items():
+                    sums[term] += value * len(batch)
+                if new_snapshot is not None:
+                    new_snapshot[idx] = cache.z
             numcore.adam_step(model, grads, state, cfg.lr, cfg.weight_decay)
-
-            for term, value in terms.items():
-                sums[term] += value * len(idx)
-            if new_snapshot is not None:
-                new_snapshot[idx] = cache.z
         snapshot = new_snapshot
 
         p_va = _eval_pass(model, x_va, eval_ws)[2]
@@ -526,8 +586,7 @@ def _run_seed(ds: TwoPhaseDataset, data_key: str, base_cfg: DistillConfig,
                 for (label, _), cfg in zip(points, cfgs)]
     todo = [i for i, rec in enumerate(students) if rec["status"] == "trained"]
     inputs = _inputs(ds, teacher, [cfgs[i] for i in todo])
-    spaces = [(numcore.Workspace(), numcore.Workspace())
-              for _ in range(workers)]
+    spaces = _spaces(ds, inputs, [cfgs[i] for i in todo], workers)
 
     def train(i, k):
         """Train and store point `i` in thread k's workspace pair."""

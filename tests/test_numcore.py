@@ -425,7 +425,9 @@ def _old_forward(model, x, mode, rng):
 
 
 def _old_backward(model, cache, grad_logit, grad_repr):
-    """The backward pass that gated on the stored pre-activations."""
+    """The backward pass that gated on the stored pre-activations, with
+    each weight gradient summed as `numcore.backward` sums it: over the
+    first multiple of 32 rows, then the rest."""
     grads = model.zeros_like()
     dz = grad_logit
     grads.classifier.weights[...] = cache.h.T @ dz[:, None]
@@ -434,7 +436,11 @@ def _old_backward(model, cache, grad_logit, grad_repr):
     for i in range(len(model.encoder) - 1, -1, -1):
         a_prev = cache.post_acts[i - 1] if i > 0 else cache.x
         ds = da * cache.masks[i] * (cache.pre_acts[i] > 0.0)
-        grads.encoder[i].weights[...] = a_prev.T @ ds
+        cut = len(ds) - len(ds) % 32 or len(ds)  # below 32 rows, all
+        weights = grads.encoder[i].weights
+        weights[...] = a_prev[:cut].T @ ds[:cut]
+        if cut < len(ds):
+            weights += a_prev[cut:].T @ ds[cut:]
         grads.encoder[i].bias[...] = ds.sum(axis=0)
         if i > 0:
             da = ds @ model.encoder[i].weights.T
@@ -531,10 +537,40 @@ class TestWorkspace:
 
     def test_reserve_sizes_every_eval_buffer(self, rng):
         model = small_model(hidden=(16, 12, 8), dropout=0.3)
-        ws = numcore.Workspace().reserve(model, 40)
+        ws = numcore.Workspace().reserve(model.shapes, 40)
         reserved = dict(ws.buffers)
         for n in (40, 1, 0):
             forward(model, rng.standard_normal((n, 6)), "eval", ws=ws)
+            # no buffer added or regrown
+            assert list(ws.buffers) == list(reserved), n
+            assert all(ws.buffers[k] is buf for k, buf in reserved.items())
+
+    @pytest.mark.parametrize("hidden", [(16, 12, 8), (8,), ()])
+    def test_reserve_sizes_every_step_buffer(self, rng, hidden):
+        # A full-mode step as the trainer runs it: rows gathered into `x`
+        # and the teacher's into `grad1`, a train-mode forward, objective
+        # and backward.
+        from mgkd import losses
+        from mgkd.pipeline import DistillConfig
+        model = small_model(hidden=hidden, dropout=0.3)
+        work = MlpModel(model.flat.astype(np.float32), model.shapes,
+                        model.dropout_rate)
+        cfg = DistillConfig(alpha=0.2, beta=0.25, lam=0.1)
+        x_tr = rng.standard_normal((60, 6)).astype(np.float32)
+        teacher_h = rng.standard_normal((60, model.repr_dim)) \
+            .astype(np.float32)
+        ws = numcore.Workspace().reserve(model.shapes, 40, np.float32,
+                                         step=True)
+        reserved = dict(ws.buffers)
+        for n in (40, 17, 1):
+            idx = rng.permutation(60)[:n]
+            cache = forward(work, ws.take("x", x_tr, idx), "train",
+                            np.random.default_rng(3), ws)
+            total, _ = losses.objective(
+                cfg, cache, rng.integers(0, 2, n), None,
+                ws.take("grad1", teacher_h, idx), rng.standard_normal(n),
+                rng.standard_normal(n), ws)
+            backward(work, cache, total.grad_logit, total.grad_repr, ws)
             # no buffer added or regrown
             assert list(ws.buffers) == list(reserved), n
             assert all(ws.buffers[k] is buf for k, buf in reserved.items())
@@ -578,7 +614,7 @@ def _step_peak_bytes(dtype, ws):
     def step():
         idx = rng.permutation(2 * rows)[:rows]
         x, h = (x_tr[idx], teacher_h[idx]) if ws is None else \
-            (ws.take("x", x_tr, idx), ws.take("teacher_h", teacher_h, idx))
+            (ws.take("x", x_tr, idx), ws.take("grad1", teacher_h, idx))
         np.copyto(work.flat, model.flat, casting="same_kind")
         cache = forward(work, x, "train", rng, ws)
         total, _ = losses.objective(cfg, cache, y_tr[idx], None, h,

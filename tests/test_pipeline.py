@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -533,9 +534,34 @@ print(json.dumps(digests))
 
 
 def test_eval_pass_does_not_depend_on_blas_threads():
-    # Training's weight-gradient reductions still do (see ROADMAP item 2).
     assert _child_json(EVAL_PASS_SCRIPT, "1") == \
         _child_json(EVAL_PASS_SCRIPT, "2")
+
+
+# Trains a teacher and a full student in 1,000-row batches, which are not
+# multiples of 32 rows; prints both models' sha256 and both traces.
+TRAINING_SCRIPT = """
+import hashlib, json
+from mgkd import data, pipeline
+ds = data.temporal_split(data.generate_synthetic(data.SyntheticConfig(
+    n=5000, seed=3)), 0.1, 0.1)
+ds = data.apply_standardize(ds, data.fit_standardize(ds))
+cfg = pipeline.DistillConfig(hidden_dims=(64, 64), dropout=0.2,
+                             batch_size=1000, max_epochs=3, patience=3,
+                             seed=3)
+teacher, teacher_trace = pipeline.train_teacher(ds, cfg)
+student, student_trace = pipeline.train_student(ds, teacher, cfg)
+print(json.dumps([hashlib.sha256(teacher.flat.tobytes()).hexdigest(),
+                  hashlib.sha256(student.flat.tobytes()).hexdigest(),
+                  teacher_trace.epochs, student_trace.epochs]))
+"""
+
+
+def test_training_does_not_depend_on_blas_threads():
+    # The weight gradients sum their rows in two products split at a
+    # multiple of 32, so the bits do not depend on the thread count.
+    assert _child_json(TRAINING_SCRIPT, "1") == \
+        _child_json(TRAINING_SCRIPT, "2")
 
 
 @pytest.fixture(scope="module")
@@ -568,6 +594,62 @@ def test_training_eval_passes_are_tiled(tiled_ds, monkeypatch):
 
 
 R = PREDICT_ROWS
+
+
+@pytest.mark.parametrize("batch_size", [R - 1, R, R + 1])
+def test_one_tile_batches_match_the_parent_step(tiled_ds, batch_size):
+    # A batch of at most one tile (R + 1 rows: a lone row joins its tile)
+    # runs as one whole-batch step, bit for bit.
+    ds = tiled_ds
+    cfg = small_cfg(mode="full", dropout=0.2, batch_size=batch_size,
+                    max_epochs=2)
+    teacher, _ = train_teacher(ds, small_cfg(max_epochs=1))
+    model, trace = train_student(ds, teacher, cfg)
+    ref_model, ref_trace = parent_train_model(
+        ds.features("pre", "train"), ds.labels("train"),
+        ds.features("pre", "valid"), ds.labels("valid"), cfg, teacher,
+        ds.features("in", "train"), np.float32)
+    assert model_bytes(model) == model_bytes(ref_model)
+    assert trace == ref_trace
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_tiled_batch_gradient_matches_whole_batch(monkeypatch, dtype):
+    # One batch of every train row, about 2.5 tiles, at dropout 0: the
+    # summed tile gradients that Adam receives against a float64
+    # whole-batch step on the same weights.
+    ds = data.temporal_split(data.generate_synthetic(data.SyntheticConfig(
+        n=25_600, d_pre=5, d_in=5, seed=2)), 0.1, 0.1)
+    x, y = ds.features("pre", "train"), ds.labels("train")
+    assert 2 * R < len(y) < 3 * R
+    teacher = numcore.init_mlp(5, [16, 16], 0.0, np.random.default_rng(1))
+    cfg = small_cfg(mode="full", dropout=0.0, batch_size=len(y),
+                    max_epochs=1, hard_term="reweighted")
+    steps = []
+    monkeypatch.setattr(pipeline, "STEP_DTYPE", dtype)
+    monkeypatch.setattr(numcore, "adam_step", lambda model, grads, *args:
+                        steps.append((model.copy(), grads.flat.copy())))
+    train_student(ds, teacher, cfg)
+    [(model, summed)] = steps
+    assert summed.dtype == dtype
+    taught = numcore.forward(teacher, ds.features("in", "train"))
+    cache = numcore.forward(model, x, "train")
+    total, _ = losses.objective(
+        cfg, cache, y, losses.reweight(y, np.count_nonzero(y) / len(y)),
+        taught.h, taught.z)
+    ref = numcore.backward(model, cache, total.grad_logit, total.grad_repr)
+    np.testing.assert_allclose(summed, ref.flat, rtol=1e-5)
+
+
+def test_multi_tile_grid_bits_do_not_depend_on_workers(tiled_ds, tmp_path,
+                                                       monkeypatch):
+    # One batch of every train row, two tiles: a re-run and runs on 2 and
+    # 3 grid threads give the same bytes as the first run.
+    cfg = small_cfg(max_epochs=2, batch_size=100_000)
+    outputs = [_grid_outputs(tiled_ds, tmp_path / str(run), [0], cfg,
+                             monkeypatch, workers)
+               for run, workers in enumerate((1, 1, 2, 3))]
+    assert all(out == outputs[0] for out in outputs[1:])
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -690,10 +772,17 @@ def test_grid_worker_error_reaches_the_caller(small_ds, tmp_path,
                                               monkeypatch):
     # With 2 threads the caller trains points 0, 2, 4 and the worker
     # 1, 3, 5: no_coarse (3) fails in the worker, full (4) in the caller.
+    # no_coarse waits until full has started, so both fail, the later
+    # point first, and the earlier point's error still wins.
     raised, real = {}, pipeline.train_student
+    full_started = threading.Event()
 
     def failing(ds, teacher, cfg, *args):
         if cfg.mode in ("no_coarse", "full"):
+            if cfg.mode == "full":
+                full_started.set()
+            else:
+                assert full_started.wait(60)
             raised[cfg.mode] = TrainingError(f"{cfg.mode} failed")
             raise raised[cfg.mode]
         return real(ds, teacher, cfg, *args)
@@ -734,6 +823,87 @@ def test_seed_thread_error_reaches_the_caller(small_ds, tmp_path,
                      jobs=2)
     assert exc.value is error
     assert threading.active_count() == threads
+
+
+class Stop(BaseException):
+    """Not an Exception, as KeyboardInterrupt is not."""
+
+
+@pytest.mark.parametrize("failing, error", [
+    (0, ValueError("item 0")), (5, ValueError("item 5")), (1, Stop())])
+def test_in_order_starts_nothing_above_a_failure(failing, error):
+    # Two threads: items 0, 2, 4, ... in the caller and 1, 3, 5, ... in
+    # the other. Every item but the failing one sleeps.
+    started = []
+
+    def run(item, k):
+        started.append(item)
+        if item == failing:
+            raise error
+        time.sleep(0.1)
+
+    with pytest.raises(type(error)) as exc:
+        pipeline._in_order(run, list(range(10)), 2)
+    assert exc.value is error
+    below = set(range(failing + 1 if isinstance(error, Exception) else 0))
+    # What ran beyond the items below the failure: the failing item, and
+    # at most one item in flight in the other thread.
+    assert below <= set(started)
+    assert len(set(started) - below - {failing}) <= 1
+    assert len(started) == len(set(started))
+
+
+def test_grid_stops_at_a_failing_seed(small_ds, tmp_path, monkeypatch):
+    # Two seed threads: the caller runs seeds 0 and 2, a pool thread 1
+    # and 3. Seed 0's teacher fails, so neither thread starts another.
+    trained, error, real = [], TrainingError("seed 0 failed"), \
+        pipeline.train_teacher
+
+    def failing(ds, cfg):
+        trained.append(cfg.seed)
+        if cfg.seed == 0:
+            raise error
+        return real(ds, cfg)
+
+    monkeypatch.setattr(pipeline, "train_teacher", failing)
+    with pytest.raises(TrainingError) as exc:
+        run_ablation(small_ds, small_cfg(max_epochs=1), [0, 1, 2, 3],
+                     tmp_path, jobs=2)
+    assert exc.value is error
+    assert 3 not in trained and 2 not in trained
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_grid_buffers_are_made_in_the_calling_thread(small_ds, tmp_path,
+                                                     monkeypatch):
+    # Every workspace buffer of an ablation on 2 grid threads, the
+    # students' included, is made or regrown in the calling thread.
+    makers, room = set(), numcore._room
+
+    def recording_room(ws, name, shape, dtype=np.float64):
+        before = None if ws is None else ws.buffers.get(name)
+        out = room(ws, name, shape, dtype)
+        if ws is not None and ws.buffers[name] is not before:
+            makers.add(threading.current_thread().name)
+        return out
+
+    for module in (numcore, losses):
+        monkeypatch.setattr(module, "_room", recording_room)
+    monkeypatch.setattr(pipeline, "grid_workers", lambda *args: 2)
+    run_ablation(small_ds, small_cfg(max_epochs=2), [0], tmp_path)
+    assert makers == {threading.current_thread().name}
+
+
+def test_full_step_workspace_holds_no_feature_loss_buffer(small_ds):
+    # The teacher rows and the MSE squares share backward's gradient
+    # buffers.
+    teacher, _ = train_teacher(small_ds, small_cfg(max_epochs=1))
+    step, valid = numcore.Workspace(), numcore.Workspace()
+    train_student(small_ds, teacher, small_cfg(mode="full", max_epochs=2),
+                  spaces=(step, valid))
+    assert set(step.buffers) == {"x", "bool", "grads", "act0", "act1",
+                                 "grad0", "grad1"}
+    assert set(valid.buffers) == {"act0", "act1"}
 
 
 # Two seeds on one and on two seed threads, from a script with no
