@@ -41,14 +41,6 @@ def _check_lengths(*vecs, n: int | None = None) -> int:
     return rows if n is None else n
 
 
-def _sample_weights(y, weights) -> np.ndarray:
-    if weights is None:
-        return np.ones(len(y))
-    w = np.asarray(weights, dtype=np.float64)
-    _check_lengths(y, w)
-    return w
-
-
 def _clamp(p: np.ndarray) -> np.ndarray:
     return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
@@ -58,12 +50,16 @@ def kl_hard(y, p, weights=None, n: int | None = None) -> LossValue:
     y = np.asarray(y, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
     n = _check_lengths(y, p, n=n)
-    w = _sample_weights(y, weights)
     pc = _clamp(p)
     ce = -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))
-    value = float(np.sum(w * ce) / n)
-    grad_logit = w * (pc - y) / n
-    return LossValue(value, grad_logit, None)
+    grad_logit = pc - y
+    if weights is not None:  # no weights means unit ones: 1.0 * x is x
+        w = np.asarray(weights, dtype=np.float64)
+        _check_lengths(y, w)
+        ce *= w
+        grad_logit *= w
+    grad_logit /= n
+    return LossValue(float(np.sum(ce) / n), grad_logit, None)
 
 
 def kl_soft(teacher_logits, student_logits, tau: float,

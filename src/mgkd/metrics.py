@@ -3,7 +3,8 @@
 AUC uses the rank-sum formula with midranks for ties; KS scans the
 empirical CDFs of the two classes at every observed score; Recall@k takes
 the ceiling of k% of rows and breaks score ties by original index. All
-three read the tie groups of one unstable sort.
+three read the tie groups of one unstable sort, equal a stable sort's
+values bit for bit and hold one int64 per row, tie group and positive.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+
+KS_BLOCK = 32_768  # tie groups per KS block: about 1 MB of temporaries
 
 
 def _validate(scores, labels, need_negative=True, k_percent=10.0):
@@ -36,45 +39,52 @@ def _validate(scores, labels, need_negative=True, k_percent=10.0):
 
 
 def _rank(scores: np.ndarray, pos: np.ndarray):
-    """Sort order, tie groups and cumulative positives of one sort.
+    """Sort order, tie-group bounds and the positives' sorted positions.
 
     A tie group starts wherever a sorted value differs from the one before
-    it (so -0.0 and 0.0 share a group); its members sit at sorted positions
-    starts..ends, in no particular order. `cpos[i]` counts the positives
-    among the first i sorted rows.
+    it (so -0.0 and 0.0 share a group). Group g holds sorted positions
+    bounds[g] to bounds[g + 1] - 1, in no particular order; bounds[-1] is n.
     """
     order = np.argsort(scores)
+    pos_at = np.flatnonzero(pos[order])
     s_sorted = scores[order]
-    starts = np.flatnonzero(np.concatenate(
-        ([True], s_sorted[1:] != s_sorted[:-1])))
-    ends = np.append(starts[1:], scores.size) - 1
-    cpos = np.empty(scores.size + 1, np.int64)  # summed in place
-    cpos[0], cpos[1:] = 0, pos[order]
-    return order, starts, ends, np.cumsum(cpos, out=cpos)
+    new = np.ones(scores.size + 1, bool)
+    np.not_equal(s_sorted[1:], s_sorted[:-1], out=new[1:-1])
+    del s_sorted  # before the bounds are made
+    return order, np.flatnonzero(new), pos_at
 
 
 def _auc(ranked, n_pos: int, n_neg: int) -> float:
-    # A group's midrank is (start + end + 2) / 2: twice the positive rank
+    # A group's midrank is (start + stop + 1) / 2: twice the positive rank
     # sum is an exact integer, equal to the float sum while below 2**53.
-    _, starts, ends, cpos = ranked
-    twice = int(np.dot(starts + ends + 2, cpos[ends + 1] - cpos[starts]))
+    _, bounds, pos_at = ranked
+    g = np.searchsorted(bounds, pos_at, side="right")  # each one's stop
+    twice = int(np.sum(bounds[g])) + n_pos
+    g -= 1  # in place, not a second array: each one's start
+    twice += int(np.sum(bounds[g]))
     return (twice / 2 - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def _ks(ranked, n_pos: int, n_neg: int) -> float:
-    _, _, ends, cpos = ranked
-    below = cpos[ends + 1]  # positives at or below each distinct score
-    return float(np.max(np.abs(below / n_pos - (ends + 1 - below) / n_neg)))
+    _, bounds, pos_at = ranked
+    best = 0.0
+    for b in range(1, bounds.size, KS_BLOCK):  # each group's CDF gap
+        stops = bounds[b:b + KS_BLOCK]
+        below = np.searchsorted(pos_at, stops)  # positives before each stop
+        gaps = np.abs(below / n_pos - (stops - below) / n_neg)
+        best = max(best, float(np.max(gaps)))
+    return best
 
 
 def _recall(ranked, pos, n_pos: int, k_percent: float) -> float:
-    order, starts, ends, cpos = ranked
-    n = cpos.size - 1
+    order, bounds, pos_at = ranked
+    n = order.size
     cut = n - math.ceil(k_percent / 100.0 * n)  # first kept sorted position
     # The groups above g, the one holding `cut`, and g's lowest indices.
-    g = np.searchsorted(starts, cut, side="right") - 1
-    tied = np.sort(order[starts[g]:ends[g] + 1])[:ends[g] - cut + 1]
-    hits = cpos[n] - cpos[ends[g] + 1] + np.count_nonzero(pos[tied])
+    g = np.searchsorted(bounds, cut, side="right") - 1
+    stop = bounds[g + 1]
+    tied = np.sort(order[bounds[g]:stop])[:stop - cut]
+    hits = n_pos - np.searchsorted(pos_at, stop) + np.count_nonzero(pos[tied])
     return float(hits) / n_pos
 
 

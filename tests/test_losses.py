@@ -42,6 +42,16 @@ class TestKlHard:
         with pytest.raises(DataError, match="length mismatch: 1 != 2"):
             kl_hard([1.0, 0.0], [0.5])
 
+    @pytest.mark.parametrize("n", [None, 80])
+    def test_no_weights_is_unit_weights_bitwise(self, n):
+        rng = np.random.default_rng(3)
+        y = (rng.random(50) < 0.3).astype(float)
+        p = np.concatenate([[0.0, 1.0, 0.5], rng.random(47)])
+        plain, ones = kl_hard(y, p, None, n), kl_hard(y, p, np.ones(50), n)
+        assert np.float64(plain.value).tobytes() == \
+            np.float64(ones.value).tobytes()
+        assert plain.grad_logit.tobytes() == ones.grad_logit.tobytes()
+
 
 class TestKlSoft:
     def test_identical_logits(self):

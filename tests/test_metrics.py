@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -204,8 +205,9 @@ def loop_midranks(scores):
 
 
 def midranks(scores):
-    """Each row's midrank, rebuilt from `_rank`'s order and tie groups."""
-    order, starts, ends, _ = _rank(scores, np.zeros(scores.size, dtype=bool))
+    """Each row's midrank, rebuilt from `_rank`'s order and group bounds."""
+    order, bounds, _ = _rank(scores, np.zeros(scores.size, dtype=bool))
+    starts, ends = bounds[:-1], bounds[1:] - 1
     ranks = np.empty(scores.size)
     ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
@@ -324,8 +326,38 @@ def boundary_group_case(n):
     return scores, labels
 
 
+def ks_block_case(n, side=1):
+    """Tie groups of one row, but three rows on each side of every KS block
+    edge; the group just above the first edge holds both -0.0 and 0.0. The
+    largest CDF gap is at the stop of the group just below (side 0) or just
+    above (side 1) the second edge: the last or first stop of a block.
+    """
+    block = metrics.KS_BLOCK
+    groups = n
+    while groups + 4 * ((groups - 1) // block) > n:
+        groups -= 1
+    sizes = np.ones(groups, dtype=int)
+    edges = np.arange(block, groups, block)
+    sizes[edges - 1] = sizes[edges] = 3
+    sizes[-1] += n - sizes.sum()
+    level = np.repeat(np.arange(groups), sizes)
+    scores = (level - block).astype(float)
+    if groups > block:
+        first = np.flatnonzero(level == block)
+        scores[first[1::2]] = -0.0
+    # 3 groups in 5 positive up to the top group and 1 in 5 above it; the
+    # top group and the one below it positive, the five above it negative.
+    top = 2 * block - 1 + side
+    labels = np.where(level <= top, level % 5 < 3, level % 5 == 0)
+    labels[(level == top - 1) | (level == top)] = True
+    labels[(level > top) & (level <= top + 5)] = False
+    shuffle = np.random.default_rng(n).permutation(n)
+    return scores[shuffle], labels[shuffle].astype(int)
+
+
 @pytest.mark.parametrize("n", [20_000, 100_000])
-@pytest.mark.parametrize("kind", ["int_levels", "rounded", "boundary_group"])
+@pytest.mark.parametrize("kind", ["int_levels", "rounded", "boundary_group",
+                                  "ks_block_edges"])
 def test_large_sort_matches_four_sorts(n, kind):
     # Above the property's n <= 300, where numpy's sort may switch kernels.
     rng = np.random.default_rng(7)
@@ -335,8 +367,10 @@ def test_large_sort_matches_four_sorts(n, kind):
     elif kind == "rounded":
         scores = np.round(rng.standard_normal(n), 2)
         labels = (rng.random(n) < 1.0 / (1.0 + np.exp(-scores))).astype(int)
-    else:
+    elif kind == "boundary_group":
         scores, labels = boundary_group_case(n)
+    else:
+        scores, labels = ks_block_case(n)
     for k in (0.01, 10.0, 33.3, 100.0):
         parent = EvalReport(
             parent_auc(scores, labels), parent_ks(scores, labels),
@@ -357,3 +391,41 @@ def test_boundary_group_is_cut(n):
     group = np.flatnonzero(scores == 1.0)
     assert 0 < m < group.size
     assert labels[group[:m]].sum() != labels[group[-m:]].sum()
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_ks_block_case_spans_three_blocks(side):
+    # The case above would not test the KS blocks unless its groups fill
+    # three of them, with ties on both sides of each edge, signed zeros at
+    # one edge and the largest gap at another; side 0 puts that gap on a
+    # block's last stop, side 1 (the case above) on the next block's first.
+    scores, labels = ks_block_case(100_000, side)
+    block = metrics.KS_BLOCK
+    levels, counts = np.unique(scores, return_counts=True)
+    assert levels.size > 2 * block
+    for edge in (block, 2 * block):
+        assert counts[edge - 1] == counts[edge] == 3
+    assert levels[block] == 0.0
+    assert set(np.signbit(scores[scores == 0.0])) == {False, True}
+    pos, neg = np.sort(scores[labels == 1]), np.sort(scores[labels == 0])
+    gaps = np.abs(np.searchsorted(pos, levels, side="right") / pos.size -
+                  np.searchsorted(neg, levels, side="right") / neg.size)
+    assert int(np.argmax(gaps)) == 2 * block - 1 + side
+    assert np.float64(ks(scores, labels)).tobytes() == \
+        np.float64(parent_ks(scores, labels)).tobytes()
+
+
+def test_evaluate_peak_memory_is_bounded():
+    # One sort order, group bounds and positive positions: at 1M rows,
+    # 10% positive, evaluate's temporaries stay under 2.5 score arrays.
+    rng = np.random.default_rng(0)
+    scores = rng.random(1_000_000)
+    labels = (rng.random(scores.size) < 0.1).astype(int)
+    evaluate(scores, labels)  # warm-up
+    tracemalloc.start()
+    try:
+        evaluate(scores, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * scores.nbytes
