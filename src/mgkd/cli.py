@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import hashlib
 import json
 import sys
 import time
@@ -260,9 +261,9 @@ def cmd_eval(args) -> int:
                         f"fit {model_path}: input has {width} columns, "
                         f"model expects {model.input_dim}")
     report = pipeline.evaluate_split(model, ds, args.split, feature_mode)
-    record = _report_record(report, {"record": "eval",
-                                     "features": feature_mode,
-                                     "model": str(model_path)})
+    record = _report_record(report, {
+        "record": "eval", "features": feature_mode,
+        "model_sha256": hashlib.sha256(model_path.read_bytes()).hexdigest()})
     results_path = out_dir / "eval_results.jsonl"
     _write_records(results_path, [record])
     fractions = dict(zip(("frac_valid", "frac_test"),

@@ -159,8 +159,12 @@ def generate_synthetic(cfg: SyntheticConfig) -> TwoPhaseDataset:
     def block(d: int, snr: float) -> np.ndarray:
         loadings = rng.standard_normal(d)
         loadings /= np.abs(loadings)  # column-normalize: unit signal variance
-        noise = rng.standard_normal((cfg.n, d)) * math.sqrt(1.0 / snr)
-        return z[:, None] * loadings[None, :] + noise
+        x = np.empty((cfg.n, d))
+        for rows in _row_blocks(cfg.n):
+            rng.standard_normal(out=x[rows])  # one draw's stream order
+            x[rows] *= math.sqrt(1.0 / snr)
+            x[rows] += z[rows, None] * loadings
+        return x
 
     x_pre = block(cfg.d_pre, cfg.snr_pre)
     x_in = block(cfg.d_in, cfg.snr_in(cfg.window_days))
@@ -184,9 +188,14 @@ def _row_dtype(width: int) -> np.dtype:
     return np.dtype([("ts", "<i8"), ("y", "<i8"), ("x", "<f8", (width,))])
 
 
-# Rows per formatted block: one `write` call each, and a small, bounded
-# amount of row text alive at a time.
-WRITE_BLOCK_ROWS = 2048
+# Generating, writing and standardizing work BLOCK_ROWS rows at a time,
+# so each holds one block's temporaries, not the whole dataset's.
+BLOCK_ROWS = 512
+
+
+def _row_blocks(n: int):
+    return (slice(a, min(a + BLOCK_ROWS, n)) for a in range(0, n, BLOCK_ROWS))
+
 
 _INT64 = np.iinfo(np.int64)
 
@@ -195,7 +204,7 @@ def save_delimited(ds: TwoPhaseDataset, path) -> str:
     """Write the dataset as CSV with exact round-trip float text, and its
     sidecar; return the sha256 of the CSV's bytes.
 
-    Rows are formatted a block at a time: comma-separated cells,
+    Rows are formatted a row block at a time, one `write` each: commas,
     shortest-`repr` floats and CRLF line ends. The sidecar holds the same
     rows as little-endian records, then the sha256 of those record bytes
     followed by the CSV's digest: it vouches for itself and for one CSV.
@@ -209,16 +218,15 @@ def save_delimited(ds: TwoPhaseDataset, path) -> str:
 
         write(fh, csv_hash,
               (",".join(_header(ds.d_pre, ds.d_in)) + "\r\n").encode())
-        for start in range(0, ds.n, WRITE_BLOCK_ROWS):
-            stop = min(start + WRITE_BLOCK_ROWS, ds.n)
-            rec = np.empty(stop - start, dtype)
-            rec["ts"], rec["y"] = ds.timestamp[start:stop], ds.y[start:stop]
-            rec["x"] = np.hstack([ds.x_pre[start:stop], ds.x_in[start:stop]])
+        for rows in _row_blocks(ds.n):
+            rec = np.empty(rows.stop - rows.start, dtype)
+            rec["ts"], rec["y"] = ds.timestamp[rows], ds.y[rows]
+            rec["x"] = np.hstack([ds.x_pre[rows], ds.x_in[rows]])
             write(side, side_hash, rec)
             write(fh, csv_hash, "".join(
                 ",".join(map(repr, [uid, t, label, *row])) + "\r\n"
                 for uid, t, label, row in zip(
-                    range(start, stop), rec["ts"].tolist(),
+                    range(rows.start, rows.stop), rec["ts"].tolist(),
                     rec["y"].tolist(), rec["x"].tolist())).encode())
         side_hash.update(csv_hash.digest())
         side.write(side_hash.digest())
@@ -423,8 +431,18 @@ def fit_standardize(ds: TwoPhaseDataset) -> Scaler:
     return Scaler(mean_pre, std_pre, mean_in, std_in)
 
 
+def _standardized(x, mean, std) -> np.ndarray:
+    # `(x - mean) / std` into the result, a row block at a time, in cache.
+    out = np.empty(x.shape, np.result_type(x, mean, std))
+    for rows in _row_blocks(x.shape[0]):
+        np.subtract(x[rows], mean, out=out[rows])
+        out[rows] /= std
+    return out
+
+
 def apply_standardize(ds: TwoPhaseDataset, scaler: Scaler) -> TwoPhaseDataset:
     """`ds` with standardized feature blocks; it shares the other arrays."""
-    x_in = (ds.x_in - scaler.mean_in) / scaler.std_in if ds.d_in else ds.x_in
-    return replace(ds, x_pre=(ds.x_pre - scaler.mean_pre) / scaler.std_pre,
-                   x_in=x_in)
+    x_in = _standardized(ds.x_in, scaler.mean_in, scaler.std_in) \
+        if ds.d_in else ds.x_in
+    return replace(ds, x_pre=_standardized(ds.x_pre, scaler.mean_pre,
+                                           scaler.std_pre), x_in=x_in)

@@ -523,8 +523,8 @@ def model_key(data_key: str, cfg: DistillConfig,
     """The store key of the model `cfg` trains on data `data_key`: the
     sha256 of the package sources, the data, the mode's `MODE_TABLE` row
     but not its name, the normalized config, the teacher's key and the
-    `environment()` record. The CPU kernel the BLAS picks at run time is
-    not in it.
+    `environment()` record less the BLAS thread variables. The CPU kernel
+    the BLAS picks at run time is not in it.
     """
     cfg = cfg.normalized()
     spec = MODE_TABLE[cfg.mode]
@@ -536,7 +536,8 @@ def model_key(data_key: str, cfg: DistillConfig,
         "init_from_teacher": spec.init_from_teacher,
         "config": {k: v for k, v in dataclasses.asdict(cfg).items()
                    if k != "mode"},
-        "teacher": teacher_key, "environment": environment()}
+        "teacher": teacher_key, "environment": {
+            k: v for k, v in environment().items() if "THREADS" not in k}}
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()) \
         .hexdigest()
 

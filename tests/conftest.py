@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,16 @@ def no_thread_outlives_its_test():
     yield
     assert threading.active_count() <= threads, \
         f"{threading.active_count() - threads} thread(s) outlived the test"
+
+
+def peak_bytes(fn) -> int:
+    """The peak of the memory `tracemalloc` traces while `fn()` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

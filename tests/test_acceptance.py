@@ -261,16 +261,12 @@ def test_criterion_8_manifest_determinism(tmp_path):
                          "--data", str(out / "dataset.csv"),
                          "--config", str(config), "--split", "test",
                          "--out", str(out)]) == 0
-        # The eval record embeds the model path; drop it so only the
-        # numeric payload is compared.
-        eval_record = json.loads((out / "eval_results.jsonl").read_text())
-        eval_record.pop("model", None)
         return {
             "dataset_sha": json.loads(
                 (out / "generate_manifest.json").read_text())["dataset_sha256"],
             "teacher_trace": (out / "trace_teacher.jsonl").read_bytes(),
             "student_trace": (out / "trace_full.jsonl").read_bytes(),
-            "eval": json.dumps(eval_record, sort_keys=True),
+            "eval": (out / "eval_results.jsonl").read_bytes(),
             "model": (out / "student_full.mgkd").read_bytes(),
             "sidecar": (out / "dataset.csv.sidecar").read_bytes(),
         }

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import shutil
 import struct
 from pathlib import Path
 
@@ -178,14 +179,24 @@ class TestEval:
         assert record["mode"] == ""
         assert 0.0 <= record["auc"] <= 1.0
         assert 0.0 <= record["ks"] <= 1.0
+        # The record names the model by its bytes; the manifest keeps the
+        # path as given.
+        assert record["model_sha256"] == hashlib.sha256(
+            (out / "teacher.mgkd").read_bytes()).hexdigest()
+        assert "model" not in record
+        manifest = json.loads((out / "eval_manifest.json").read_text())
+        assert manifest["config"]["model"] == str(out / "teacher.mgkd")
 
     def test_eval_deterministic(self, workdir, tmp_path):
+        # The same model bytes at two paths give the same results file.
         out, config = workdir
         results = []
         for sub in ("a", "b"):
             d = tmp_path / sub
             d.mkdir()
-            rc = cli.main(["eval", "--model", str(out / "teacher.mgkd"),
+            model = d / "copy.mgkd"
+            shutil.copyfile(out / "teacher.mgkd", model)
+            rc = cli.main(["eval", "--model", str(model),
                            "--data", str(out / "dataset.csv"),
                            "--config", str(config),
                            "--split", "valid", "--out", str(d)])

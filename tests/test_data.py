@@ -1,4 +1,5 @@
 import hashlib
+import math
 import shutil
 import warnings
 from dataclasses import replace
@@ -16,6 +17,9 @@ from mgkd.data import (Scaler, SyntheticConfig, TwoPhaseDataset,
                        load_delimited, save_delimited, sidecar_path,
                        temporal_split)
 from mgkd.errors import ConfigError, DataError
+from mgkd.numcore import sigmoid
+
+from conftest import peak_bytes
 
 
 def small_config(**kw):
@@ -253,6 +257,19 @@ def test_save_bytes_match_golden_digest(tmp_path):
                    path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         "7562fa10f9462aae008cb531406a8181cfe11a6a78f50467a958edaf2a7f63ae"
+
+
+def test_multi_block_save_matches_golden_digests(tmp_path):
+    # 1,543 rows, three row blocks and 7 rows; recorded from the writer
+    # that formatted 2,048 rows per block: the CSV and sidecar bytes must
+    # not depend on the block size.
+    path = tmp_path / "golden.csv"
+    save_delimited(generate_synthetic(small_config(n=1543, d_pre=3, d_in=2)),
+                   path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "933d7b47f313fd0da600529fa6839cac12599d042a70798de279079e9d571547"
+    assert hashlib.sha256(sidecar_path(path).read_bytes()).hexdigest() == \
+        "1c8dbed3254b6381d190591c2e6cc3aa9173ac6e18082f3800f1620127b5c5ea"
 
 
 # The sidecar: `save_delimited` writes the parsed rows next to the CSV, and
@@ -556,3 +573,81 @@ class TestSplitsByName:
             ds.features("post", "train")
         with pytest.raises(ConfigError, match="unknown split"):
             ds.labels("holdout")
+
+
+# Row blocks: generating, writing and standardizing work BLOCK_ROWS rows at
+# a time. The frozen references below are those passes as whole-array
+# formulas, from before the blocks; the blocks must match them bit for bit.
+
+def whole_array_synthetic(cfg: SyntheticConfig) -> TwoPhaseDataset:
+    rng = np.random.default_rng(cfg.seed)
+    z = rng.standard_normal(cfg.n)
+    b = data._calibrate_intercept(cfg.positive_rate)
+    y = (rng.random(cfg.n) < sigmoid(data.LATENT_SLOPE * z + b)) \
+        .astype(np.int64)
+
+    def block(d: int, snr: float) -> np.ndarray:
+        loadings = rng.standard_normal(d)
+        loadings /= np.abs(loadings)
+        noise = rng.standard_normal((cfg.n, d)) * math.sqrt(1.0 / snr)
+        return z[:, None] * loadings[None, :] + noise
+
+    x_pre = block(cfg.d_pre, cfg.snr_pre)
+    x_in = block(cfg.d_in, cfg.snr_in(cfg.window_days))
+    timestamp = rng.integers(0, 365 * 86_400, size=cfg.n)
+    return TwoPhaseDataset(x_pre, x_in, y, timestamp,
+                           np.full(cfg.n, "", dtype="<U5"))
+
+
+def whole_array_standardize(ds: TwoPhaseDataset,
+                            scaler: Scaler) -> TwoPhaseDataset:
+    x_in = (ds.x_in - scaler.mean_in) / scaler.std_in if ds.d_in else ds.x_in
+    return replace(ds, x_pre=(ds.x_pre - scaler.mean_pre) / scaler.std_pre,
+                   x_in=x_in)
+
+
+B = data.BLOCK_ROWS
+
+
+@pytest.mark.parametrize("d_in", [0, 20])
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+def test_row_blocks_match_whole_array_passes(n, d_in):
+    cfg = SyntheticConfig(n=n, d_in=d_in, seed=5)
+    ds = generate_synthetic(cfg)
+    assert _fields(ds) == _fields(whole_array_synthetic(cfg))
+    # A scaler of 20 in-service columns, as when rows without the
+    # in-service block are scored.
+    rng = np.random.default_rng(n)
+    scaler = Scaler(rng.standard_normal(20), rng.random(20) + 0.5,
+                    rng.standard_normal(20), rng.random(20) + 0.5)
+    assert _fields(apply_standardize(ds, scaler)) == \
+        _fields(whole_array_standardize(ds, scaler))
+
+
+def test_generator_peak_memory_is_bounded():
+    # The noise is drawn into the returned arrays; the whole-array
+    # formula peaked at 1.40 times the bytes it returned.
+    cfg = SyntheticConfig(n=100_000)
+    ds = generate_synthetic(cfg)  # also the warm-up
+    returned = sum(getattr(ds, name).nbytes
+                   for name in ("x_pre", "x_in", "y", "timestamp", "split"))
+    assert peak_bytes(lambda: generate_synthetic(cfg)) <= 1.15 * returned
+
+
+def test_standardize_peak_memory_is_bounded():
+    # The whole-array formula peaked at 1.50 times its outputs.
+    ds = temporal_split(generate_synthetic(SyntheticConfig(n=100_000)),
+                        0.1, 0.1)
+    scaler = fit_standardize(ds)
+    out = apply_standardize(ds, scaler)
+    assert peak_bytes(lambda: apply_standardize(ds, scaler)) \
+        <= 1.15 * (out.x_pre.nbytes + out.x_in.nbytes)
+
+
+def test_save_peak_memory_is_bounded(tmp_path):
+    # 20k rows of 40 features: one row block's text and Python floats at a
+    # time. 2,048-row blocks peaked at 5.3 MB.
+    ds = generate_synthetic(SyntheticConfig(n=20_000))
+    save_delimited(ds, tmp_path / "warm.csv")
+    assert peak_bytes(lambda: save_delimited(ds, tmp_path / "ds.csv")) \
+        <= 2 * 10**6

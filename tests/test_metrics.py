@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -10,6 +9,8 @@ from hypothesis import strategies as st
 from mgkd import metrics
 from mgkd.errors import DataError
 from mgkd.metrics import EvalReport, _rank, auc, evaluate, ks, recall_at_k
+
+from conftest import peak_bytes
 
 
 def pairwise_auc(scores, labels):
@@ -422,10 +423,4 @@ def test_evaluate_peak_memory_is_bounded():
     scores = rng.random(1_000_000)
     labels = (rng.random(scores.size) < 0.1).astype(int)
     evaluate(scores, labels)  # warm-up
-    tracemalloc.start()
-    try:
-        evaluate(scores, labels)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * scores.nbytes
+    assert peak_bytes(lambda: evaluate(scores, labels)) <= 2.5 * scores.nbytes

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from mgkd.errors import DataError, TrainingError
 from mgkd.numcore import (Layer, MlpModel, adam_step, backward, forward,
                           init_adam, init_mlp)
 
-from conftest import grad_check, loss_fns_over_model, small_model
+from conftest import grad_check, loss_fns_over_model, peak_bytes, small_model
 
 
 class TestForward:
@@ -623,12 +622,7 @@ def _step_peak_bytes(dtype, ws):
         adam_step(model, grads, state, cfg.lr, cfg.weight_decay)
 
     step()  # warm-up
-    tracemalloc.start()
-    try:
-        step()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return peak_bytes(step)
 
 
 class TestFloat32:

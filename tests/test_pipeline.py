@@ -5,7 +5,6 @@ import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,6 +17,8 @@ from mgkd.errors import ConfigError, DataError, TrainingError
 from mgkd.pipeline import (PREDICT_ROWS, DistillConfig, evaluate_split,
                            predict, run_ablation, train_student,
                            train_teacher)
+
+from conftest import peak_bytes
 
 
 @pytest.fixture(scope="module")
@@ -434,15 +435,6 @@ class TestPredict:
         model = numcore.init_mlp(20, [width, width], 0.2,
                                  np.random.default_rng(0))
         x = np.random.default_rng(1).standard_normal((rows, 20))
-
-        def peak_bytes(score):
-            tracemalloc.start()
-            try:
-                score()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         # One tile's activations and masks plus `p`: about 10 MB. A
         # workspace that also held the training buffers peaked at 36.5 MB.
         assert peak_bytes(lambda: predict(model, x)) < 16 * 10**6
@@ -562,6 +554,21 @@ def test_training_does_not_depend_on_blas_threads():
     # multiple of 32, so the bits do not depend on the thread count.
     assert _child_json(TRAINING_SCRIPT, "1") == \
         _child_json(TRAINING_SCRIPT, "2")
+
+
+def test_model_key_does_not_depend_on_blas_threads(monkeypatch):
+    # Training bits do not depend on the thread count, so a store stays
+    # valid when the thread variables change; the manifests record them.
+    cfg = DistillConfig(mode="full")
+    keys = set()
+    for blas_threads in (None, "1", "2"):
+        if blas_threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+        assert pipeline.environment()["OPENBLAS_NUM_THREADS"] == blas_threads
+        keys.add(pipeline.model_key("data", cfg, "teacher"))
+    assert len(keys) == 1
 
 
 @pytest.fixture(scope="module")
