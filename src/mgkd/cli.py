@@ -271,7 +271,8 @@ def cmd_eval(args) -> int:
     _write_manifest(out_dir, "eval", {"split": args.split,
                                       "model": str(model_path), **fractions},
                     dataset_path, ds.sha256, [], [str(results_path)], {},
-                    tile_workers=pipeline.tile_workers(rows))
+                    tile_workers=pipeline.worker_count(
+                        len(pipeline._tiles(rows))))
     print(f"{'split':>10} {'AUC':>8} {'KS':>8} {'Recall@10':>10}")
     print(f"{report.split:>10} {report.auc:8.4f} {report.ks:8.4f} "
           f"{report.recall_at_k:10.4f}")
@@ -330,8 +331,8 @@ def cmd_ablate(args) -> int:
                     ds.sha256, seeds, [str(results_path)],
                     {"ablate_s": elapsed},
                     teacher_config=dataclasses.asdict(teacher_cfg),
-                    models=models, grid_workers=pipeline.grid_workers(
-                        len(seeds), len(modes), args.jobs))
+                    models=models, grid_workers=pipeline.worker_count(
+                        len(modes), min(args.jobs, len(seeds))))
 
     print(f"{'mode':>14} {'AUC':>8} {'±':>7} {'KS':>8} {'Recall@10':>10}")
     for mode in sorted(modes, key=lambda m: -agg[m]["auc_mean"]):
@@ -383,8 +384,8 @@ def cmd_sweep(args) -> int:
                     ds.sha256, seeds, [str(results_path)],
                     {"sweep_s": elapsed},
                     teacher_config=dataclasses.asdict(teacher_cfg),
-                    models=models, grid_workers=pipeline.grid_workers(
-                        len(seeds), len(points), args.jobs))
+                    models=models, grid_workers=pipeline.worker_count(
+                        len(points), min(args.jobs, len(seeds))))
 
     print(f"{param:>8} {'seed':>5} {'AUC':>8} {'KS':>8} {'Recall@10':>10}")
     for record in records:

@@ -43,7 +43,9 @@ class TwoPhaseDataset:
         for name in ("x_in", "y", "timestamp", "split"):
             if getattr(self, name).shape[0] != n:
                 raise ConfigError(f"dataset field {name} has wrong length")
-        if not np.isin(self.y, (0, 1)).all():
+        y = self.y  # integers by min and max, with no temporary array
+        if not ((y.dtype.kind in "biu" and y.size and y.min() >= 0
+                 and y.max() <= 1) or np.isin(y, (0, 1)).all()):
             raise ConfigError("labels must be 0 or 1")
 
     @property

@@ -69,8 +69,6 @@ def kl_soft(teacher_logits, student_logits, tau: float,
     Gradient flows to the student logits only; the teacher side is a
     constant.
     """
-    if tau < 1.0:
-        raise ConfigError(f"temperature must be >= 1, got {tau}")
     zt = np.asarray(teacher_logits, dtype=np.float64)
     zs = np.asarray(student_logits, dtype=np.float64)
     n = _check_lengths(zt, zs, n=n)
@@ -139,20 +137,16 @@ def objective(cfg, cache, y, weights=None, teacher_h=None, teacher_z=None,
 
     One batch's training loss and each term's value, 0.0 for a term left
     out: soft at alpha = 0, feat at beta = 0, self at lam = 0 or with no
-    snapshot. `cfg` holds the settings (a DistillConfig), `cache` is the
-    student's ForwardCache and the rest are the batch's rows. With `n`,
-    the rows are one tile of an n-row batch: every mean divides by n, so
-    the tiles' values and gradients sum to the batch's. The hard
-    term is `kl_hard` under `weights`. `ws` is
-    passed on to `feat_loss`, and feat's `grad_repr` is scaled by beta in
-    place and becomes the total's. The self term is the softened KL from
-    the previous epoch's logits to the current ones.
+    snapshot. `cfg` holds the settings (a DistillConfig, which checks
+    their ranges), `cache` is the student's ForwardCache and the rest are
+    the batch's rows. With `n`, the rows are one tile of an n-row batch:
+    every mean divides by n, so the tiles' values and gradients sum to the
+    batch's. The hard term is `kl_hard` under `weights`. `ws` is passed on
+    to `feat_loss`, and feat's `grad_repr` is scaled by beta in place and
+    becomes the total's. The self term is the softened KL from the
+    previous epoch's logits to the current ones.
     """
     alpha, beta, lam = cfg.alpha, cfg.beta, cfg.lam
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"alpha must be in [0,1], got {alpha}")
-    if beta < 0.0 or lam < 0.0:
-        raise ConfigError("beta and lambda must be nonnegative")
     hard = kl_hard(y, cache.p, weights, n)
     terms = {"hard": hard.value, "soft": 0.0, "feat": 0.0, "self": 0.0}
     value, grad_logit, grad_repr = hard.value, hard.grad_logit, None

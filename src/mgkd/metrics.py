@@ -1,8 +1,8 @@
 """Ranking metrics for scored splits: AUC, KS, Recall@k.
 
 AUC uses the rank-sum formula with midranks for ties; KS scans the
-empirical CDFs of the two classes at every observed score; Recall@k takes
-the ceiling of k% of rows and breaks score ties by original index. All
+empirical CDFs of the two classes at every observed score; Recall@10 takes
+the ceiling of 10% of rows and breaks score ties by original index. All
 three read the tie groups of one unstable sort, equal a stable sort's
 values bit for bit and hold one int64 per row, tie group and positive.
 """
@@ -17,9 +17,10 @@ import numpy as np
 from .errors import DataError
 
 KS_BLOCK = 32_768  # tie groups per KS block: about 1 MB of temporaries
+_K_PERCENT = 10.0  # Recall@10: the top 10% of rows
 
 
-def _validate(scores, labels, need_negative=True, k_percent=10.0):
+def _validate(scores, labels, need_negative=True):
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1 or scores.size == 0:
@@ -33,8 +34,6 @@ def _validate(scores, labels, need_negative=True, k_percent=10.0):
         raise DataError("labels must be 0 or 1")
     if n_pos == 0 or (need_negative and n_neg == 0):
         raise DataError("need at least one positive and one negative")
-    if not 0.0 < k_percent <= 100.0:  # before any sort
-        raise DataError(f"k_percent must be in (0, 100], got {k_percent}")
     return scores, pos, n_pos, n_neg
 
 
@@ -100,11 +99,10 @@ def ks(scores, labels) -> float:
     return _ks(_rank(scores, pos), n_pos, n_neg)
 
 
-def recall_at_k(scores, labels, k_percent: float = 10.0) -> float:
-    """Fraction of all positives inside the top k% of scores."""
-    scores, pos, n_pos, _ = _validate(scores, labels, need_negative=False,
-                                      k_percent=k_percent)
-    return _recall(_rank(scores, pos), pos, n_pos, k_percent)
+def recall_at_k(scores, labels) -> float:
+    """Fraction of all positives inside the top 10% of scores."""
+    scores, pos, n_pos, _ = _validate(scores, labels, need_negative=False)
+    return _recall(_rank(scores, pos), pos, n_pos, _K_PERCENT)
 
 
 @dataclass
@@ -114,7 +112,7 @@ class EvalReport:
     auc: float
     ks: float
     recall_at_k: float
-    k_percent: float = 10.0
+    k_percent: float = _K_PERCENT
     n_pos: int = 0
     n_neg: int = 0
     split: str = ""
@@ -122,15 +120,14 @@ class EvalReport:
     mode: str = ""
 
 
-def evaluate(scores, labels, k_percent: float = 10.0, split: str = "",
-             seed: int | None = None, mode: str = "") -> EvalReport:
-    scores, pos, n_pos, n_neg = _validate(scores, labels, k_percent=k_percent)
+def evaluate(scores, labels, split: str = "", seed: int | None = None,
+             mode: str = "") -> EvalReport:
+    scores, pos, n_pos, n_neg = _validate(scores, labels)
     ranked = _rank(scores, pos)
     return EvalReport(
         auc=_auc(ranked, n_pos, n_neg),
         ks=_ks(ranked, n_pos, n_neg),
-        recall_at_k=_recall(ranked, pos, n_pos, k_percent),
-        k_percent=k_percent,
+        recall_at_k=_recall(ranked, pos, n_pos, _K_PERCENT),
         n_pos=n_pos,
         n_neg=n_neg,
         split=split,

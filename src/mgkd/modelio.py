@@ -85,7 +85,7 @@ def load_model(path) -> tuple[MlpModel, str]:
         raise DataError(f"{path}: unsupported version {version}")
     if mode_code >= len(FEATURE_MODES):
         raise DataError(f"{path}: bad feature mode {mode_code}")
-    if not 0.0 <= dropout < 1.0:  # init_mlp's range; False for nan
+    if not 0.0 <= dropout < 1.0:  # DistillConfig's range; False for nan
         raise DataError(f"{path}: dropout rate {dropout} not in [0, 1)")
     (n_layers,) = struct.unpack("<I", _read(fh, 4, path, "header"))
     layers = [_read_layer(fh, path) for _ in range(n_layers + 1)]

@@ -127,10 +127,8 @@ class MlpModel(FlatParams):
 
 def init_mlp(input_dim: int, hidden_dims: list[int], dropout_rate: float,
              rng: np.random.Generator) -> MlpModel:
-    """He-uniform weights for the ReLU stack, zero biases everywhere."""
-    if not 0.0 <= dropout_rate < 1.0:
-        raise TrainingError(
-            f"dropout_rate must be in [0,1), got {dropout_rate}")
+    """He-uniform weights for the ReLU stack, zero biases everywhere;
+    `dropout_rate` is in [0, 1), as DistillConfig checks."""
     dims = [input_dim, *hidden_dims, 1]
     layers = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -141,24 +139,23 @@ def init_mlp(input_dim: int, hidden_dims: list[int], dropout_rate: float,
 
 
 class Workspace:
-    """Scratch buffers reused by a run's steps, or by tiled eval passes.
+    """Scratch buffers reused by a run's steps and eval passes.
 
     A training step's buffers are the gathered rows `x`, each encoder
     layer's output `act<i>`, the bool keep flags and ReLU gate `bool`, the
     parameter gradients `grads`, and backward's two gradient buffers
     `grad0` and `grad1`, which the MSE feature loss also uses. An eval pass
-    writes only `act<i>`.
-
-    A buffer is allocated on its first request and again only when a later
-    request for that name is larger or of another dtype, so one workspace
-    serves batches and passes of any size. `forward`, `backward` and
-    `losses.feat_loss` write into it, so every array they return from it,
-    and a ForwardCache built on it, is valid only until the next call that
-    writes into it.
+    writes only `act<i>`. A buffer is keyed by name and dtype, so float32
+    steps and float64 passes share a workspace. It is allocated on its
+    first request and again only when a later request for its key is
+    larger, so one workspace serves batches and passes of any size.
+    `forward`, `backward` and `losses.feat_loss` write into it, so every
+    array they return from it, and a ForwardCache built on it, is valid
+    only until the next call that writes into it.
     """
 
     def __init__(self):
-        self.buffers: dict[str, np.ndarray] = {}
+        self.buffers: dict[tuple[str, np.dtype], np.ndarray] = {}
 
     def take(self, name: str, rows: np.ndarray, idx) -> np.ndarray:
         """`rows[idx]` gathered into buffer `name`; `idx` must be in range.
@@ -195,7 +192,7 @@ class Workspace:
 
 def _room(ws: Workspace | None, name: str, shape: tuple[int, ...],
           dtype=np.float64):
-    """`ws`'s buffer `name` viewed as a C-contiguous array of `shape`.
+    """`ws`'s `dtype` buffer `name` as a C-contiguous array of `shape`.
 
     Without a workspace this is None, so a numpy `out=` allocates. It is
     private so that perfbench/tracer.py, which wraps every public function,
@@ -204,9 +201,10 @@ def _room(ws: Workspace | None, name: str, shape: tuple[int, ...],
     if ws is None:
         return None
     size = math.prod(shape)
-    buf = ws.buffers.get(name)
-    if buf is None or buf.size < size or buf.dtype != dtype:
-        buf = ws.buffers[name] = np.empty(size, dtype)
+    key = name, np.dtype(dtype)
+    buf = ws.buffers.get(key)
+    if buf is None or buf.size < size:
+        buf = ws.buffers[key] = np.empty(size, dtype)
     return buf[:size].reshape(shape)
 
 

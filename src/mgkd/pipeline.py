@@ -156,14 +156,12 @@ def _tile_rows(*lengths: int) -> int:
     return max(b - a for n in lengths for a, b in _tiles(n))
 
 
-def _cpu_workers(jobs: int = 1) -> int:
-    """The usable CPUs over the BLAS threads, over `jobs` seeds at a time,
-    at least 1.
-
-    The BLAS threads are the first positive integer in
-    OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS, as OpenBLAS reads them.
-    Without one the BLAS runs on every CPU, and this is 1.
-    """
+def worker_count(items: int, groups: int = 1) -> int:
+    """The threads to run `items` items on while `groups` such groups run
+    at once: the usable CPUs over the BLAS threads over `groups`, at least
+    1 and at most `items`. The BLAS threads are the first positive integer
+    in OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS, as OpenBLAS reads them;
+    without one the BLAS runs on every CPU, and this is 1."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
             blas = int(os.environ.get(var, ""))
@@ -175,20 +173,7 @@ def _cpu_workers(jobs: int = 1) -> int:
         return 1
     cpus = len(os.sched_getaffinity(0)) \
         if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, cpus // blas // jobs)
-
-
-def tile_workers(rows: int) -> int:
-    """The threads `predict` scores `rows` rows on: `_cpu_workers()`, at
-    most the tile count."""
-    return min(_cpu_workers(), len(_tiles(rows)))
-
-
-def grid_workers(seeds: int, points: int, jobs: int = 1) -> int:
-    """The threads `run_grid` trains one seed's students on: `_cpu_workers`
-    over the `min(jobs, seeds)` seeds that run at a time, at most
-    `points`. A seed with fewer students to train uses fewer."""
-    return max(1, min(_cpu_workers(min(jobs, seeds)), points))
+    return max(1, min(cpus // blas // groups, items))
 
 
 def _in_order(run, items: list, workers: int) -> list:
@@ -249,15 +234,10 @@ def _eval_pass(model: numcore.MlpModel, x, ws, keep_h: bool = False,
     x = numcore._as_matrix(np.asarray(x, dtype=np.float64), "x")
     h = np.empty((len(x), model.repr_dim), STEP_DTYPE) if keep_h else None
     z, p = np.empty(len(x)), np.empty(len(x))
-    tiles = _tiles(len(x))
-    spaces = [ws]
-    if workers > 1:
-        # Sized in this thread: grown in a worker, the buffers would come
-        # from that thread's malloc arena, which holds on to its memory.
-        rows = _tile_rows(len(x))
-        spaces = [ws.reserve(model.shapes, rows),
-                  *(numcore.Workspace().reserve(model.shapes, rows)
-                    for _ in range(workers - 1))]
+    # Sized in this thread: grown in a worker, the buffers would come from
+    # that thread's malloc arena, which holds on to its memory.
+    spaces = [space.reserve(model.shapes, _tile_rows(len(x))) for space in
+              (ws, *(numcore.Workspace() for _ in range(workers - 1)))]
 
     def run(tile, k):
         a, b = tile
@@ -266,7 +246,7 @@ def _eval_pass(model: numcore.MlpModel, x, ws, keep_h: bool = False,
         if keep_h:
             h[a:b] = cache.h
 
-    _in_order(run, tiles, workers)
+    _in_order(run, _tiles(len(x)), workers)
     return h, z, p
 
 
@@ -309,36 +289,35 @@ def _inputs(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
 
 def _spaces(ds: TwoPhaseDataset, inputs: _Inputs,
             cfgs: list[DistillConfig],
-            workers: int) -> list[tuple[numcore.Workspace, ...]]:
-    """One `(step, validation)` workspace pair for each of the threads
-    that `_in_order` runs `cfgs` on, reserved in this thread for training
+            workers: int) -> list[numcore.Workspace]:
+    """One workspace for each of the threads that `_in_order` runs `cfgs`
+    on, reserved in this thread for the steps and validation passes of
     any of normalized `cfgs` on `ds` and `inputs`, and reused by every
     student its thread trains. Grown in a worker thread, the buffers
     would come from that thread's malloc arena, which keeps them resident
     after the thread ends."""
     valid_rows = _tile_rows(int(ds.mask("valid").sum()))
-    pairs = [(numcore.Workspace(), numcore.Workspace())
-             for _ in range(min(workers, len(cfgs)))]
+    spaces = [numcore.Workspace() for _ in range(min(workers, len(cfgs)))]
     for cfg in cfgs:
         n_tr, width = inputs.rows[MODE_TABLE[cfg.mode].features].shape
         dims = [width, *cfg.hidden_dims, 1]
         shapes = tuple(zip(dims[:-1], dims[1:]))
         rows = _tile_rows(min(cfg.batch_size, n_tr), n_tr % cfg.batch_size)
-        for step, valid in pairs:
-            step.reserve(shapes, rows, STEP_DTYPE, step=True)
-            valid.reserve(shapes, valid_rows)
-    return pairs
+        for ws in spaces:
+            ws.reserve(shapes, rows, STEP_DTYPE, step=True)
+            ws.reserve(shapes, valid_rows)
+    return spaces
 
 
 def _train_model(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
                  cfg: DistillConfig, inputs: _Inputs | None = None,
-                 spaces: tuple[numcore.Workspace, numcore.Workspace]
-                 | None = None) -> tuple[numcore.MlpModel, TrainTrace]:
+                 ws: numcore.Workspace | None = None,
+                 ) -> tuple[numcore.MlpModel, TrainTrace]:
     """Fit the model of `cfg.mode` as its `MODE_TABLE` row says.
 
     `inputs` is `_inputs` of a config list that holds `cfg`, normalized;
-    by default it is made here for `cfg` alone. `spaces` is the `(step,
-    validation)` workspace pair to train in, by default a new one.
+    by default it is made here for `cfg` alone. `ws` is the workspace the
+    steps and validation passes run in, by default a new one.
 
     A batch runs as the row tiles `_eval_pass` uses, `_tiles(len(batch))`:
     forward, `losses.objective` (told the batch length) and backward run
@@ -392,8 +371,7 @@ def _train_model(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
         h, z = inputs.taught
         teacher_h = h if cfg.beta > 0.0 else None
         teacher_z = z if cfg.alpha > 0.0 else None
-    # By dtype: the STEP_DTYPE steps, and the float64 validation passes.
-    ws, eval_ws = spaces or (numcore.Workspace(), numcore.Workspace())
+    ws = ws or numcore.Workspace()
 
     work = numcore.MlpModel(model.flat.astype(STEP_DTYPE), model.shapes,
                             model.dropout_rate)
@@ -440,7 +418,7 @@ def _train_model(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
             numcore.adam_step(model, grads, state, cfg.lr, cfg.weight_decay)
         snapshot = new_snapshot
 
-        p_va = _eval_pass(model, x_va, eval_ws)[2]
+        p_va = _eval_pass(model, x_va, ws)[2]
         val_loss = losses.kl_hard(y_va, p_va, w_va).value
         if not np.isfinite(val_loss):
             raise TrainingError(f"non-finite validation loss at epoch {epoch}")
@@ -473,17 +451,17 @@ def train_teacher(ds: TwoPhaseDataset,
 
 def train_student(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
                   cfg: DistillConfig, inputs: _Inputs | None = None,
-                  spaces=None) -> tuple[numcore.MlpModel, TrainTrace]:
+                  ws=None) -> tuple[numcore.MlpModel, TrainTrace]:
     """Fit the pre-service model under the mode-resolved objective;
-    `inputs` and `spaces` are `_train_model`'s."""
-    return _train_model(ds, teacher, cfg, inputs, spaces)
+    `inputs` and `ws` are `_train_model`'s."""
+    return _train_model(ds, teacher, cfg, inputs, ws)
 
 
 def predict(model: numcore.MlpModel, x) -> np.ndarray:
-    """Eval-mode probabilities: `_eval_pass` on `tile_workers` threads."""
+    """Eval-mode probabilities: `_eval_pass` on `worker_count` threads."""
     x = numcore._as_matrix(np.asarray(x, dtype=np.float64), "x")
     return _eval_pass(model, x, numcore.Workspace(),
-                      workers=tile_workers(len(x)))[2]
+                      workers=worker_count(len(_tiles(len(x)))))[2]
 
 
 def evaluate_split(model: numcore.MlpModel, ds: TwoPhaseDataset, split: str,
@@ -590,7 +568,7 @@ def _run_seed(ds: TwoPhaseDataset, data_key: str, base_cfg: DistillConfig,
     spaces = _spaces(ds, inputs, [cfgs[i] for i in todo], workers)
 
     def train(i, k):
-        """Train and store point `i` in thread k's workspace pair."""
+        """Train and store point `i` in thread k's workspace."""
         model, _ = train_student(ds, teacher, cfgs[i], inputs, spaces[k])
         modelio.save_model(model, Path(students[i]["path"]),
                            MODE_TABLE[cfgs[i].mode].features)
@@ -620,7 +598,7 @@ def run_grid(ds: TwoPhaseDataset, base_cfg: DistillConfig, seeds: list[int],
     trained, and its status is "reused", as is a point whose key an
     earlier point of its seed has. The seeds run `_in_order` on `jobs`
     threads, at most one per seed, in one copy of `ds`; a seed may not
-    repeat. Within a seed, the students train on `grid_workers` threads.
+    repeat. Within a seed, the students train on `worker_count` threads.
     Each model trains in one thread, so its bits depend on neither count.
     """
     if jobs < 1:
@@ -628,7 +606,7 @@ def run_grid(ds: TwoPhaseDataset, base_cfg: DistillConfig, seeds: list[int],
     for i, seed in enumerate(seeds):
         if seed in seeds[:i]:
             raise ConfigError(f"seed {seed} is repeated")
-    workers = grid_workers(len(seeds), len(points), jobs)
+    workers = worker_count(len(points), min(jobs, len(seeds)))
     ds.labels("test")  # a one-class test split fails before any training
     data_key = data_sha256(ds)
     per_seed = _in_order(lambda seed, _: _run_seed(

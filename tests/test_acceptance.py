@@ -18,7 +18,7 @@ from mgkd import cli, data, numcore, pipeline
 from mgkd.losses import feat_loss, kl_hard, kl_soft, objective, reweight
 from mgkd.metrics import auc, ks, recall_at_k
 
-from test_metrics import naive_recall, pairwise_auc, scan_ks
+from test_metrics import naive_recall, pairwise_auc, recall_at, scan_ks
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -108,8 +108,10 @@ def test_criterion_2_metric_oracles():
         k = float(rng.uniform(1.0, 100.0))
         assert abs(auc(scores, labels) - pairwise_auc(scores, labels)) <= 1e-12
         assert ks(scores, labels) == scan_ks(scores, labels)
-        assert recall_at_k(scores, labels, k) == naive_recall(scores,
-                                                              labels, k)
+        assert recall_at(scores, labels, k) == naive_recall(scores,
+                                                            labels, k)
+        assert recall_at_k(scores, labels) == naive_recall(scores,
+                                                           labels, 10.0)
     elapsed = time.time() - t0
     assert elapsed < 30.0, f"metric oracles took {elapsed:.1f}s"
     print(f"\n[PASS] criterion 2: 1000 scored sets vs oracles "

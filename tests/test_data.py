@@ -651,3 +651,31 @@ def test_save_peak_memory_is_bounded(tmp_path):
     save_delimited(ds, tmp_path / "warm.csv")
     assert peak_bytes(lambda: save_delimited(ds, tmp_path / "ds.csv")) \
         <= 2 * 10**6
+
+
+@pytest.mark.parametrize("y", [
+    [0, 1, 1], [0, 2], [-1, 1], [True, False], [0.0, 1.0], [0.5, 1.0],
+    [0.0, math.nan], np.array([], dtype=np.int64),
+    np.array([0, 1], dtype=np.uint8), np.array([1, 3], dtype=np.uint8)])
+def test_label_check_rejects_what_isin_rejects(y):
+    y = np.asarray(y)
+    n = len(y)
+
+    def make():
+        return TwoPhaseDataset(np.zeros((n, 1)), np.zeros((n, 0)), y,
+                               np.zeros(n, dtype=np.int64),
+                               np.full(n, "", dtype="<U5"))
+
+    if np.isin(y, (0, 1)).all():
+        assert make().y is y
+    else:
+        with pytest.raises(ConfigError, match="^labels must be 0 or 1$"):
+            make()
+
+
+def test_label_check_makes_no_label_sized_array():
+    # Integer labels are read by min and max. `np.isin` allocated 1.9 MB
+    # here on every construction, `dataclasses.replace` included.
+    ds = generate_synthetic(SyntheticConfig(n=100_000, d_in=0))
+    replace(ds)  # warm-up
+    assert peak_bytes(lambda: replace(ds)) < ds.y.nbytes / 100

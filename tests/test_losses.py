@@ -87,8 +87,9 @@ class TestKlSoft:
         assert np.allclose(b.grad_logit, 2.0 * (qs - qt) / 2)
 
     def test_tau_below_one(self):
-        with pytest.raises(ConfigError):
-            kl_soft([0.0], [0.0], tau=0.5)
+        # DistillConfig is the one place that checks tau.
+        with pytest.raises(ConfigError, match="tau must be >= 1"):
+            DistillConfig(tau=0.5)
 
 
 class TestLabelLoss:
@@ -102,9 +103,6 @@ class TestLabelLoss:
 
     def label(self, alpha):
         cfg = DistillConfig(alpha=alpha, beta=0.0, lam=0.0, tau=2.0)
-        return self.label_for(cfg)
-
-    def label_for(self, cfg):
         cache = SimpleNamespace(p=self.p, z=self.zs, h=None)
         total, _ = objective(cfg, cache, self.y, teacher_z=self.zt)
         return total
@@ -128,10 +126,10 @@ class TestLabelLoss:
         assert lv.value == pytest.approx(0.5 * hard.value + 0.5 * soft.value)
 
     def test_alpha_range(self):
-        cfg = DistillConfig(beta=0.0, lam=0.0, tau=2.0)
-        cfg.alpha = 1.5  # past DistillConfig's own check
-        with pytest.raises(ConfigError):
-            self.label_for(cfg)
+        # DistillConfig is the one place that checks alpha.
+        for alpha in (-0.1, 1.5):
+            with pytest.raises(ConfigError, match=r"alpha must be in \[0,1\]"):
+                DistillConfig(alpha=alpha, beta=0.0, lam=0.0, tau=2.0)
 
 
 def parent_assembly(cfg, cache, y, weights, teacher_h, teacher_z, snapshot):
@@ -293,8 +291,7 @@ class TestDistillTotal:
             for name, part in (("kl_hard", label), ("feat_loss", feat),
                                ("kl_soft", self_part)):
                 monkeypatch.setattr(losses, name, lambda *_, v=part: v)
-            cfg = DistillConfig(alpha=0.0, beta=0.0, lam=0.0)
-            cfg.beta, cfg.lam = beta, lam  # past DistillConfig's own check
+            cfg = DistillConfig(alpha=0.0, beta=beta, lam=lam)
             cache = SimpleNamespace(p=None, z=None, h=None)
             return objective(cfg, cache, None, snapshot=np.zeros(1))[0]
         return total
@@ -322,11 +319,11 @@ class TestDistillTotal:
         assert v(0.2, 0.3) - v(0.0, 0.3) == pytest.approx(0.2 * 0.4)
         assert v(0.2, 0.3) - v(0.2, 0.0) == pytest.approx(0.3 * 0.3)
 
-    def test_negative_weights(self, total):
-        label = losses.LossValue(0.5, np.zeros(1))
+    def test_negative_weights(self):
+        # DistillConfig is the one place that checks beta and lambda.
         for beta, lam in ((-0.1, 0.0), (0.0, -0.1)):
             with pytest.raises(ConfigError, match="nonnegative"):
-                total(label, None, None, beta, lam)
+                DistillConfig(beta=beta, lam=lam)
 
 
 class TestReweight:

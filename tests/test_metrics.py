@@ -43,6 +43,14 @@ def scan_ks(scores, labels):
     return best
 
 
+def recall_at(scores, labels, k_percent):
+    """Recall at any k: `recall_at_k`'s `_recall` with k_percent in place
+    of its fixed 10."""
+    scores, pos, n_pos, _ = metrics._validate(scores, labels,
+                                              need_negative=False)
+    return metrics._recall(_rank(scores, pos), pos, n_pos, k_percent)
+
+
 def naive_recall(scores, labels, k_percent):
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
@@ -101,36 +109,31 @@ class TestKs:
 
 class TestRecallAtK:
     def test_k_100(self):
-        assert recall_at_k([0.3, 0.1, 0.9], [1, 0, 1], 100.0) == 1.0
+        assert recall_at([0.3, 0.1, 0.9], [1, 0, 1], 100.0) == 1.0
 
     def test_top_positive(self):
         scores = np.linspace(1.0, 0.1, 10)
         labels = np.zeros(10, dtype=int)
         labels[0] = 1
-        assert recall_at_k(scores, labels, 10.0) == 1.0
+        assert recall_at_k(scores, labels) == 1.0
 
     def test_half_captured(self):
         scores = np.linspace(1.0, 0.05, 20)
         labels = np.zeros(20, dtype=int)
         labels[0] = 1   # rank 1
         labels[4] = 1   # rank 5, outside top 2
-        assert recall_at_k(scores, labels, 10.0) == 0.5
+        assert recall_at_k(scores, labels) == 0.5
 
     def test_ceiling_cutoff(self):
         # 10% of 11 rows -> top 2 by the ceiling rule.
         scores = np.linspace(1.0, 0.0, 11)
         labels = np.zeros(11, dtype=int)
         labels[1] = 1
-        assert recall_at_k(scores, labels, 10.0) == 1.0
+        assert recall_at_k(scores, labels) == 1.0
 
     def test_no_positives(self):
         with pytest.raises(DataError, match="one positive and one negative"):
-            recall_at_k([0.1, 0.2], [0, 0], 10.0)
-
-    def test_bad_k(self):
-        with pytest.raises(DataError,
-                           match=r"k_percent must be in \(0, 100\]"):
-            recall_at_k([0.1], [1], 0.0)
+            recall_at_k([0.1, 0.2], [0, 0])
 
 
 class TestOracleAgreement:
@@ -149,8 +152,10 @@ class TestOracleAgreement:
             assert auc(scores, labels) == pytest.approx(
                 pairwise_auc(scores, labels), abs=1e-12)
             assert ks(scores, labels) == scan_ks(scores, labels)
-            assert recall_at_k(scores, labels, k) == \
+            assert recall_at(scores, labels, k) == \
                 naive_recall(scores, labels, k)
+            assert recall_at_k(scores, labels) == \
+                naive_recall(scores, labels, 10.0)
 
 
 class TestLabels:
@@ -175,19 +180,7 @@ class TestEvaluate:
         assert report.n_pos == 2 and report.n_neg == 2
         assert report.split == "test" and report.seed == 3
         assert 0.0 <= report.recall_at_k <= 1.0
-
-    @pytest.mark.parametrize("k", [0.0, -5.0, 100.5, math.nan])
-    def test_bad_k(self, k):
-        with pytest.raises(DataError, match="k_percent"):
-            evaluate([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1], k_percent=k)
-
-    @pytest.mark.parametrize("metric", [evaluate, recall_at_k])
-    def test_bad_k_raises_before_sorting(self, metric, monkeypatch):
-        def no_sort(*args):
-            raise AssertionError("sorted before checking k_percent")
-        monkeypatch.setattr(metrics, "_rank", no_sort)
-        with pytest.raises(DataError, match="k_percent"):
-            metric([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1], 0.0)
+        assert report.k_percent == 10.0
 
 
 def loop_midranks(scores):
@@ -293,22 +286,32 @@ def bits(report):
 @settings(max_examples=300, deadline=None)
 @given(scored=scored_sets(), k=st.sampled_from([0.01, 10.0, 33.3, 100.0]))
 def test_one_sort_matches_four_sorts(scored, k):
-    scores, labels = scored
+    assert_matches_four_sorts(*scored, [k])
+
+
+def assert_matches_four_sorts(scores, labels, k_percents):
+    """`evaluate` and each metric equal the parent's sorts bit for bit, and
+    so does recall at each of `k_percents`."""
     parent = EvalReport(parent_auc(scores, labels), parent_ks(scores, labels),
-                        parent_recall_at_k(scores, labels, k), k,
+                        parent_recall_at_k(scores, labels, 10.0), 10.0,
                         int(np.sum(labels == 1)), int(np.sum(labels == 0)))
-    assert bits(evaluate(scores, labels, k)) == bits(parent)
+    assert bits(evaluate(scores, labels)) == bits(parent)
     assert bits(EvalReport(auc(scores, labels), ks(scores, labels),
-                           recall_at_k(scores, labels, k), k,
+                           recall_at_k(scores, labels), 10.0,
                            parent.n_pos, parent.n_neg)) == bits(parent)
+    for k in k_percents:
+        assert np.float64(recall_at(scores, labels, k)).tobytes() == \
+            np.float64(parent_recall_at_k(scores, labels, k)).tobytes(), k
 
 
 @pytest.mark.parametrize("n", [1, 2, 9])
 def test_recall_accepts_all_positive_labels(n):
     scores = np.linspace(0.0, 1.0, n)
     for k in (0.01, 10.0, 100.0):
-        assert recall_at_k(scores, np.ones(n, dtype=int), k) == \
+        assert recall_at(scores, np.ones(n, dtype=int), k) == \
             parent_recall_at_k(scores, np.ones(n, dtype=int), k)
+    assert recall_at_k(scores, np.ones(n, dtype=int)) == \
+        parent_recall_at_k(scores, np.ones(n, dtype=int), 10.0)
 
 
 def boundary_group_case(n):
@@ -372,15 +375,7 @@ def test_large_sort_matches_four_sorts(n, kind):
         scores, labels = boundary_group_case(n)
     else:
         scores, labels = ks_block_case(n)
-    for k in (0.01, 10.0, 33.3, 100.0):
-        parent = EvalReport(
-            parent_auc(scores, labels), parent_ks(scores, labels),
-            parent_recall_at_k(scores, labels, k), k,
-            int(np.sum(labels == 1)), int(np.sum(labels == 0)))
-        assert bits(evaluate(scores, labels, k)) == bits(parent)
-        assert bits(EvalReport(auc(scores, labels), ks(scores, labels),
-                               recall_at_k(scores, labels, k), k,
-                               parent.n_pos, parent.n_neg)) == bits(parent)
+    assert_matches_four_sorts(scores, labels, (0.01, 10.0, 33.3, 100.0))
 
 
 @pytest.mark.parametrize("n", [20_000, 100_000])

@@ -512,18 +512,21 @@ class TestWorkspace:
             for name in ("h", "z", "p"):
                 assert getattr(new, name).tobytes() == \
                     getattr(old, name).tobytes(), (step, name)
-            assert np.shares_memory(new.h, ws.buffers["act2"])
+            f64 = np.dtype(np.float64)
+            assert np.shares_memory(new.h, ws.buffers["act2", f64])
             grads = backward(model, new, grad_logit, grad_repr, ws)
-            assert np.shares_memory(grads.flat, ws.buffers["grads"])
+            assert np.shares_memory(grads.flat,
+                                    ws.buffers["grads", f64])
             ref = _old_backward(model, old, grad_logit,
                                 np.zeros((n, 8)) if grad_repr is None
                                 else grad_repr)
             _same_grads(grads, ref)
-            grown = {name for name, buf in ws.buffers.items()
-                     if before.get(name) is not buf}
-            assert grown == [set(ws.buffers), set(ws.buffers) - {"grads"},
+            grown = {key for key, buf in ws.buffers.items()
+                     if before.get(key) is not buf}
+            assert grown == [set(ws.buffers),
+                             set(ws.buffers) - {("grads", f64)},
                              set(), set()][step], step
-        assert ws.buffers["bool"].dtype == bool
+        assert ws.buffers["bool", np.dtype(bool)].dtype == bool
 
     def test_backward_without_workspace_returns_fresh_grads(self, rng):
         model = small_model()
@@ -657,23 +660,31 @@ class TestFloat32:
         np.testing.assert_allclose(grads.flat, ref_grads.flat, rtol=1e-4,
                                    atol=1e-5)
         if use_ws:
-            assert np.shares_memory(grads.flat, ws.buffers["grads"])
-            for name, buf in ws.buffers.items():
-                assert buf.dtype == (bool if name == "bool" else np.float32), \
-                    name
+            assert np.shares_memory(grads.flat,
+                                    ws.buffers["grads", np.dtype(np.float32)])
+            for (name, dtype), buf in ws.buffers.items():
+                assert buf.dtype == dtype == \
+                    ("bool" if name == "bool" else "float32"), name
 
     def test_dtype_change_reallocates_buffers(self, rng):
+        # Each dtype gets buffers of its own: a float64 pass after a
+        # float32 step leaves the float32 buffers as they are.
         model, x, grad_logit, _ = self._model_and_batch(rng, dropout=0.0)
         work = MlpModel(model.flat.astype(np.float32), model.shapes)
         ws = numcore.Workspace()
         backward(work, forward(work, x.astype(np.float32), ws=ws),
                  grad_logit, ws=ws)
+        step_buffers = dict(ws.buffers)
         cache = forward(model, x, ws=ws)
         assert cache.h.dtype == np.float64
-        assert ws.buffers["act0"].dtype == np.float64
+        assert ws.buffers["act0", np.dtype(np.float64)].dtype == np.float64
         grads = backward(model, cache, grad_logit, ws=ws)
-        assert grads.flat.dtype == ws.buffers["grads"].dtype == np.float64
+        assert grads.flat.dtype == np.float64
+        assert ws.buffers["grads", np.dtype(np.float64)].dtype == np.float64
         assert cache.h.tobytes() == forward(model, x).h.tobytes()
+        assert all(ws.buffers[key] is buf
+                   for key, buf in step_buffers.items())
+        assert {dtype.name for _, dtype in step_buffers} == {"float32", "bool"}
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.float16,
                                        np.float64, bool])

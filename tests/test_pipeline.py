@@ -78,6 +78,10 @@ class TestConfig:
             DistillConfig(alpha=1.5)
         with pytest.raises(ConfigError):
             DistillConfig(tau=0.5)
+        with pytest.raises(ConfigError, match="nonnegative"):
+            DistillConfig(beta=-0.1)
+        with pytest.raises(ConfigError, match="nonnegative"):
+            DistillConfig(lam=-0.1)
         with pytest.raises(ConfigError):
             DistillConfig(mode="bogus")
         with pytest.raises(ConfigError):
@@ -439,7 +443,7 @@ class TestPredict:
         # workspace that also held the training buffers peaked at 36.5 MB.
         assert peak_bytes(lambda: predict(model, x)) < 16 * 10**6
         # A second worker adds its own tile activations, about 8.4 MB.
-        monkeypatch.setattr(pipeline, "tile_workers", lambda rows: 2)
+        monkeypatch.setattr(pipeline, "worker_count", lambda *args: 2)
         assert peak_bytes(lambda: predict(model, x)) < 25 * 10**6
         one_output = rows * width * 8
         assert peak_bytes(lambda: numcore.forward(model, x, "eval")) \
@@ -711,19 +715,25 @@ def test_worker_error_reaches_the_caller():
     ({"OPENBLAS_NUM_THREADS": "1"}, 8, 3 * R, 3),   # three tiles
 ])
 def test_worker_rule(monkeypatch, env, cpus, rows, workers):
+    # `predict` and the `eval` manifest: one item per tile, one group.
+    _set_cpus(monkeypatch, env, cpus)
+    assert pipeline.worker_count(len(pipeline._tiles(rows))) == workers
+
+
+def _set_cpus(monkeypatch, env, cpus):
+    """Only the thread variables in `env` set, and `cpus` usable CPUs."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    assert pipeline.tile_workers(rows) == workers
 
 
 def test_training_passes_start_no_threads(tiled_ds, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was started")
 
-    monkeypatch.setattr(pipeline, "tile_workers", lambda rows: 2)
+    monkeypatch.setattr(pipeline, "worker_count", lambda *args: 2)
     monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
     teacher, _ = train_teacher(tiled_ds, small_cfg(max_epochs=1))
     model, _ = train_student(tiled_ds, teacher,
@@ -746,8 +756,8 @@ def test_one_seed_grid_starts_no_workers(small_ds, monkeypatch, tmp_path):
 
 def _grid_outputs(ds, store: Path, seeds, cfg, monkeypatch, workers):
     """Store files, model records and reports of an ablation on `workers`
-    grid threads."""
-    monkeypatch.setattr(pipeline, "grid_workers", lambda *args: workers)
+    grid and tile threads."""
+    monkeypatch.setattr(pipeline, "worker_count", lambda *args: workers)
     threads = threading.active_count()
     reports, models = run_ablation(ds, cfg, seeds, store)
     assert threading.active_count() == threads
@@ -795,7 +805,7 @@ def test_grid_worker_error_reaches_the_caller(small_ds, tmp_path,
         return real(ds, teacher, cfg, *args)
 
     monkeypatch.setattr(pipeline, "train_student", failing)
-    monkeypatch.setattr(pipeline, "grid_workers", lambda *args: 2)
+    monkeypatch.setattr(pipeline, "worker_count", lambda *args: 2)
     threads = threading.active_count()
     with pytest.raises(TrainingError) as exc:
         run_ablation(small_ds, small_cfg(max_epochs=2), [0], tmp_path)
@@ -888,29 +898,70 @@ def test_grid_buffers_are_made_in_the_calling_thread(small_ds, tmp_path,
     makers, room = set(), numcore._room
 
     def recording_room(ws, name, shape, dtype=np.float64):
-        before = None if ws is None else ws.buffers.get(name)
+        key = name, np.dtype(dtype)
+        before = None if ws is None else ws.buffers.get(key)
         out = room(ws, name, shape, dtype)
-        if ws is not None and ws.buffers[name] is not before:
+        if ws is not None and ws.buffers[key] is not before:
             makers.add(threading.current_thread().name)
         return out
 
     for module in (numcore, losses):
         monkeypatch.setattr(module, "_room", recording_room)
-    monkeypatch.setattr(pipeline, "grid_workers", lambda *args: 2)
+    monkeypatch.setattr(pipeline, "worker_count", lambda *args: 2)
     run_ablation(small_ds, small_cfg(max_epochs=2), [0], tmp_path)
     assert makers == {threading.current_thread().name}
 
 
 def test_full_step_workspace_holds_no_feature_loss_buffer(small_ds):
     # The teacher rows and the MSE squares share backward's gradient
-    # buffers.
+    # buffers; the float64 validation passes add only their activations.
     teacher, _ = train_teacher(small_ds, small_cfg(max_epochs=1))
-    step, valid = numcore.Workspace(), numcore.Workspace()
+    ws = numcore.Workspace()
     train_student(small_ds, teacher, small_cfg(mode="full", max_epochs=2),
-                  spaces=(step, valid))
-    assert set(step.buffers) == {"x", "bool", "grads", "act0", "act1",
-                                 "grad0", "grad1"}
-    assert set(valid.buffers) == {"act0", "act1"}
+                  ws=ws)
+    f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+    assert set(ws.buffers) == {
+        *((name, f32) for name in ("x", "grads", "act0", "act1", "grad0",
+                                   "grad1")),
+        ("bool", np.dtype(bool)), ("act0", f64), ("act1", f64)}
+
+
+def test_one_workspace_serves_steps_and_validation(tiled_ds, monkeypatch):
+    # Multi-tile batches and a multi-tile validation split: after the
+    # first epoch no buffer is made again, so each epoch ends with the
+    # same buffer objects.
+    teacher, _ = train_teacher(tiled_ds, small_cfg(max_epochs=1))
+    ws, seen, evaluate = numcore.Workspace(), [], metrics.evaluate
+
+    def recording_evaluate(*args, **kwargs):  # once per epoch
+        seen.append(dict(ws.buffers))
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "evaluate", recording_evaluate)
+    train_student(tiled_ds, teacher, small_cfg(mode="full", max_epochs=3,
+                                               batch_size=100_000), ws=ws)
+    assert len(seen) == 3
+    assert {dtype.name for _, dtype in seen[0]} == \
+        {"float32", "float64", "bool"}
+    for later in seen[1:]:
+        assert later.keys() == seen[0].keys()
+        assert all(later[key] is seen[0][key] for key in later)
+
+
+@pytest.mark.parametrize("workers, points, spaces", [
+    (1, 3, 1), (2, 3, 2), (3, 2, 2), (2, 0, 0)])
+def test_spaces_reserve_one_workspace_per_thread(small_ds, workers, points,
+                                                 spaces):
+    cfgs = [small_cfg(mode="baseline_pre", seed=seed).normalized()
+            for seed in range(points)]
+    inputs = pipeline._inputs(small_ds, None, cfgs)
+    out = pipeline._spaces(small_ds, inputs, cfgs, workers)
+    assert len(out) == spaces
+    assert all(type(ws) is numcore.Workspace for ws in out)
+    assert len({id(ws) for ws in out}) == spaces
+    for ws in out:  # the step's and the validation pass's, in one
+        assert {("x", np.dtype(np.float32)),
+                ("act0", np.dtype(np.float64))} <= set(ws.buffers)
 
 
 # Two seeds on one and on two seed threads, from a script with no
@@ -963,12 +1014,10 @@ def test_one_grid_worker_starts_no_threads(small_ds, tmp_path, monkeypatch):
 ])
 def test_grid_worker_rule(monkeypatch, env, cpus, seeds, points, jobs,
                           workers):
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    assert pipeline.grid_workers(seeds, points, jobs) == workers
+    # `run_grid` and the `ablate`/`sweep` manifests: one item per point,
+    # one group per seed running at once.
+    _set_cpus(monkeypatch, env, cpus)
+    assert pipeline.worker_count(points, min(jobs, seeds)) == workers
 
 
 class TestAblation:
