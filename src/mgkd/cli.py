@@ -242,13 +242,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    parser = _parse_config(Path(args.config)) if args.config \
-        else configparser.ConfigParser()
+    parser = _parse_config(Path(args.config))
     model_path = Path(args.model)
     if not model_path.exists():
         raise FileNotFoundError(f"model not found: {model_path}")
     out_dir = Path(args.out)
-    dataset_path = Path(args.data)
+    dataset_path = _dataset_path(parser, args, out_dir)
     ds = _load_split_dataset(parser, dataset_path)
     model, feature_mode = modelio.load_model(model_path)
 
@@ -309,8 +308,10 @@ def cmd_ablate(args) -> int:
 
     t0 = time.time()
     modes = pipeline.ABLATION_MODES
-    reports, models = pipeline.run_ablation(ds, cfg, seeds, out_dir, modes,
-                                            args.jobs, teacher_cfg)
+    per_seed, models = pipeline.run_grid(ds, cfg, seeds,
+                                         [(m, {"mode": m}) for m in modes],
+                                         out_dir, args.jobs, teacher_cfg)
+    reports = [report for seed_reports in per_seed for report in seed_reports]
     elapsed = time.time() - t0
 
     agg = pipeline.aggregate_reports(reports)
@@ -421,12 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a split with a trained model")
+    common(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
     p.add_argument("--split", default="test",
                    choices=("train", "valid", "test"))
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_eval)
 
     # ablate and sweep take --seeds and no --seed. Without abbreviations

@@ -29,6 +29,13 @@ SPLIT_TAGS = ("train", "valid", "test")
 LATENT_SLOPE = 2.0
 
 
+def _binary(y: np.ndarray) -> bool:
+    """Whether every label is 0 or 1: integers by min and max, with no
+    temporary array, and any other dtype by `np.isin`."""
+    return bool((y.dtype.kind in "biu" and y.size and y.min() >= 0
+                 and y.max() <= 1) or np.isin(y, (0, 1)).all())
+
+
 @dataclass
 class TwoPhaseDataset:
     x_pre: np.ndarray      # (n, d_pre)
@@ -43,9 +50,7 @@ class TwoPhaseDataset:
         for name in ("x_in", "y", "timestamp", "split"):
             if getattr(self, name).shape[0] != n:
                 raise ConfigError(f"dataset field {name} has wrong length")
-        y = self.y  # integers by min and max, with no temporary array
-        if not ((y.dtype.kind in "biu" and y.size and y.min() >= 0
-                 and y.max() <= 1) or np.isin(y, (0, 1)).all()):
+        if not _binary(self.y):
             raise ConfigError("labels must be 0 or 1")
 
     @property
@@ -291,7 +296,7 @@ def load_delimited(path) -> TwoPhaseDataset:
         def clean(rec) -> bool:
             return (rec is not None and rec.shape[0] == lines
                     and commas == lines * (len(header) - 1)
-                    and np.isin(rec["y"], (0, 1)).all()
+                    and _binary(rec["y"])
                     and np.isfinite(rec["x"]).all())
 
         dtype = _row_dtype(d_pre + d_in)

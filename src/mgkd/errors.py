@@ -14,4 +14,4 @@ class DataError(MgkdError):
 
 
 class TrainingError(MgkdError):
-    """Training produced non-finite values or reached inconsistent state."""
+    """Training produced non-finite values: the run diverged."""

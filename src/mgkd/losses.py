@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .numcore import Workspace, _as_matrix, _room, sigmoid
 
 PROB_CLAMP = 1e-7
@@ -30,17 +30,6 @@ class LossValue:
     grad_repr: np.ndarray | None = None   # (n, d); None means zero
 
 
-def _check_lengths(*vecs, n: int | None = None) -> int:
-    """The row count a loss averages over: `n`, the batch's, when the rows
-    are one tile of it, else their length, which must be the same in all
-    of `vecs`."""
-    rows = len(vecs[0])
-    for v in vecs[1:]:
-        if len(v) != rows:
-            raise DataError(f"length mismatch: {len(v)} != {rows}")
-    return rows if n is None else n
-
-
 def _clamp(p: np.ndarray) -> np.ndarray:
     return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
@@ -49,13 +38,12 @@ def kl_hard(y, p, weights=None, n: int | None = None) -> LossValue:
     """Weighted cross-entropy (binary KL against one-hot targets)."""
     y = np.asarray(y, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
-    n = _check_lengths(y, p, n=n)
+    n = len(y) if n is None else n
     pc = _clamp(p)
     ce = -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))
     grad_logit = pc - y
     if weights is not None:  # no weights means unit ones: 1.0 * x is x
         w = np.asarray(weights, dtype=np.float64)
-        _check_lengths(y, w)
         ce *= w
         grad_logit *= w
     grad_logit /= n
@@ -71,7 +59,7 @@ def kl_soft(teacher_logits, student_logits, tau: float,
     """
     zt = np.asarray(teacher_logits, dtype=np.float64)
     zs = np.asarray(student_logits, dtype=np.float64)
-    n = _check_lengths(zt, zs, n=n)
+    n = len(zt) if n is None else n
     qt = _clamp(sigmoid(zt / tau))
     qs = _clamp(sigmoid(zs / tau))
     kl = qt * np.log(qt / qs) + (1.0 - qt) * np.log((1.0 - qt) / (1.0 - qs))
@@ -94,10 +82,7 @@ def feat_loss(h_teacher, h_student, metric: str = "mse",
     """
     ht = _as_matrix(h_teacher, "h_teacher")
     hs = _as_matrix(h_student, "h_student")
-    if ht.shape != hs.shape:
-        raise DataError(
-            f"representation shapes differ: {ht.shape} vs {hs.shape}")
-    n, d = _check_lengths(hs, n=n), hs.shape[1]
+    n, d = len(hs) if n is None else n, hs.shape[1]
     if metric == "mse":
         dtype = np.result_type(hs, ht)
         diff = np.subtract(hs, ht, out=_room(ws, "grad1", hs.shape, dtype))
@@ -107,20 +92,20 @@ def feat_loss(h_teacher, h_student, metric: str = "mse",
         diff *= 2.0
         diff /= n * d
         return LossValue(value, None, diff)
-    if metric == "cosine":
-        nt = np.linalg.norm(ht, axis=1)
-        ns = np.linalg.norm(hs, axis=1)
-        zero = (nt == 0.0) | (ns == 0.0)
-        # A zero row's dot product is 0, so its cosine is 0 / 1.
-        norms = np.where(zero, 1.0, nt * ns)
-        cos = np.sum(ht * hs, axis=1) / norms
-        value = float(np.sum(1.0 - cos) / n)
-        grad_repr = -(ht / norms[:, None]
-                      - (cos / np.where(zero, 1.0, ns * ns))[:, None] * hs
-                      ) / n
-        grad_repr[zero] = 0.0
-        return LossValue(value, None, grad_repr)
-    raise ConfigError(f"unknown feature metric {metric!r}")
+    if metric != "cosine":
+        raise ConfigError(f"unknown feature metric {metric!r}")
+    nt = np.linalg.norm(ht, axis=1)
+    ns = np.linalg.norm(hs, axis=1)
+    zero = (nt == 0.0) | (ns == 0.0)
+    # A zero row's dot product is 0, so its cosine is 0 / 1.
+    norms = np.where(zero, 1.0, nt * ns)
+    cos = np.sum(ht * hs, axis=1) / norms
+    value = float(np.sum(1.0 - cos) / n)
+    grad_repr = -(ht / norms[:, None]
+                  - (cos / np.where(zero, 1.0, ns * ns))[:, None] * hs
+                  ) / n
+    grad_repr[zero] = 0.0
+    return LossValue(value, None, grad_repr)
 
 
 def reweight(y, pi1: float) -> np.ndarray:

@@ -258,18 +258,15 @@ def forward(model: MlpModel, x, mode: str = "eval",
     """Run the encoder and classifier, keeping intermediates for backprop.
 
     Each encoder layer keeps one array, its output, and no dropout mask.
-    Train mode with a nonzero dropout rate draws the masks from `rng`.
+    `mode` is "train" or "eval"; train mode with a nonzero dropout rate
+    draws the masks from `rng`, which it then needs.
     With a workspace every batch-by-width array is written into it.
     """
     x = _as_matrix(x, "x")
     if x.shape[1] != model.input_dim:
         raise DataError(
             f"input has {x.shape[1]} columns, model expects {model.input_dim}")
-    if mode not in ("train", "eval"):
-        raise TrainingError(f"unknown forward mode {mode!r}")
     use_dropout = mode == "train" and model.dropout_rate > 0.0
-    if use_dropout and rng is None:
-        raise TrainingError("train-mode forward with dropout needs an rng")
 
     a = x
     n = x.shape[0]
@@ -303,8 +300,9 @@ def backward(model: MlpModel, cache: ForwardCache, grad_logit,
 
     `grad_logit` is dL/dz per sample; `grad_repr` is dL/dH and is injected
     at the encoder output in addition to the classifier path. None means
-    a zero `grad_repr`. Both are cast to the cache's dtype. The input
-    gradient of `encoder[0]` is not computed.
+    a zero `grad_repr`. Both have the rows of `cache`, this model's forward
+    pass, and are cast to its dtype. The input gradient of `encoder[0]` is
+    not computed.
     Without a workspace the gradients are new arrays on every call; with
     one they are views of its `grads` buffer, overwritten by the next call.
 
@@ -313,19 +311,10 @@ def backward(model: MlpModel, cache: ForwardCache, grad_logit,
     1/keep equals multiplying by the mask; where the unit was kept, output
     > 0 exactly when the pre-activation is > 0.
     """
-    if len(cache.post_acts) != len(model.encoder):
-        raise TrainingError("cache does not match model layer count")
-    n, dtype = cache.z.shape[0], cache.h.dtype
+    dtype = cache.h.dtype
     grad_logit = np.asarray(grad_logit, dtype=dtype)
-    if grad_logit.shape != (n,):
-        raise DataError(f"grad_logit shape {grad_logit.shape} != ({n},)")
     if grad_repr is not None:
         grad_repr = np.asarray(grad_repr, dtype=dtype)
-        if grad_repr.shape != cache.h.shape:
-            raise DataError(
-                f"grad_repr shape {grad_repr.shape} != {cache.h.shape}")
-    if cache.h.shape[1] != model.repr_dim:
-        raise TrainingError("cache representation width does not match model")
 
     grads = model.zeros_like() if ws is None else \
         FlatParams(_room(ws, "grads", model.flat.shape, model.flat.dtype),

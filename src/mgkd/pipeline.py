@@ -616,19 +616,6 @@ def run_grid(ds: TwoPhaseDataset, base_cfg: DistillConfig, seeds: list[int],
             [model for _, models in per_seed for model in models])
 
 
-def run_ablation(ds: TwoPhaseDataset, base_cfg: DistillConfig,
-                 seeds: list[int], store: Path,
-                 modes: tuple[str, ...] = ABLATION_MODES,
-                 jobs: int = 1, teacher_cfg: DistillConfig | None = None,
-                 ) -> tuple[list[metrics.EvalReport], list[dict]]:
-    """Every ablation mode on a shared seed set: the test reports, seed by
-    seed, and `run_grid`'s model records."""
-    per_seed, models = run_grid(ds, base_cfg, seeds,
-                                [(mode, {"mode": mode}) for mode in modes],
-                                store, jobs, teacher_cfg)
-    return [report for reports in per_seed for report in reports], models
-
-
 def aggregate_reports(reports: list[metrics.EvalReport]) -> dict[str, dict]:
     """Per-mode mean and std of each metric, modes in first-seen order."""
     out: dict[str, dict] = {}

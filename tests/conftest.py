@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mgkd import numcore
+from mgkd import numcore, pipeline
 
 GRAD_CHECK_MAX_PARAMS = 10_000
 
@@ -27,6 +27,14 @@ def peak_bytes(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def ablation(ds, cfg, seeds, store, modes=pipeline.ABLATION_MODES, jobs=1):
+    """`mgkd ablate`'s grid: one `run_grid` point per mode. Every test
+    report, seed by seed, and the model records."""
+    per_seed, models = pipeline.run_grid(
+        ds, cfg, seeds, [(m, {"mode": m}) for m in modes], store, jobs)
+    return [report for reports in per_seed for report in reports], models
 
 
 @pytest.fixture

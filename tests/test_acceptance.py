@@ -18,6 +18,7 @@ from mgkd import cli, data, numcore, pipeline
 from mgkd.losses import feat_loss, kl_hard, kl_soft, objective, reweight
 from mgkd.metrics import auc, ks, recall_at_k
 
+from conftest import ablation
 from test_metrics import naive_recall, pairwise_auc, recall_at, scan_ks
 
 SEEDS = [0, 1, 2, 3, 4]
@@ -45,7 +46,7 @@ def ablation_agg(tmp_path_factory):
     ds = prepared(DATA_CFG)
     t0 = time.time()
     # An empty store: every model is trained, and the time counts it.
-    reports, _ = pipeline.run_ablation(
+    reports, _ = ablation(
         ds, TRAIN_CFG, SEEDS, tmp_path_factory.mktemp("store"),
         modes=("baseline_pre", "pretrain_only", "full", "oracle"))
     elapsed = time.time() - t0

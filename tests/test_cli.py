@@ -235,24 +235,21 @@ class TestEval:
             "negative rows; it needs both\n"
 
     def test_manifest_records_split_fractions(self, workdir, tmp_path):
-        # Without --config, eval splits with the default fractions, and the
-        # manifest says so.
+        # eval splits with the config's fractions, and the manifest says so.
         out, config = workdir
-        for extra, frac in ((["--config", str(config)], 0.15), ([], 0.1)):
-            dest = tmp_path / str(frac)
-            rc = cli.main(["eval", "--model", str(out / "teacher.mgkd"),
-                           "--data", str(out / "dataset.csv"), *extra,
-                           "--out", str(dest)])
-            assert rc == 0
-            manifest = json.loads((dest / "eval_manifest.json").read_text())
-            assert manifest["config"]["frac_valid"] == frac
-            assert manifest["config"]["frac_test"] == frac
+        rc = cli.main(["eval", "--model", str(out / "teacher.mgkd"),
+                       "--data", str(out / "dataset.csv"),
+                       "--config", str(config), "--out", str(tmp_path)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "eval_manifest.json").read_text())
+        assert manifest["config"]["frac_valid"] == 0.15
+        assert manifest["config"]["frac_test"] == 0.15
 
     def test_missing_model_exit_3(self, workdir, tmp_path):
-        out, _ = workdir
+        out, config = workdir
         rc = cli.main(["eval", "--model", str(tmp_path / "none.mgkd"),
                        "--data", str(out / "dataset.csv"),
-                       "--out", str(tmp_path)])
+                       "--config", str(config), "--out", str(tmp_path)])
         assert rc == 3
 
 
@@ -672,7 +669,8 @@ def test_commands_after_generate_read_the_sidecar(workdir, tmp_path,
 
 
 @pytest.mark.parametrize("command", [["train", "--mode", "teacher"],
-                                     ["ablate"]])
+                                     ["ablate"],
+                                     ["eval", "--model", "teacher.mgkd"]])
 def test_missing_config_exit_2(tmp_path, command):
     with pytest.raises(SystemExit) as exc:
         cli.main([*command, "--out", str(tmp_path / "out")])
@@ -991,8 +989,8 @@ def test_failed_command_leaves_no_out_dir(workdir, tmp_path):
     model = tmp_path / "teacher.mgkd"
     model.mkdir()
     assert cli.main(["eval", "--model", str(model),
-                     "--data", str(out / "dataset.csv"),
-                     "--out", str(tmp_path / "fo" / "out")]) == 3
+                     "--data", str(out / "dataset.csv"), "--config",
+                     str(config), "--out", str(tmp_path / "fo" / "out")]) == 3
     assert cli.main(["train", "--config", str(config), "--mode", "teacher",
                      "--data", str(tmp_path / "missing.csv"),
                      "--out", str(tmp_path / "fo" / "out2")]) == 3

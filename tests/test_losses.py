@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mgkd import losses, numcore, pipeline
-from mgkd.errors import ConfigError, DataError
+from mgkd.errors import ConfigError
 from mgkd.losses import feat_loss, kl_hard, kl_soft, objective, reweight
 from mgkd.pipeline import DistillConfig
 
@@ -37,10 +37,6 @@ class TestKlHard:
         lv = kl_hard(y, p, w)
         assert np.allclose(lv.grad_logit, w * (p - y) / 3)
         assert lv.grad_repr is None
-
-    def test_length_mismatch(self):
-        with pytest.raises(DataError, match="length mismatch: 1 != 2"):
-            kl_hard([1.0, 0.0], [0.5])
 
     @pytest.mark.parametrize("n", [None, 80])
     def test_no_weights_is_unit_weights_bitwise(self, n):
@@ -250,10 +246,6 @@ class TestFeatLoss:
         assert np.array_equal(lv.grad_repr[[1, 4]], np.zeros((2, 4)))
         assert lv.grad_repr[others].tobytes() == ref[others].tobytes()
         assert lv.value == pytest.approx((dist[others].sum() + 2.0) / 6)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DataError, match="representation shapes differ"):
-            feat_loss(np.ones((2, 3)), np.ones((2, 4)))
 
     def test_unknown_metric(self):
         with pytest.raises(ConfigError):

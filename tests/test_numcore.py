@@ -48,11 +48,6 @@ class TestForward:
         assert np.array_equal(cache.p, numcore.sigmoid(z))
         assert cache.h.shape[1] == model.repr_dim
 
-    def test_train_dropout_needs_rng(self):
-        model = small_model(dropout=0.4)
-        with pytest.raises(TrainingError, match="needs an rng"):
-            forward(model, np.ones((2, 6)), "train")
-
     @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_unit_with_zero_weight_raises(self, mode, bad):
@@ -215,17 +210,6 @@ class TestBackward:
 
         err = grad_check(*loss_fns_over_model(x, loss_from_cache), model)
         assert err < 1e-4
-
-    def test_shape_errors(self, rng):
-        model = small_model()
-        cache = forward(model, rng.standard_normal((4, 6)))
-        with pytest.raises(DataError, match=r"grad_logit shape \(3,\)"):
-            backward(model, cache, np.zeros(3), np.zeros_like(cache.h))
-        with pytest.raises(DataError, match=r"grad_repr shape \(4, 99\)"):
-            backward(model, cache, np.zeros(4), np.zeros((4, 99)))
-        other = small_model(hidden=(8,))
-        with pytest.raises(TrainingError, match="layer count"):
-            backward(other, cache, np.zeros(4), np.zeros_like(cache.h))
 
 
 class TestAdam:

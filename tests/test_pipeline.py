@@ -15,10 +15,9 @@ import mgkd
 from mgkd import data, losses, metrics, modelio, numcore, pipeline
 from mgkd.errors import ConfigError, DataError, TrainingError
 from mgkd.pipeline import (PREDICT_ROWS, DistillConfig, evaluate_split,
-                           predict, run_ablation, train_student,
-                           train_teacher)
+                           predict, train_student, train_teacher)
 
-from conftest import peak_bytes
+from conftest import ablation, peak_bytes
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +85,8 @@ class TestConfig:
             DistillConfig(mode="bogus")
         with pytest.raises(ConfigError):
             DistillConfig(hard_term="hinge")
+        with pytest.raises(ConfigError, match="^unknown feat_metric 'bogus'$"):
+            DistillConfig(feat_metric="bogus")
 
 
 @pytest.mark.parametrize("hard_term", pipeline.HARD_TERMS)
@@ -759,7 +760,7 @@ def _grid_outputs(ds, store: Path, seeds, cfg, monkeypatch, workers):
     grid and tile threads."""
     monkeypatch.setattr(pipeline, "worker_count", lambda *args: workers)
     threads = threading.active_count()
-    reports, models = run_ablation(ds, cfg, seeds, store)
+    reports, models = ablation(ds, cfg, seeds, store)
     assert threading.active_count() == threads
     return (sorted((p.name, p.read_bytes()) for p in store.iterdir()),
             [{**m, "path": Path(m["path"]).name} for m in models],
@@ -808,7 +809,7 @@ def test_grid_worker_error_reaches_the_caller(small_ds, tmp_path,
     monkeypatch.setattr(pipeline, "worker_count", lambda *args: 2)
     threads = threading.active_count()
     with pytest.raises(TrainingError) as exc:
-        run_ablation(small_ds, small_cfg(max_epochs=2), [0], tmp_path)
+        ablation(small_ds, small_cfg(max_epochs=2), [0], tmp_path)
     assert exc.value is raised["no_coarse"]
     assert set(raised) == {"no_coarse", "full"}
     assert threading.active_count() == threads
@@ -836,8 +837,8 @@ def test_seed_thread_error_reaches_the_caller(small_ds, tmp_path,
     monkeypatch.setattr(pipeline, "train_teacher", failing)
     threads = threading.active_count()
     with pytest.raises(TrainingError) as exc:
-        run_ablation(small_ds, small_cfg(max_epochs=1), [0, 1], tmp_path,
-                     jobs=2)
+        ablation(small_ds, small_cfg(max_epochs=1), [0, 1], tmp_path,
+                 jobs=2)
     assert exc.value is error
     assert threading.active_count() == threads
 
@@ -884,8 +885,8 @@ def test_grid_stops_at_a_failing_seed(small_ds, tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline, "train_teacher", failing)
     with pytest.raises(TrainingError) as exc:
-        run_ablation(small_ds, small_cfg(max_epochs=1), [0, 1, 2, 3],
-                     tmp_path, jobs=2)
+        ablation(small_ds, small_cfg(max_epochs=1), [0, 1, 2, 3],
+                 tmp_path, jobs=2)
     assert exc.value is error
     assert 3 not in trained and 2 not in trained
     assert not list(tmp_path.glob("*.tmp"))
@@ -908,7 +909,7 @@ def test_grid_buffers_are_made_in_the_calling_thread(small_ds, tmp_path,
     for module in (numcore, losses):
         monkeypatch.setattr(module, "_room", recording_room)
     monkeypatch.setattr(pipeline, "worker_count", lambda *args: 2)
-    run_ablation(small_ds, small_cfg(max_epochs=2), [0], tmp_path)
+    ablation(small_ds, small_cfg(max_epochs=2), [0], tmp_path)
     assert makers == {threading.current_thread().name}
 
 
@@ -995,8 +996,8 @@ def test_one_grid_worker_starts_no_threads(small_ds, tmp_path, monkeypatch):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
-    reports, models = run_ablation(small_ds, small_cfg(max_epochs=1), [0],
-                                   tmp_path)
+    reports, models = ablation(small_ds, small_cfg(max_epochs=1), [0],
+                               tmp_path)
     assert len(reports) == 6
     assert {m["status"] for m in models} == {"trained"}
 
@@ -1023,7 +1024,7 @@ def test_grid_worker_rule(monkeypatch, env, cpus, seeds, points, jobs,
 class TestAblation:
     def test_modes_and_metadata(self, small_ds, tmp_path):
         cfg = small_cfg(max_epochs=3)
-        reports, models = run_ablation(small_ds, cfg, [0, 1], tmp_path)
+        reports, models = ablation(small_ds, cfg, [0, 1], tmp_path)
         assert [(m["seed"], m["label"]) for m in models] == [
             (seed, label) for seed in (0, 1)
             for label in ("teacher", *pipeline.ABLATION_MODES)]
