@@ -464,6 +464,9 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
+    except MemoryError as exc:
+        print(f"out of memory in {args.command}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

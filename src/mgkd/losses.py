@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .numcore import Workspace, _as_matrix, _room, sigmoid
+from .numcore import Workspace, _room, sigmoid
 
 PROB_CLAMP = 1e-7
 
@@ -70,7 +70,8 @@ def kl_soft(teacher_logits, student_logits, tau: float,
 
 def feat_loss(h_teacher, h_student, metric: str = "mse",
               ws: Workspace | None = None, n: int | None = None) -> LossValue:
-    """Representation alignment loss; gradient w.r.t. the student rows.
+    """Representation alignment loss of two (n, d) arrays, and its gradient
+    w.r.t. the student rows.
 
     With a workspace the MSE gradient is written into its `grad1` buffer,
     which `h_teacher` may already be (`ws.take("grad1", ...)`), and the
@@ -80,8 +81,7 @@ def feat_loss(h_teacher, h_student, metric: str = "mse",
     where either side has norm 0 counts as cosine 0 (distance 1) and gets a
     zero gradient.
     """
-    ht = _as_matrix(h_teacher, "h_teacher")
-    hs = _as_matrix(h_student, "h_student")
+    ht, hs = h_teacher, h_student
     n, d = len(hs) if n is None else n, hs.shape[1]
     if metric == "mse":
         dtype = np.result_type(hs, ht)

@@ -69,9 +69,6 @@ class FlatParams:
         *encoder, self.classifier = views
         self.encoder = tuple(encoder)
 
-    def zeros_like(self) -> "FlatParams":
-        return FlatParams(np.zeros_like(self.flat), self.shapes)
-
     def layers(self) -> list[Layer]:
         return [*self.encoder, self.classifier]
 
@@ -151,7 +148,8 @@ class Workspace:
     larger, so one workspace serves batches and passes of any size.
     `forward`, `backward` and `losses.feat_loss` write into it, so every
     array they return from it, and a ForwardCache built on it, is valid
-    only until the next call that writes into it.
+    only until the next call that writes into it. Called without one, they
+    return new arrays on every call.
     """
 
     def __init__(self):
@@ -192,14 +190,13 @@ class Workspace:
 
 def _room(ws: Workspace | None, name: str, shape: tuple[int, ...],
           dtype=np.float64):
-    """`ws`'s `dtype` buffer `name` as a C-contiguous array of `shape`.
-
-    Without a workspace this is None, so a numpy `out=` allocates. It is
+    """`ws`'s `dtype` buffer `name` as a C-contiguous array of `shape`, or
+    a new one without a workspace; the caller writes every element. It is
     private so that perfbench/tracer.py, which wraps every public function,
     does not record a span for each call.
     """
     if ws is None:
-        return None
+        return np.empty(shape, dtype)
     size = math.prod(shape)
     key = name, np.dtype(dtype)
     buf = ws.buffers.get(key)
@@ -225,7 +222,7 @@ def _keep_flags(rng, k: int, shape, ws: Workspace | None) -> np.ndarray:
     """Bool `shape` array, True where a unit's flag is >= k. The flags are
     the little-endian 16-bit lanes of raw 64-bit draws, FLAG_CHUNK at a
     time: whole draws, so the chunking leaves the stream as it is."""
-    flat = _room(ws or Workspace(), "bool", shape, bool).reshape(-1)
+    flat = _room(ws, "bool", shape, bool).reshape(-1)
     for start in range(0, flat.size, FLAG_CHUNK):
         n = min(FLAG_CHUNK, flat.size - start)
         raw = rng.bit_generator.random_raw(-(-n // 4))
@@ -303,8 +300,6 @@ def backward(model: MlpModel, cache: ForwardCache, grad_logit,
     a zero `grad_repr`. Both have the rows of `cache`, this model's forward
     pass, and are cast to its dtype. The input gradient of `encoder[0]` is
     not computed.
-    Without a workspace the gradients are new arrays on every call; with
-    one they are views of its `grads` buffer, overwritten by the next call.
 
     Both gates are read from the layer output. A train-mode output is 0
     where dropout dropped the unit, so gating on output > 0 and scaling by
@@ -316,9 +311,8 @@ def backward(model: MlpModel, cache: ForwardCache, grad_logit,
     if grad_repr is not None:
         grad_repr = np.asarray(grad_repr, dtype=dtype)
 
-    grads = model.zeros_like() if ws is None else \
-        FlatParams(_room(ws, "grads", model.flat.shape, model.flat.dtype),
-                   model.shapes)
+    grads = FlatParams(_room(ws, "grads", model.flat.shape, model.flat.dtype),
+                       model.shapes)
     dz = grad_logit
     np.matmul(cache.h.T, dz[:, None], out=grads.classifier.weights)
     grads.classifier.bias[0] = dz.sum()

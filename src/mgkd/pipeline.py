@@ -420,8 +420,6 @@ def _train_model(ds: TwoPhaseDataset, teacher: numcore.MlpModel | None,
 
         p_va = _eval_pass(model, x_va, ws)[2]
         val_loss = losses.kl_hard(y_va, p_va, w_va).value
-        if not np.isfinite(val_loss):
-            raise TrainingError(f"non-finite validation loss at epoch {epoch}")
         report = metrics.evaluate(p_va, y_va, split="valid",
                                   seed=cfg.seed, mode=cfg.mode)
         trace.epochs.append({

@@ -47,6 +47,11 @@ def small_model(input_dim=6, hidden=(8, 8), dropout=0.0, seed=7):
                             np.random.default_rng(seed))
 
 
+def zero_grads(model) -> numcore.FlatParams:
+    """A zero gradient in `model`'s flat layout."""
+    return numcore.FlatParams(np.zeros_like(model.flat), model.shapes)
+
+
 def grad_check(value_fn, grad_fn, model, eps=1e-5, rng=None,
                sample_size=1500) -> float:
     """Worst relative error between analytic and central-difference grads.

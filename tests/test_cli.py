@@ -678,6 +678,27 @@ def test_missing_config_exit_2(tmp_path, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, module, allocator", [
+    (["generate"], data, "generate_synthetic"),
+    (["train", "--mode", "teacher", "--data", "DATA"], numcore, "init_mlp"),
+], ids=["generate", "train"])
+def test_out_of_memory_exit_2(workdir, tmp_path, capsys, monkeypatch,
+                              command, module, allocator):
+    # An allocation fails as numpy's does for a size the config asks for;
+    # nothing is allocated for real.
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    dataset, config = workdir[0] / "dataset.csv", workdir[1]
+    monkeypatch.setattr(module, allocator, fail)
+    out = tmp_path / "out"
+    argv = [str(dataset) if arg == "DATA" else arg for arg in command]
+    assert cli.main([*argv, "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"out of memory in {command[0]}: " \
+        "Unable to allocate 745. GiB for an array\n"
+    assert not out.exists()
+
+
 def test_bad_config_value_exit_2(tmp_path, capsys):
     config = tmp_path / "run.ini"
     config.write_text(CONFIG.replace("n = 2500", "n = lots"))

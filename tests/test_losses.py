@@ -213,12 +213,14 @@ class TestFeatLoss:
         assert feat_loss(h, h, "cosine").value == pytest.approx(0.0)
 
     def test_mse_closed_form(self):
-        lv = feat_loss([[1.0, 0.0]], [[0.0, 1.0]], "mse")
+        ht, hs = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
+        lv = feat_loss(ht, hs, "mse")
         assert lv.value == pytest.approx(1.0)
         assert np.allclose(lv.grad_repr, [[-1.0, 1.0]])
 
     def test_cosine_orthogonal(self):
-        lv = feat_loss([[1.0, 0.0]], [[0.0, 1.0]], "cosine")
+        ht, hs = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
+        lv = feat_loss(ht, hs, "cosine")
         assert lv.value == pytest.approx(1.0)
 
     @staticmethod

@@ -8,7 +8,8 @@ from mgkd.errors import DataError, TrainingError
 from mgkd.numcore import (Layer, MlpModel, adam_step, backward, forward,
                           init_adam, init_mlp)
 
-from conftest import grad_check, loss_fns_over_model, peak_bytes, small_model
+from conftest import (grad_check, loss_fns_over_model, peak_bytes, small_model,
+                      zero_grads)
 
 
 class TestForward:
@@ -216,7 +217,7 @@ class TestAdam:
     def test_zero_grads_identity(self):
         model = small_model()
         before = [a.copy() for _, a in model.param_arrays()]
-        grads = model.zeros_like()
+        grads = zero_grads(model)
         adam_step(model, grads, init_adam(model), lr=0.1, weight_decay=0.0)
         for (_, after), prev in zip(model.param_arrays(), before):
             assert np.array_equal(after, prev)
@@ -224,7 +225,7 @@ class TestAdam:
     def test_scalar_one_step(self):
         model = MlpModel.from_layers([Layer(np.array([[1.0]]), np.zeros(1))],
                                      0.0)
-        grads = model.zeros_like()
+        grads = zero_grads(model)
         grads.classifier.weights[0, 0] = 1.0
         adam_step(model, grads, init_adam(model), lr=0.1)
         # m_hat = v_hat = 1 after bias correction at step 1.
@@ -234,7 +235,7 @@ class TestAdam:
         model = MlpModel.from_layers([Layer(np.array([[1.0]]), np.zeros(1))],
                                      0.0)
         state = init_adam(model)
-        grads = model.zeros_like()
+        grads = zero_grads(model)
         grads.classifier.weights[0, 0] = 1.0
         adam_step(model, grads, state, lr=0.1)
         after_first = model.classifier.weights[0, 0]
@@ -247,7 +248,7 @@ class TestAdam:
 
     def test_nonfinite_gradient_names_parameter(self):
         model = small_model()
-        grads = model.zeros_like()
+        grads = zero_grads(model)
         grads.encoder[1].weights[0, 0] = np.nan
         with pytest.raises(TrainingError, match=r"encoder\[1\].weights"):
             adam_step(model, grads, init_adam(model), lr=0.1)
@@ -255,7 +256,7 @@ class TestAdam:
     def test_step_counter(self):
         model = small_model()
         state = init_adam(model)
-        grads = model.zeros_like()
+        grads = zero_grads(model)
         for expected in (1, 2, 3):
             adam_step(model, grads, state, lr=0.1)
             assert state.step == expected
@@ -270,7 +271,7 @@ class TestGradCheck:
                              for _, a in m.param_arrays())
 
         def grad(m):
-            grads = m.zeros_like()
+            grads = zero_grads(m)
             for (_, g), (_, theta) in zip(grads.param_arrays(),
                                           m.param_arrays()):
                 g[...] = theta
@@ -325,7 +326,7 @@ class TestFlatLayout:
 
     def test_views_share_one_buffer(self):
         model = small_model()
-        grads = model.zeros_like()
+        grads = zero_grads(model)
         for params in (model, grads):
             for _, arr in params.param_arrays():
                 assert np.shares_memory(arr, params.flat)
@@ -359,7 +360,7 @@ class TestFlatLayout:
         ms = [np.zeros_like(a) for a in reference]
         vs = [np.zeros_like(a) for a in reference]
         state = init_adam(model)
-        grads = model.zeros_like()
+        grads = zero_grads(model)
         for t in (1, 2, 3):
             grads.flat[:] = rng.standard_normal(grads.flat.size)
             adam_step(model, grads, state, lr=0.01, weight_decay=0.3)
@@ -411,7 +412,7 @@ def _old_backward(model, cache, grad_logit, grad_repr):
     """The backward pass that gated on the stored pre-activations, with
     each weight gradient summed as `numcore.backward` sums it: over the
     first multiple of 32 rows, then the rest."""
-    grads = model.zeros_like()
+    grads = zero_grads(model)
     dz = grad_logit
     grads.classifier.weights[...] = cache.h.T @ dz[:, None]
     grads.classifier.bias[0] = dz.sum()
@@ -521,6 +522,22 @@ class TestWorkspace:
         assert not np.shares_memory(first.flat, second.flat)
         assert first.flat.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("space", ["reserved", "reused"])
+    def test_poisoned_buffers_leave_a_step_as_it_is(self, space):
+        # Every buffer a step reads from the workspace is written first, so
+        # stale contents, and none at all, give the same bytes.
+        model = small_model(hidden=(16, 12, 8), dropout=0.3)
+        ws = numcore.Workspace()
+        if space == "reserved":
+            ws.reserve(model.shapes, 40, np.float32, step=True)
+        else:
+            _float32_step(model, ws, seed=9)
+        for buf in ws.buffers.values():
+            buf[...] = True if buf.dtype == bool else np.nan
+        want = _float32_step(model, None)
+        assert _float32_step(model, numcore.Workspace()) == want
+        assert _float32_step(model, ws) == want
+
     def test_reserve_sizes_every_eval_buffer(self, rng):
         model = small_model(hidden=(16, 12, 8), dropout=0.3)
         ws = numcore.Workspace().reserve(model.shapes, 40)
@@ -571,6 +588,30 @@ class TestWorkspace:
         one_array = STEP_ROWS * STEP_WIDTH * 4
         assert _step_peak_bytes(np.float32, numcore.Workspace()) < one_array
         assert _step_peak_bytes(np.float32, None) > one_array
+
+
+def _float32_step(model, ws, seed=3) -> list[bytes]:
+    """The bytes of one float32 full-mode step of 40 of 60 rows, run as the
+    trainer runs it: forward, objective under MSE and backward."""
+    from mgkd import losses
+    from mgkd.pipeline import DistillConfig
+    rng = np.random.default_rng(seed)
+    work = MlpModel(model.flat.astype(np.float32), model.shapes,
+                    model.dropout_rate)
+    cfg = DistillConfig(alpha=0.2, beta=0.25, lam=0.1, feat_metric="mse")
+    x_tr = rng.standard_normal((60, 6)).astype(np.float32)
+    teacher_h = rng.standard_normal((60, 8)).astype(np.float32)
+    idx = rng.permutation(60)[:40]
+    x, h = (x_tr[idx], teacher_h[idx]) if ws is None else \
+        (ws.take("x", x_tr, idx), ws.take("grad1", teacher_h, idx))
+    cache = forward(work, x, "train", rng, ws)
+    total, terms = losses.objective(
+        cfg, cache, rng.integers(0, 2, 40), None, h, rng.standard_normal(40),
+        rng.standard_normal(40), ws)
+    got = [a.tobytes() for a in (cache.h, cache.z, cache.p, total.grad_logit,
+                                 total.grad_repr)]
+    grads = backward(work, cache, total.grad_logit, total.grad_repr, ws)
+    return [*got, repr((total.value, terms)).encode(), grads.flat.tobytes()]
 
 
 STEP_ROWS, STEP_WIDTH = 4096, 64
